@@ -121,8 +121,7 @@ def bench_mode(mode: str, n_tunnels: int, frames_per_tunnel: int) -> dict:
 
 
 def run_experiment(quick: bool = False, tunnels: Optional[int] = None) -> dict:
-    """``tunnels`` appends an extra sweep tier (full mode only): the
-    10k-tunnel run that motivated multi-core sharding uses
+    """``tunnels`` appends an extra sweep tier (full mode only), e.g.
     ``--tunnels 10000``, with the frame budget scaled so every tunnel
     still sees traffic."""
     sizes = [10, 50] if quick else [10, 100, 500]

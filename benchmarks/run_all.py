@@ -7,7 +7,7 @@ this driver executes them in order and prints the same tables the
 pytest benchmarks save under benchmarks/results/.
 
 ``--quick`` runs a smoke pass: experiments that support it (currently
-``fastpath``, ``concurrency``, ``shard``, ``wms``, ``auth`` and ``tests``) shrink their
+``fastpath``, ``concurrency``, ``wms``, ``auth`` and ``tests``) shrink their
 workloads so the whole sweep finishes in seconds — useful for CI and for
 checking nothing is broken before a full measurement run.
 
@@ -132,7 +132,6 @@ def main(argv: list[str]) -> int:
     import benchmarks.bench_fastpath as fastpath
     import benchmarks.bench_obs as obs
     import benchmarks.bench_racesan as racesan
-    import benchmarks.bench_shard as shard
     import benchmarks.bench_wms as wms
 
     quick = "--quick" in argv
@@ -180,10 +179,6 @@ def main(argv: list[str]) -> int:
         "racesan": lambda: [
             ("Racesan: sanitizer overhead (gate <5% on tunnel_echo)",
              racesan.run_tables(quick=quick)),
-        ],
-        "shard": lambda: [
-            ("Shard: aggregate frames/s vs worker count",
-             shard.run_tables(quick=quick)),
         ],
         "wms": lambda: [
             ("WMS: matchmaking vs round-robin, chaos kill, durability",

@@ -105,7 +105,6 @@ class Grid:
         self._tcp_listeners: dict[str, TcpListener] = {}
         self._connected_pairs: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
-        self._shard_managers: list[Any] = []
         #: grid-wide HMAC token key (set by enable_token_auth); every
         #: proxy's TokenService replica shares it, so a token minted at
         #: one proxy verifies at all of them
@@ -705,38 +704,7 @@ class Grid:
 
     # ------------------------------------------------------------------
 
-    def start_shard_frontend(
-        self,
-        site: str,
-        shards: Optional[int] = None,
-        mode: Optional[str] = None,
-    ):
-        """Front ``site``'s proxy with a multi-core shard worker fleet.
-
-        ``shards=None`` reads ``REPRO_SHARDS`` and returns ``None`` when
-        it is unset or ``<= 1`` — the default grid path is untouched
-        unless sharding is asked for.  The fleet listens on its own
-        port (``manager.address``); the proxy adopts it for OBS_DUMP
-        folding and shuts it down with the grid.
-        """
-        from repro.core.shardmgr import ShardManager
-
-        proxy = self.proxy_of(site)
-        if shards is None:
-            manager = ShardManager.from_env(mode=mode)
-        else:
-            manager = ShardManager(shards=shards, mode=mode)
-        if manager is None:
-            return None
-        manager.start()
-        proxy.attach_shards(manager)
-        self._shard_managers.append(manager)
-        return manager
-
     def shutdown(self) -> None:
-        for manager in self._shard_managers:
-            manager.stop()
-        self._shard_managers = []
         for proxy in self.proxies.values():
             proxy.shutdown()
         for site in self.sites.values():

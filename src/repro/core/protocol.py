@@ -56,7 +56,7 @@ class Op:
     RESOURCE_FOUND = 203
     OBS_DUMP = 210  # "send me your metrics and trace spans"
     OBS_DATA = 211
-    SHARD_STATS = 212  # parent → shard worker: "send me your registry"
+    # 212 is retired (a removed worker-stats op): do not reuse the number
     # -- authentication / permissions (layer 2)
     AUTH_CHECK = 300  # validate a user credential at the destination
     AUTH_OK = 301
@@ -124,7 +124,7 @@ Op._names = {
 #: may re-send all four blindly.
 IDEMPOTENT_OPS = frozenset(
     {Op.HELLO, Op.PING, Op.STATUS_QUERY, Op.LOCATE_RESOURCE, Op.AUTH_CHECK,
-     Op.OBS_DUMP, Op.SHARD_STATS,
+     Op.OBS_DUMP,
      Op.JOB_QSUBMIT, Op.JOB_CLAIM, Op.JOB_STATUS, Op.JOB_DONE,
      Op.AUTH_LOGIN, Op.AUTH_REFRESH, Op.AUTH_REVOKE, Op.AUTH_RLIST}
 )

@@ -197,9 +197,6 @@ class ProxyServer:
         self.extension_handlers = self.pipeline.overrides
         #: optional usage ledger (reward mechanisms); set by the Grid
         self.ledger = None
-        #: optional shard fleet fronting this proxy (REPRO_SHARDS); its
-        #: per-worker registries fold into the OBS_DUMP view on demand
-        self._shard_manager = None
         #: optional workload manager (set by attach_wms): this proxy is
         #: then the grid's queue authority for the JOB_QSUBMIT/JOB_CLAIM
         #: /JOB_STATUS/JOB_DONE ops
@@ -732,29 +729,11 @@ class ProxyServer:
                 "rejected": self.ticket_keeper.rejected,
             },
         }
-        if self._shard_manager is not None:
-            # One folded snapshot for the whole worker fleet: per-worker
-            # registries are collected over SHARD_STATS and summed here,
-            # so a sharded proxy still answers OBS_DUMP with one view.
-            try:
-                dump["shards"] = self._shard_manager.folded_snapshot()
-            except Exception as exc:
-                dump["shards"] = {"error": str(exc)}
         sanitizer = racesan.active()
         dump["racesan"] = (
             sanitizer.stats() if sanitizer is not None else {"enabled": False}
         )
         return dump
-
-    def attach_shards(self, manager) -> None:
-        """Adopt a :class:`~repro.core.shardmgr.ShardManager` fleet.
-
-        The fleet serves the data plane on its own port; this proxy's
-        role is observability and lifecycle — ``OBS_DUMP`` folds the
-        workers' registries into the dump, and :meth:`shutdown` stops
-        the fleet with the proxy.
-        """
-        self._shard_manager = manager
 
     def attach_wms(self, wms) -> None:
         """Adopt a :class:`~repro.control.wms.WorkloadManager`.
@@ -1678,8 +1657,6 @@ class ProxyServer:
             return
         self._closing.set()
         self.stop_heartbeats()
-        if self._shard_manager is not None:
-            self._shard_manager.stop()
         if self._listener is not None:
             self._listener.close()
         if self._accept_thread is not None:

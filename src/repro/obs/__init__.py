@@ -21,7 +21,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     enabled,
-    fold_snapshots,
     get_global_registry,
     reset_global_registry,
     set_enabled,
@@ -59,7 +58,6 @@ __all__ = [
     "TraceContext",
     "current_trace",
     "enabled",
-    "fold_snapshots",
     "get_global_registry",
     "mint_trace",
     "reset_global_registry",

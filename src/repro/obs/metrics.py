@@ -40,7 +40,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "enabled",
-    "fold_snapshots",
     "get_global_registry",
     "reset_global_registry",
     "set_enabled",
@@ -271,71 +270,6 @@ class MetricsRegistry:
             elif isinstance(instrument, Histogram):
                 histograms[name] = instrument.to_dict()
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def fold_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Fold per-worker registry snapshots into one combined snapshot.
-
-    The shard layer keeps one shared-nothing :class:`MetricsRegistry` per
-    worker process — the paper's local-collect model — and the parent
-    compiles the global view only on demand (``SHARD_STATS`` →
-    ``OBS_DUMP``), which is where this fold runs.  Counters and gauges
-    sum by name; histograms with identical bucket bounds merge
-    bucket-wise (quantiles are re-read off the merged buckets, and the
-    merged ``max`` is the max of maxes).  Histograms whose bounds differ
-    keep the first snapshot's shape and fold only count/sum/max — shapes
-    only diverge across mixed-version workers, where approximate beats
-    wrong.  Input snapshots are not mutated.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = gauges.get(name, 0.0) + value
-        for name, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    key: ([list(pair) for pair in value] if key == "buckets"
-                          else value)
-                    for key, value in hist.items()
-                }
-                continue
-            merged["count"] += hist.get("count", 0)
-            merged["sum"] += hist.get("sum", 0.0)
-            merged["max"] = max(merged.get("max", 0.0), hist.get("max", 0.0))
-            theirs = hist.get("buckets", [])
-            ours = merged.get("buckets", [])
-            if [edge for edge, _ in ours] == [edge for edge, _ in theirs]:
-                for pair, (_, count) in zip(ours, theirs):
-                    pair[1] += count
-                merged["overflow"] = (
-                    merged.get("overflow", 0) + hist.get("overflow", 0)
-                )
-    for hist in histograms.values():
-        _requantile(hist)
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def _requantile(hist: dict) -> None:
-    """Recompute p50/p95/p99 from a folded histogram's buckets."""
-    total = hist.get("count", 0)
-    if not total:
-        return
-    buckets = hist.get("buckets", [])
-    for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-        rank = q * total
-        seen = 0
-        value = hist.get("max", 0.0)  # rank in the overflow bucket
-        for edge, count in buckets:
-            seen += count
-            if seen >= rank:
-                value = edge
-                break
-        hist[label] = value
 
 
 # ---------------------------------------------------------------------------

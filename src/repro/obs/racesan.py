@@ -30,7 +30,7 @@ machine tuned to this codebase):
 
   ``EXCLUSIVE`` makes init-then-publish free (the constructor holds no
   locks and needs none); ``TRANSFERRING`` makes single-owner handoff
-  (shard/channel ownership moving between threads) free: the lockset
+  (channel ownership moving between threads) free: the lockset
   only starts refining once two threads *interleave* on the field.  A
   prior accessor whose thread has exited no longer counts as sharing —
   handing state to a new thread after ``join()`` is a transfer, not a
@@ -475,8 +475,8 @@ class RaceSanitizer:
 
     def transfer(self, obj: Any) -> None:
         """Declare an ownership transfer: the next thread to touch each
-        field of ``obj`` becomes its new exclusive owner (shard handoff,
-        queue hand-over — anywhere the old owner provably stops)."""
+        field of ``obj`` becomes its new exclusive owner (queue
+        hand-over — anywhere the old owner provably stops)."""
         marker = (id(obj), type(obj).__qualname__)
         with self._mutex:
             for key, state in self._states.items():

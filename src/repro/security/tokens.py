@@ -469,7 +469,7 @@ class TokenService:
         self, subject: str, *, scopes: Iterable[str] = ("*",),
         lifetime: Optional[float] = None,
     ) -> Token:
-        """Identity for grid infrastructure (proxies, shard workers).
+        """Identity for grid infrastructure (proxies).
 
         Proxies are the trusted base — they hold the HMAC key anyway —
         so a wildcard-scope token is a statement of identity for audit

@@ -562,8 +562,6 @@ class ReactorTcpChannel(Channel):
     because reads and loop-side consumption are the same thread and
     layered consumers (the record cipher) open each frame before the
     drain continues.  Cross-thread blocking ``recv`` always copies.
-    ``REPRO_ZEROCOPY=0`` forces the copying decode everywhere (the PR 3
-    behaviour, kept as a benchmark baseline and kill switch).
 
     Outbound: frames are encoded to iovec views and appended to a bounded
     write queue (``max_write_queue`` bytes).  The loop flushes the whole
@@ -604,10 +602,6 @@ class ReactorTcpChannel(Channel):
         self._rx_cond = threading.Condition()
         self._rx_eof = False
         self._rx_error: Optional[Exception] = None
-        self._zero_copy = (
-            os.environ.get("REPRO_ZEROCOPY", "1").lower()
-            not in ("0", "off", "false")
-        )
         self._ready_cb: Optional[Callable[[], None]] = None
         # outbound
         self._wq: deque = deque()  # (views, frame_size)
@@ -713,7 +707,7 @@ class ReactorTcpChannel(Channel):
         """
         if self._rx_error is not None:
             return None
-        zero = self._zero_copy and self.reactor_loop.on_loop_thread()
+        zero = self.reactor_loop.on_loop_thread()
         try:
             frame = (
                 self._decoder.next_frame_view()
@@ -972,9 +966,8 @@ class ReactorTcpListener(TcpListener):
         port: int = 0,
         backlog: int = 64,
         reactor: Optional[Reactor] = None,
-        reuseport: bool = False,
     ):
-        super().__init__(host=host, port=port, backlog=backlog, reuseport=reuseport)
+        super().__init__(host=host, port=port, backlog=backlog)
         self._reactor = reactor
 
     def _make_channel(self, conn: socket.socket, name: str) -> Channel:

@@ -38,8 +38,9 @@ _IOV_MAX = 1024  # conservative bound on buffers per sendmsg call
 def _set_nodelay(sock: socket.socket) -> None:
     """Disable Nagle where the transport is actually TCP.
 
-    Frame channels also run over Unix socketpairs (the shard manager's
-    parent↔worker control links), where TCP options simply don't apply.
+    The channel classes wrap whatever connected stream socket they are
+    handed; on a non-TCP one (a Unix socketpair) TCP options don't apply
+    and the ``setsockopt`` fails with ``OSError``, which is harmless.
     """
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -177,14 +178,9 @@ class TcpListener(Listener):
         host: str = "127.0.0.1",
         port: int = 0,
         backlog: int = 64,
-        reuseport: bool = False,
     ):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuseport:
-            # Kernel-side accept sharding: several workers bind the same
-            # port and the kernel spreads connections across them.
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         self._sock.bind((host, port))
         self._sock.listen(backlog)
         self._closed = threading.Event()
@@ -215,6 +211,12 @@ class TcpListener(Listener):
         if self._closed.is_set():
             return
         self._closed.set()
+        # close() alone leaves a thread blocked in accept() asleep until
+        # its timeout; shutdown() wakes it with an error straight away.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
 

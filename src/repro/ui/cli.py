@@ -13,7 +13,6 @@ set by flags), then performs the requested grid function against it:
 ``proxigrid web``        serve the web interface until interrupted
 ``proxigrid topology``   sites, proxies, tunnels
 ``proxigrid obs``        compiled grid telemetry (metrics + trace spans)
-``proxigrid shard-serve``  standalone multi-core sharded frame frontend
 """
 
 from __future__ import annotations
@@ -132,38 +131,6 @@ def _cmd_web(grid: Grid, args) -> int:
     return 0
 
 
-def _cmd_shard_serve(args) -> int:
-    """Run a standalone sharded frame frontend until interrupted.
-
-    No demo grid: the shard fleet *is* the service.  ``--shards``
-    defaults to ``$REPRO_SHARDS``; stats are printed on Ctrl-C.
-    """
-    import os
-    import time
-
-    from repro.core.shardmgr import SHARDS_ENV, ShardManager
-
-    shards = args.shards
-    if shards is None:
-        shards = int(os.environ.get(SHARDS_ENV, "2") or "2")
-    manager = ShardManager(
-        shards=shards, host=args.host, port=args.port, mode=args.mode
-    ).start()
-    host, port = manager.address
-    print(
-        f"shard frontend at {host}:{port} "
-        f"({manager.shards} workers, mode={manager.mode}; Ctrl-C to stop)"
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print(json.dumps(manager.folded_snapshot(), indent=2))
-    finally:
-        manager.stop()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxigrid",
@@ -202,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     web = sub.add_parser("web", help="serve the web interface")
     web.add_argument("--port", type=int, default=8088)
 
-    shard = sub.add_parser(
-        "shard-serve", help="multi-core sharded frame frontend (REPRO_SHARDS)"
-    )
-    shard.add_argument("--shards", type=int, default=None,
-                       help="worker processes (default: $REPRO_SHARDS or 2)")
-    shard.add_argument("--host", default="127.0.0.1")
-    shard.add_argument("--port", type=int, default=0)
-    shard.add_argument("--mode", choices=["reuseport", "fdpass"], default=None)
     return parser
 
 
@@ -226,8 +185,6 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "shard-serve":
-        return _cmd_shard_serve(args)  # standalone: no demo grid needed
     grid = build_demo_grid(args.sites, args.nodes, transport=args.transport)
     try:
         return _COMMANDS[args.command](grid, args)

@@ -1,7 +1,7 @@
 """Integration-suite configuration: race-sanitizer recording.
 
 The integration tests run real proxies over real threads (reactor
-loops, dispatch pools, shard workers), which is exactly the traffic the
+loops, dispatch pools), which is exactly the traffic the
 data-race sanitizer exists to observe.  Instrumentation happens once in
 the root conftest; this fixture flips the recording gate per test so
 unit/property suites stay at marker-only cost.

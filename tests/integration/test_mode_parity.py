@@ -299,13 +299,6 @@ def test_token_auth_identical_across_engines(monkeypatch):
     assert outcome == EXPECTED_AUTH_OUTCOME
 
 
-def test_token_auth_identical_under_sharding(monkeypatch):
-    monkeypatch.setenv("REPRO_AUTH", "token")
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    outcome = _assert_parity(_both_modes(_auth_scenario))
-    assert outcome == EXPECTED_AUTH_OUTCOME
-
-
 # ---------------------------------------------------------------------------
 # Cross-cutting: OBS_DUMP works over both engines
 # ---------------------------------------------------------------------------

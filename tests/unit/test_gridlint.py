@@ -300,67 +300,6 @@ def wall_clock_label():
 """
 }
 
-_GL104_POSITIVE = {
-    "repro/core/shardmgr.py": """\
-import multiprocessing
-import os
-
-from repro.transport.reactor import get_global_reactor
-
-
-def spawn_worker(config):
-    ctx = multiprocessing.get_context("fork")
-    return ctx.Process(target=worker_main, args=(config,))
-
-
-def worker_main(config):
-    reactor = get_global_reactor()
-    if os.fork() == 0:
-        return reactor
-"""
-}
-
-_GL104_NEGATIVE = {
-    "repro/core/shardmgr.py": """\
-import multiprocessing
-
-from repro.transport.reactor import Reactor
-
-
-def spawn_worker(config):
-    ctx = multiprocessing.get_context("spawn")
-    return ctx.Process(target=worker_main, args=(config,))
-
-
-def worker_main(config):
-    # Shared-nothing: the worker builds its own stack from scratch.
-    return Reactor(loops=1, name="worker")
-""",
-    "repro/core/other.py": """\
-from repro.transport.reactor import get_global_reactor
-
-
-def fine_outside_shard_modules():
-    # The global reactor is the norm everywhere but the shard layer.
-    return get_global_reactor()
-""",
-}
-
-_GL104_SUPPRESSED = {
-    "repro/core/shardmgr.py": """\
-import multiprocessing
-
-
-def spawn_worker(config):
-    ctx = multiprocessing.get_context("fork")  # gridlint: disable=GL104 -- fixture: platform with broken spawn, worker execs immediately
-    return ctx.Process(target=worker_main, args=(config,))
-
-
-def worker_main(config):
-    return None
-"""
-}
-
 _GL106_POSITIVE = {
     "repro/core/counter.py": """\
 from repro.obs.racesan import shared_state
@@ -488,11 +427,6 @@ FIXTURES: dict[str, dict[str, dict[str, str]]] = {
         "positive": _GL103_POSITIVE,
         "negative": _GL103_NEGATIVE,
         "suppressed": _GL103_SUPPRESSED,
-    },
-    "GL104": {
-        "positive": _GL104_POSITIVE,
-        "negative": _GL104_NEGATIVE,
-        "suppressed": _GL104_SUPPRESSED,
     },
     "GL105": {
         "positive": _GL105_POSITIVE,

@@ -1,12 +1,14 @@
 """Unit tests for the in-process and TCP transports."""
 
 import threading
+import time
 
 import pytest
 
 from repro.transport.errors import ChannelClosed, TransportTimeout
 from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import InprocFabric, channel_pair
+from repro.transport.reactor import ReactorTcpListener
 from repro.transport.tcp import TcpListener, connect_tcp
 
 
@@ -243,6 +245,31 @@ class TestTcpTransport:
         with pytest.raises(TransportTimeoutOrClosed):
             listener.accept(timeout=0.05)
         listener.close()
+
+    @pytest.mark.parametrize("listener_cls", [TcpListener, ReactorTcpListener])
+    def test_close_wakes_a_blocked_accept(self, listener_cls):
+        listener = listener_cls()
+        entered = threading.Event()
+        outcome = []
+
+        def acceptor():
+            entered.set()
+            try:
+                listener.accept(timeout=5.0)
+            except Exception as exc:
+                outcome.append((type(exc), time.monotonic()))
+
+        thread = threading.Thread(target=acceptor)
+        thread.start()
+        assert entered.wait(timeout=5.0)
+        time.sleep(0.05)  # let the thread park inside accept()
+        closed_at = time.monotonic()
+        listener.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        [(exc_type, woke_at)] = outcome
+        assert exc_type is ChannelClosed
+        assert woke_at - closed_at < 0.1
 
     def test_send_after_close_raises(self):
         listener = TcpListener()

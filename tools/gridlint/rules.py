@@ -23,24 +23,6 @@ SANCTIONED_THREAD_SUFFIXES = ("core/dispatch.py",)
 #: construction-time wiring, by convention.
 INSTRUMENT_WIRING_FUNCTIONS = frozenset({"__init__", "bind_metrics"})
 
-#: The shard layer's modules: worker entry paths that must stay
-#: fork-free and shared-nothing (GL104).
-SHARD_MODULE_SUFFIXES = ("transport/shard.py", "core/shardmgr.py")
-
-#: Process-global singleton accessors a shard module must never call:
-#: a worker that reaches for the global reactor or registry is quietly
-#: welded back into state its respawn path cannot rebuild.
-SHARD_FORBIDDEN_GLOBALS = frozenset(
-    {"get_global_reactor", "get_global_registry"}
-)
-
-#: os functions that fork the process.
-FORK_FUNCTIONS = frozenset({"fork", "forkpty"})
-
-#: multiprocessing entry points whose first argument picks a start
-#: method; "fork" there is the same hazard as os.fork().
-START_METHOD_FUNCTIONS = frozenset({"get_context", "set_start_method"})
-
 #: Registry implementations themselves (get-or-create lives here).
 INSTRUMENT_IMPL_SUFFIXES = ("obs/metrics.py", "simulation/metrics.py")
 
@@ -197,88 +179,6 @@ class NoUnsanctionedThreads(Rule):
                             "through the reactor or dispatch pool"
                         ),
                     )
-
-
-@rule
-class ForkSafeShardWorkers(Rule):
-    """Shard worker entry paths must be fork-free and shared-nothing.
-
-    A forked CPython process inherits reactor loop threads that are no
-    longer running, locks whose owners no longer exist, and selector/fd
-    state still shared with the parent — so the shard layer *spawns*
-    workers and rebuilds every stack from scratch.  The rule flags fork
-    primitives (``os.fork``/``os.forkpty``, and ``get_context``/
-    ``set_start_method`` with ``"fork"``) anywhere in the tree, and —
-    inside the shard modules themselves — any call to the process-global
-    reactor or metrics registry accessors, which would silently couple
-    workers through state a respawn cannot reproduce.
-    """
-
-    code = "GL104"
-    title = "fork-unsafe primitive in a shard worker entry path"
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        for source in project.sources:
-            path = source.path.replace("\\", "/")
-            in_shard_module = any(
-                path.endswith(sfx) for sfx in SHARD_MODULE_SUFFIXES
-            )
-            os_aliases = _module_aliases(source.tree, "os")
-            fork_names = {
-                local
-                for local, orig in _from_imports(source.tree, "os").items()
-                if orig in FORK_FUNCTIONS
-            }
-            for node in ast.walk(source.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name: Optional[str] = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                    if name in fork_names:
-                        yield self._finding(
-                            source.path, node.lineno,
-                            f"os.{name}() forks the process",
-                        )
-                        continue
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                    if (
-                        name in FORK_FUNCTIONS
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id in os_aliases
-                    ):
-                        yield self._finding(
-                            source.path, node.lineno,
-                            f"os.{name}() forks the process",
-                        )
-                        continue
-                if name in START_METHOD_FUNCTIONS and any(
-                    isinstance(arg, ast.Constant) and arg.value == "fork"
-                    for arg in node.args
-                ):
-                    yield self._finding(
-                        source.path, node.lineno,
-                        f'{name}("fork") selects the fork start method',
-                    )
-                elif in_shard_module and name in SHARD_FORBIDDEN_GLOBALS:
-                    yield self._finding(
-                        source.path, node.lineno,
-                        f"{name}() couples shard workers through "
-                        "process-global state",
-                    )
-
-    def _finding(self, path: str, line: int, what: str) -> Finding:
-        return Finding(
-            code=self.code,
-            path=path,
-            line=line,
-            message=(
-                f"{what}; shard workers must be spawned with private "
-                "reactor/registry stacks"
-            ),
-        )
 
 
 def _attr_text(node: ast.AST) -> str:
