@@ -7,9 +7,8 @@ baseline, on the same scenarios.
 
 * **tunnel_echo** — end-to-end frames/s through two reactor tunnels over
   TCP loopback, metrics bound vs the obs layer disabled.  This is the
-  fastpath suite's tunnel scenario and the **gated** number: crypto and
-  syscalls dominate, so the handful of counter increments per batch must
-  stay under the 5% budget.
+  **gated** number: crypto and syscalls dominate, so the handful of
+  counter increments per batch must stay under the 5% budget.
 * **dispatch** — pure pipeline msgs/s, ``obs=None`` (the dark path) vs an
   attached :class:`~repro.obs.ObsHub`.  Report-only: a span plus a
   latency observation per message is real work against a ~µs baseline,
@@ -93,7 +92,7 @@ def _tunnel_echo_rate(instrumented: bool, count: int) -> float:
                 done.set()
 
         receiver.on_frame(FrameKind.MPI, on_frame)
-        receiver.start("reactor")
+        receiver.start()
         frames = [
             Frame(kind=FrameKind.MPI, channel=1, headers={"rank": 0}, payload=payload)
             for _ in range(batch)

@@ -2,9 +2,9 @@
 
 The sanitizer instruments attribute access on the hot shared classes
 (``FrameDecoder``, ``ReactorTcpChannel``, the metrics registry), so its
-cost rides the same data plane the obs gate protects.  Measured on the
-fastpath suite's tunnel scenario: end-to-end frames/s through two secure
-reactor tunnels over TCP loopback.
+cost rides the same data plane the obs gate protects.  Measured as
+end-to-end frames/s through two secure reactor tunnels over TCP
+loopback.
 
 * **tunnel_echo_idle** — sanitizer installed but not recording, vs not
   installed at all.  This is what every default pytest session pays on

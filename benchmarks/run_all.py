@@ -1,19 +1,18 @@
 """Run every experiment and print its table (no pytest needed).
 
-Usage:  python benchmarks/run_all.py [--quick] [e4 e6 fastpath ...]
+Usage:  python benchmarks/run_all.py [--quick] [e4 e6 obs ...]
 
 Each experiment module exposes ``run_experiment`` (plus shape checks);
 this driver executes them in order and prints the same tables the
 pytest benchmarks save under benchmarks/results/.
 
 ``--quick`` runs a smoke pass: experiments that support it (currently
-``fastpath``, ``concurrency``, ``wms``, ``auth`` and ``tests``) shrink their
+``obs``, ``racesan``, ``wms``, ``auth`` and ``tests``) shrink their
 workloads so the whole sweep finishes in seconds — useful for CI and for
 checking nothing is broken before a full measurement run.
 
 The ``tests`` profile runs the pytest suite in stages (it is not listed
-in the default sweep; ask for it by name).  Tier-1 runs twice, once per
-I/O mode (reactor and ``REPRO_IO=threaded``).  ``--quick`` limits it to
+in the default sweep; ask for it by name).  ``--quick`` limits it to
 unit + property tests; the full profile adds integration and the chaos
 resilience suite (``-m chaos``), and — when ``pytest-cov`` happens to be
 installed — enforces the coverage gate ``--cov=repro
@@ -40,21 +39,13 @@ from benchmarks.common import format_table
 
 
 def run_test_profile(quick: bool) -> list[dict]:
-    """Run the pytest suite in stages; one table row per stage.
-
-    Tier-1 runs under both I/O modes: the reactor (default) and the
-    ``REPRO_IO=threaded`` escape hatch, so neither path can rot.
-    """
+    """Run the pytest suite in stages; one table row per stage."""
     if quick:
-        stages = [
-            ("unit+property (reactor)", ["tests/unit", "tests/property"], "reactor"),
-            ("unit (threaded)", ["tests/unit"], "threaded"),
-        ]
+        stages = [("unit+property", ["tests/unit", "tests/property"])]
     else:
         stages = [
-            ("tier-1 (reactor, full default run)", ["tests"], "reactor"),
-            ("tier-1 (REPRO_IO=threaded)", ["tests"], "threaded"),
-            ("chaos resilience", ["-m", "chaos", "tests/chaos"], "reactor"),
+            ("tier-1 (full default run)", ["tests"]),
+            ("chaos resilience", ["-m", "chaos", "tests/chaos"]),
         ]
     has_cov = importlib.util.find_spec("pytest_cov") is not None
     env = dict(os.environ)
@@ -63,14 +54,13 @@ def run_test_profile(quick: bool) -> list[dict]:
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
     rows = []
-    for name, args, io in stages:
+    for name, args in stages:
         cmd = [sys.executable, "-m", "pytest", "-q", *args]
-        gated = not quick and has_cov and name.startswith("tier-1 (reactor")
+        gated = not quick and has_cov and name.startswith("tier-1")
         if gated:
             cmd += ["--cov=repro", "--cov-fail-under=80"]
         start = time.perf_counter()
-        stage_env = dict(env, REPRO_IO=io)
-        result = subprocess.run(cmd, cwd=_ROOT, env=stage_env)
+        result = subprocess.run(cmd, cwd=_ROOT, env=env)
         rows.append(
             {
                 "stage": name,
@@ -128,8 +118,6 @@ def main(argv: list[str]) -> int:
     import benchmarks.bench_e11_isolation as e11
     import benchmarks.bench_e12_owner_priority as e12
     import benchmarks.bench_auth as auth
-    import benchmarks.bench_concurrency as concurrency
-    import benchmarks.bench_fastpath as fastpath
     import benchmarks.bench_obs as obs
     import benchmarks.bench_racesan as racesan
     import benchmarks.bench_wms as wms
@@ -161,17 +149,6 @@ def main(argv: list[str]) -> int:
         "e10": lambda: [("E10: proxies per site", e10.run_experiment())],
         "e11": lambda: [("E11: crash isolation", e11.run_experiment())],
         "e12": lambda: [("E12: owner priority", e12.run_experiment())],
-        "fastpath": lambda: (
-            lambda report: [
-                ("Fastpath: record cipher seal+open", report["cipher"]),
-                ("Fastpath: frame codec decode", report["codec"]),
-                ("Fastpath: tunnel end-to-end", report["tunnel"]),
-            ]
-        )(fastpath.run_experiment(quick=quick)),
-        "concurrency": lambda: [
-            ("Concurrency: reactor vs thread-per-connection",
-             concurrency.run_tables(quick=quick)),
-        ],
         "obs": lambda: [
             ("Obs: instrumentation overhead (gate <5% on tunnel_echo)",
              obs.run_tables(quick=quick)),

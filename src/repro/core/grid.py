@@ -32,15 +32,9 @@ from repro.mpi.launcher import MpiJobResult
 from repro.security.auth import AccessControlList, UserDirectory
 from repro.security.ca import CertificationAuthority
 from repro.security.rsa import RsaKeyPair
-from repro.security.tickets import TicketService
-from repro.security.tokens import TokenService, auth_mode
+from repro.security.tokens import TokenService
 from repro.transport.inproc import InprocFabric
-from repro.transport.reactor import (
-    ReactorTcpListener,
-    connect_tcp_reactor,
-    io_mode,
-)
-from repro.transport.tcp import TcpListener, connect_tcp
+from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
 
 __all__ = ["Grid", "GridError"]
 
@@ -69,21 +63,18 @@ class Grid:
         key_bits: int = 512,
         channel_wrapper: Optional[Callable[[Any], Any]] = None,
         handshake_retry: Optional[RetryPolicy] = None,
-        io: Optional[str] = None,
         heartbeat_interval: Optional[float] = None,
     ):
         """``channel_wrapper`` interposes on every dialed raw channel —
         the chaos suite injects faults there; ``handshake_retry`` governs
         redials when a tunnel handshake is interrupted mid-flight.
 
-        ``io`` selects the I/O engine (``"reactor"`` | ``"threaded"``,
-        default from ``$REPRO_IO``); ``heartbeat_interval`` arms each
-        proxy's jittered heartbeat timer on the shared reactor so the
-        failure detectors run without caller discipline."""
+        ``heartbeat_interval`` arms each proxy's jittered heartbeat
+        timer on the shared reactor so the failure detectors run without
+        caller discipline."""
         if transport not in ("inproc", "tcp"):
             raise GridError(f"unknown transport: {transport!r}")
         self.transport = transport
-        self.io = io_mode(io)
         self.heartbeat_interval = heartbeat_interval
         self.clock = clock or time.time
         self.key_bits = key_bits
@@ -95,14 +86,11 @@ class Grid:
         self.directory = GridDirectory()
         self.users = UserDirectory()
         self.acl = AccessControlList(self.users)
-        self.tickets = TicketService(
-            self.users, self.clock, key_bits=key_bits
-        )
         self.ledger = UsageLedger(clock=self.clock)
         self.sites: dict[str, Site] = {}
         self.proxies: dict[str, ProxyServer] = {}
         self._fabric = InprocFabric()
-        self._tcp_listeners: dict[str, TcpListener] = {}
+        self._tcp_listeners: dict[str, ReactorTcpListener] = {}
         self._connected_pairs: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         #: grid-wide HMAC token key (set by enable_token_auth); every
@@ -151,7 +139,6 @@ class Grid:
             directory=self.directory,
             users=self.users,
             acl=self.acl,
-            io=self.io,
         )
         proxy.ledger = self.ledger
         self._attach_tokens(proxy)
@@ -188,7 +175,6 @@ class Grid:
             directory=self.directory,
             users=self.users,
             acl=self.acl,
-            io=self.io,
         )
         proxy.ledger = self.ledger
         self._attach_tokens(proxy)
@@ -199,10 +185,7 @@ class Grid:
     def _make_address(self, proxy_name: str) -> str:
         if self.transport == "inproc":
             return f"{proxy_name}.tunnel"
-        if self.io == "reactor":
-            listener: TcpListener = ReactorTcpListener()
-        else:
-            listener = TcpListener()
+        listener = ReactorTcpListener()
         self._tcp_listeners[proxy_name] = listener
         return f"{listener.host}:{listener.port}"
 
@@ -219,10 +202,7 @@ class Grid:
             raw = self._fabric.connect(address)
         else:
             host, _, port = address.rpartition(":")
-            if self.io == "reactor":
-                raw = connect_tcp_reactor(host, int(port))
-            else:
-                raw = connect_tcp(host, int(port))
+            raw = connect_tcp_reactor(host, int(port))
         if self.channel_wrapper is not None:
             raw = self.channel_wrapper(raw)
         return raw
@@ -330,7 +310,7 @@ class Grid:
 
     def enable_token_auth(
         self, lifetime: float = 900.0, **kwargs: Any
-    ) -> Optional[bytes]:
+    ) -> bytes:
         """Switch the grid to the token auth plane (login once → tokens).
 
         Mints one grid-wide HMAC key and attaches a
@@ -340,14 +320,10 @@ class Grid:
         everywhere; their revocation lists start independent and
         converge by heartbeat gossip.
 
-        Under ``REPRO_AUTH=legacy`` this is a no-op returning ``None``:
-        the grid keeps the seed's per-request RSA credential path,
-        byte-for-byte.  Otherwise returns the shared key (tests that
-        build a second grid against the same token universe need it;
-        pass ``key=...`` via ``kwargs`` to supply your own).
+        Returns the shared key (tests that build a second grid against
+        the same token universe need it; pass ``key=...`` via ``kwargs``
+        to supply your own).
         """
-        if auth_mode() == "legacy":
-            return None
         if self._token_key is not None:
             raise GridError("token auth is already enabled")
         self._token_kwargs = dict(kwargs, lifetime=lifetime)

@@ -62,7 +62,7 @@ from repro.security.auth import (
 from repro.security.certs import Certificate
 from repro.security.handshake import ResumptionTicket, SessionTicketKeeper
 from repro.security.rsa import RsaKeyPair
-from repro.security.tokens import Token, TokenError, TokenService, auth_mode
+from repro.security.tokens import Token, TokenError, TokenService
 from repro.transport.channel import Channel, Listener
 from repro.transport.errors import TransportError
 from repro.transport.frames import Frame, FrameKind
@@ -127,7 +127,6 @@ class ProxyServer:
         retry_policy: Optional[RetryPolicy] = None,
         suspect_after: float = 3.0,
         dead_after: float = 10.0,
-        io: Optional[str] = None,
         dispatch_workers: int = 4,
     ):
         self.name = name
@@ -140,9 +139,6 @@ class ProxyServer:
         self.directory = directory
         self.users = users or UserDirectory()
         self.acl = acl or AccessControlList(self.users)
-        #: I/O mode for this proxy's tunnels: "reactor" | "threaded" |
-        #: None (resolve from $REPRO_IO at tunnel start)
-        self.io = io
         self._tunnels: dict[str, Tunnel] = {}
         self._tunnel_lock = threading.Lock()
         self._tracker = RequestTracker()
@@ -173,7 +169,6 @@ class ProxyServer:
         #: token control plane (set by attach_token_service); None means
         #: the per-request RSA credential path is the only auth plane
         self.tokens: Optional[TokenService] = None
-        self._token_guard: Optional[TokenAuthGuard] = None
         self._service_token: Optional[Token] = None
         self._service_blob: Optional[bytes] = None
         #: revocation-gossip bookkeeping: peers we are already pulling
@@ -356,7 +351,7 @@ class ProxyServer:
             self._tunnels[tunnel.peer_name] = tunnel
         self.last_heard[tunnel.peer_name] = self.clock()
         self.health.watch(tunnel.peer_name)
-        tunnel.start(self.io)
+        tunnel.start()
 
     def _cancel_inflight_for_peer(self, tunnel: Tunnel) -> None:
         with self._inflight_lock:
@@ -718,7 +713,6 @@ class ProxyServer:
             if self.health.is_watching(peer_name)
         }
         dump["auth"] = {
-            "mode": auth_mode(),
             "token_service": self.tokens is not None,
             "revocation_epoch": (
                 self.tokens.epoch if self.tokens is not None else 0
@@ -802,14 +796,13 @@ class ProxyServer:
     # Layer 2b: token control plane (login once → HMAC bearer tokens)
     # ------------------------------------------------------------------
 
-    def attach_token_service(self, service: TokenService, guard: bool = True) -> None:
+    def attach_token_service(self, service: TokenService) -> None:
         """Adopt a :class:`~repro.security.tokens.TokenService`.
 
         This proxy then serves the AUTH_LOGIN/AUTH_REFRESH/AUTH_REVOKE/
-        AUTH_RLIST ops and — unless ``guard`` is False or ``$REPRO_AUTH``
-        is ``legacy`` — installs a :class:`TokenAuthGuard` so guarded ops
-        (jobs, WMS, MPI) require a valid bearer token.  Login does PBKDF2
-        and token minting, and revoke fans heartbeats out to every
+        AUTH_RLIST ops and installs a :class:`TokenAuthGuard` so guarded
+        ops (jobs, WMS, MPI) require a valid bearer token.  Login does
+        PBKDF2 and token minting, and revoke fans heartbeats out to every
         tunnel, so both run ``blocking``; refresh and the revocation-list
         read are cheap HMAC/dict work and stay inline.
         """
@@ -821,9 +814,7 @@ class ProxyServer:
         pipe.register(Op.AUTH_REFRESH, self._handle_auth_refresh)
         pipe.register(Op.AUTH_REVOKE, self._handle_auth_revoke, blocking=True)
         pipe.register(Op.AUTH_RLIST, self._handle_auth_rlist)
-        if guard and auth_mode() != "legacy":
-            self._token_guard = TokenAuthGuard(service, obs=self.obs)
-            pipe.add_guard(self._token_guard)
+        pipe.add_guard(TokenAuthGuard(service, obs=self.obs))
 
     def _service_token_blob(self) -> Optional[bytes]:
         """This proxy's own bearer token, re-minted shortly before expiry.
@@ -1040,13 +1031,13 @@ class ProxyServer:
         revalidate the credential and the ACL at the destination, exactly
         as the paper specifies.
 
-        With a token service attached (and the guard active), the legacy
-        signature is kept but the mechanics change: the password buys one
-        login, and the job travels under the resulting bearer token via
+        With a token service attached, the legacy signature is kept but
+        the mechanics change: the password buys one login, and the job
+        travels under the resulting bearer token via
         :meth:`submit_job_with_token` — no per-request RSA.
         """
         target_site = target_site or self.site.name
-        if self.tokens is not None and self._token_guard is not None:
+        if self.tokens is not None:
             token = self.tokens.login(userid, password)
             return self.submit_job_with_token(
                 token.to_bytes(), task, params, target_site, timeout
@@ -1538,7 +1529,7 @@ class ProxyServer:
             tunnel.on_frame_batch(
                 FrameKind.CONTROL, lambda fs: self._on_control_batch(tunnel, fs)
             )
-            tunnel.start(self.io)
+            tunnel.start()
             result["tunnel"] = tunnel
 
         server = threading.Thread(  # gridlint: disable=GL102 -- one-shot peer for the loopback secure handshake; both sides block until it completes

@@ -11,12 +11,9 @@ Inbound frames are demultiplexed to registered handlers by frame kind, so
 one tunnel serves the control protocol and any number of multiplexed MPI
 applications concurrently.
 
-Delivery is event-driven by default: :meth:`Tunnel.start` registers the
-secure channel on the shared reactor, so N tunnels cost O(loops) threads
-instead of one receiver thread each.  ``REPRO_IO=threaded`` (or a channel
-that does not speak the reactor protocol) falls back to the seed's
-thread-per-tunnel receive loop — same handler contract, same close
-semantics.
+Delivery is event-driven: :meth:`Tunnel.start` registers the secure
+channel on the shared reactor, so N tunnels cost O(loops) threads
+instead of one receiver thread each.
 """
 
 from __future__ import annotations
@@ -36,9 +33,9 @@ from repro.security.handshake import (
 )
 from repro.security.rsa import RsaKeyPair, RsaPublicKey
 from repro.transport.channel import Channel
-from repro.transport.errors import ChannelBusy, TransportError, TransportTimeout
+from repro.transport.errors import ChannelBusy, TransportError
 from repro.transport.frames import Frame, FrameKind
-from repro.transport.reactor import get_global_reactor, io_mode, on_reactor_thread
+from repro.transport.reactor import get_global_reactor, on_reactor_thread
 
 __all__ = ["Tunnel", "TunnelBusy", "TunnelError"]
 
@@ -61,7 +58,7 @@ class Tunnel:
     """An authenticated, encrypted link between two proxies.
 
     Build with :meth:`establish_client` / :meth:`establish_server`, then
-    :meth:`start` the receiver loop.  ``on_frame(kind, handler)`` registers
+    :meth:`start` inbound delivery.  ``on_frame(kind, handler)`` registers
     the demultiplexer targets; ``on_close(fn)`` fires when the link dies
     (feeds the failure detector).
     """
@@ -73,15 +70,11 @@ class Tunnel:
         self._handlers: dict[FrameKind, Callable[[Frame], None]] = {}
         self._batch_handlers: dict[FrameKind, Callable[[list], None]] = {}
         self._close_callbacks: list[Callable[["Tunnel"], None]] = []
-        self._receiver: Optional[threading.Thread] = None
-        self._registration = None  # reactor membership, when event-driven
-        self._running = threading.Event()
+        self._registration = None  # reactor membership, once started
         self._closed = threading.Event()
         self._finalized = threading.Event()
         self._finalize_lock = threading.Lock()
         self._send_lock = threading.Lock()
-        #: "reactor" | "threaded" | None (not started)
-        self.mode: Optional[str] = None
         #: owning proxy's metrics registry; set by the proxy on install,
         #: None for bare tunnels (tests, benchmarks baseline)
         self.metrics = None
@@ -231,43 +224,34 @@ class Tunnel:
         self, kind: FrameKind, handler: Callable[[list], None]
     ) -> None:
         """Register a bulk handler: a drained backlog of ``kind`` frames
-        arrives as one list (reactor mode only — the threaded receive
-        loop always delivers singly through :meth:`on_frame`).  Kinds
-        without a batch handler fall back to per-frame delivery, so
-        registering one is purely an optimisation, never a semantic
-        change."""
+        arrives as one list.  Kinds without a batch handler fall back
+        to per-frame delivery, so registering one is purely an
+        optimisation, never a semantic change."""
         self._batch_handlers[kind] = handler
 
     def on_close(self, callback: Callable[["Tunnel"], None]) -> None:
         self._close_callbacks.append(callback)
 
-    def start(self, io: Optional[str] = None) -> None:
+    def start(self) -> None:
         """Start inbound delivery; idempotent.
 
-        With ``io="reactor"`` (the default, via ``$REPRO_IO``) the secure
-        channel joins the shared event loop and frames arrive as loop
-        callbacks; ``"threaded"`` — or a channel that cannot be polled —
-        keeps the seed's dedicated receiver thread.
+        The secure channel joins the shared event loop and frames arrive
+        as loop callbacks.  A channel the loop cannot poll (UDP) is
+        refused with :class:`TunnelError`.
         """
-        if self.mode is not None:
+        if self._registration is not None:
             return
-        self._running.set()
-        if io_mode(io) == "reactor" and self._secure.supports_reactor:
-            self.mode = "reactor"
-            self._registration = get_global_reactor().add_channel(
-                self._secure,
-                on_frame=self._deliver,
-                on_batch=self._deliver_batch,
-                on_close=lambda channel, exc: self._finalize(),
+        if not self._secure.supports_reactor:
+            raise TunnelError(
+                f"tunnel {self.local_name}->{self.peer_name}: channel "
+                f"{self._secure.name!r} cannot join the reactor"
             )
-            return
-        self.mode = "threaded"
-        self._receiver = threading.Thread(  # gridlint: disable=GL102 -- REPRO_IO=threaded escape hatch keeps the seed per-tunnel receiver thread
-            target=self._receive_loop,
-            daemon=True,
-            name=f"tunnel-{self.local_name}->{self.peer_name}",
+        self._registration = get_global_reactor().add_channel(
+            self._secure,
+            on_frame=self._deliver,
+            on_batch=self._deliver_batch,
+            on_close=lambda channel, exc: self._finalize(),
         )
-        self._receiver.start()
 
     def _deliver(self, frame: Frame) -> None:
         handler = self._handlers.get(frame.kind)
@@ -297,28 +281,12 @@ class Tunnel:
                     self._deliver(frames[k])
             i = j
 
-    def _receive_loop(self) -> None:
-        try:
-            while self._running.is_set():
-                try:
-                    frame = self._secure.recv(timeout=0.5)
-                except TransportTimeout:
-                    continue
-                except TransportError:
-                    break  # includes ChannelClosed: peer is gone
-                except HandshakeError:
-                    break  # record verification failed: hostile or corrupt peer
-                self._deliver(frame)
-        finally:
-            self._finalize()
-
     def _finalize(self) -> None:
         """Mark the tunnel dead and fire close callbacks exactly once."""
         with self._finalize_lock:
             if self._finalized.is_set():
                 return
             self._finalized.set()
-        self._running.clear()
         self._closed.set()
         for callback in list(self._close_callbacks):
             callback(self)
@@ -327,14 +295,11 @@ class Tunnel:
         """Wait until inbound delivery has fully stopped.
 
         Returns True once close callbacks have fired (or the tunnel was
-        never started).  Shutdown paths use this so no receiver — thread
-        or loop registration — outlives its proxy.
+        never started).  Shutdown paths use this so no loop registration
+        outlives its proxy.
         """
-        if self.mode is None:
+        if self._registration is None:
             return True
-        if self.mode == "threaded" and self._receiver is not None:
-            self._receiver.join(timeout=timeout)
-            return not self._receiver.is_alive()
         return self._finalized.wait(timeout=timeout)
 
     # -- traffic -------------------------------------------------------------------
@@ -442,7 +407,6 @@ class Tunnel:
         return getattr(self._secure, "resumption_ticket", None)
 
     def close(self) -> None:
-        self._running.clear()
         self._closed.set()
         self._secure.close()
 

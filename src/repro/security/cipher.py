@@ -25,8 +25,8 @@ exactly as it negotiates the key-exchange mode):
 
 Both run the fast data path: whole-buffer big-integer XOR and a
 pre-keyed HMAC template cloned per record (two hash updates instead of a
-full key schedule).  Benchmark ``bench_fastpath`` tracks the measured
-throughput of the seed implementation and both suites.
+full key schedule).  ``benchmarks/e2e`` reports the measured cost per
+workload as the ``security.cipher.*`` metrics.
 """
 
 from __future__ import annotations

@@ -29,16 +29,11 @@ terminate the secure tunnels and see plaintext), so a symmetric
 grid-wide token key — distributed by :class:`~repro.core.grid.Grid`
 over the same channel as certificates — is sound; users never hold the
 key, only tokens.
-
-``REPRO_AUTH=legacy`` disables the token plane (see :func:`auth_mode`):
-enablement becomes a no-op and the per-request signature path keeps
-working byte-identically.
 """
 
 from __future__ import annotations
 
 import hmac
-import os
 import secrets
 import threading
 from hashlib import sha256
@@ -49,7 +44,6 @@ from repro.security.auth import UserDirectory
 from repro.transport.frames import decode_value, encode_value
 
 __all__ = [
-    "AUTH_MODES",
     "DEFAULT_TOKEN_LIFETIME",
     "MAX_DELEGATION_DEPTH",
     "RevocationList",
@@ -71,13 +65,9 @@ DEFAULT_TOKEN_LIFETIME = 900.0
 #: proxy is depth 2; one spare hop covers proxy-of-proxies federation.
 MAX_DELEGATION_DEPTH = 3
 
-AUTH_MODES = ("token", "legacy")
-
-
 def auth_mode() -> str:
-    """Resolve ``REPRO_AUTH`` (default ``token``; unknown values too)."""
-    mode = os.environ.get("REPRO_AUTH", "token").strip().lower()
-    return mode if mode in AUTH_MODES else "token"
+    # benchmarks/e2e/harness.py records this as provenance; ROADMAP item 1 deletes it.
+    return "token"
 
 
 class TokenError(Exception):

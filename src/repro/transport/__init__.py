@@ -14,8 +14,8 @@ channels for data traffic and control.  This package provides:
     In-process transport: thread-safe channel pairs and a named fabric,
     used by unit/integration tests and the single-process runtime.
 :mod:`repro.transport.tcp`
-    Real TCP transport over localhost sockets, demonstrating that the
-    middleware runs on an actual network stack.
+    The TCP listening socket and dial; the frame channel over them is
+    :class:`repro.transport.reactor.ReactorTcpChannel`.
 :mod:`repro.transport.udp`
     Reliable frames over real UDP datagrams (ARQ with cumulative ACKs
     and retransmission) — the paper's layer diagram names UDP alongside
@@ -52,7 +52,7 @@ from repro.transport.faulty import (
     faulty_pair,
 )
 from repro.transport.inproc import InprocChannel, InprocFabric, channel_pair
-from repro.transport.tcp import TcpChannel, TcpListener, connect_tcp
+from repro.transport.tcp import TcpListener
 from repro.transport.udp import UdpChannel, udp_pair
 
 __all__ = [
@@ -71,13 +71,11 @@ __all__ = [
     "InprocChannel",
     "InprocFabric",
     "Listener",
-    "TcpChannel",
     "TcpListener",
     "TransportError",
     "TransportTimeout",
     "UdpChannel",
     "channel_pair",
-    "connect_tcp",
     "udp_pair",
     "decode_frame",
     "decode_value",

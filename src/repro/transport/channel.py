@@ -84,8 +84,8 @@ class Channel(abc.ABC):
     # Channels that can be driven by the shared event loop implement three
     # extra methods; layered channels (secure, faulty) delegate to their
     # inner transport so support propagates up the stack.  Channels that
-    # only support blocking ``recv`` (the threaded TcpChannel, UDP) leave
-    # ``supports_reactor`` False and keep their dedicated reader threads.
+    # only support blocking ``recv`` (UDP) leave ``supports_reactor``
+    # False and keep their own reader threads.
 
     @property
     def supports_reactor(self) -> bool:

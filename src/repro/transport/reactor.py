@@ -1,13 +1,14 @@
 """Shared reactor I/O: a selectors-based event loop for the whole stack.
 
-The seed runtime spent one thread per ``TcpChannel`` (socket reader) plus
-one per :class:`~repro.core.tunnel.Tunnel` (receive loop), so a proxy
-serving N tunnels burned O(N) threads and its time context-switching.
-This module replaces that with the classic serving-stack migration: one
-(or a few, for multi-core) event-loop thread(s) own every socket, and
-all higher layers register *callbacks* instead of spawning threads.
+The seed runtime spent one thread per TCP connection (socket reader)
+plus one per :class:`~repro.core.tunnel.Tunnel` (receive loop), so a
+proxy serving N tunnels burned O(N) threads and its time
+context-switching.  This module replaced that: one (or a few, for
+multi-core) event-loop thread(s) own every socket, and all higher layers
+register *callbacks* instead of spawning threads.
 
-Three pieces live here:
+Two pieces live here, plus :func:`get_global_reactor`, which hands out
+the shared process-wide reactor:
 
 * :class:`Reactor` — ``loops`` event-loop threads, each with its own
   ``selectors`` selector, a self-pipe for cross-thread wakeups, and a
@@ -19,16 +20,11 @@ Three pieces live here:
   fault-injected channels therefore run on the loop unchanged.
 * :class:`ReactorTcpChannel` — a non-blocking TCP channel owned by a
   loop: the loop reads and feeds the frame decoder, and outbound frames
-  go through a **bounded per-channel write queue** flushed with the same
-  vectored ``sendmsg`` coalescing as the threaded fast path.  When a slow
-  peer fills the queue, ``send`` blocks up to ``send_timeout`` and then
-  raises :class:`~repro.transport.errors.ChannelBusy` — bounded memory,
+  go through a **bounded per-channel write queue** flushed with one
+  vectored ``sendmsg`` per backlog.  When a slow peer fills the queue,
+  ``send`` blocks up to ``send_timeout`` and then raises
+  :class:`~repro.transport.errors.ChannelBusy` — bounded memory,
   deterministic backpressure.
-* mode selection — :func:`io_mode` reads ``REPRO_IO`` (``reactor`` is
-  the default; ``threaded`` is the one-release escape hatch that keeps
-  the old thread-per-connection transport alive for head-to-head
-  benchmarking), and :func:`get_global_reactor` hands out the shared
-  process-wide reactor.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from repro.transport.errors import (
     TransportTimeout,
 )
 from repro.transport.frames import Frame, FrameDecoder, encode_frame_views
-from repro.transport.tcp import TcpListener, _set_nodelay
+from repro.transport.tcp import TcpListener, _set_nodelay, connect_tcp
 
 __all__ = [
     "Reactor",
@@ -108,12 +104,9 @@ def current_owner() -> Optional[str]:
 racesan.set_owner_resolver(current_owner)
 
 
-def io_mode(override: Optional[str] = None) -> str:
-    """Resolve the I/O mode: explicit override, else ``$REPRO_IO``, else reactor."""
-    mode = override or os.environ.get("REPRO_IO", "reactor")
-    if mode not in ("reactor", "threaded"):
-        raise ValueError(f"unknown REPRO_IO mode: {mode!r}")
-    return mode
+def io_mode() -> str:
+    # benchmarks/e2e/harness.py records this as provenance; ROADMAP item 1 deletes it.
+    return "reactor"
 
 
 class TimerHandle:
@@ -565,9 +558,9 @@ class ReactorTcpChannel(Channel):
 
     Outbound: frames are encoded to iovec views and appended to a bounded
     write queue (``max_write_queue`` bytes).  The loop flushes the whole
-    backlog with one vectored ``sendmsg`` (group commit, same as the
-    threaded fast path); EAGAIN arms write interest.  An **adaptive
-    coalescing window** sized from the observed write-queue depth defers
+    backlog with one vectored ``sendmsg`` (group commit); EAGAIN arms
+    write interest.  An **adaptive coalescing window** sized from the
+    observed write-queue depth defers
     a hot channel's flush by one loop pass so concurrent producers share
     a syscall, and shrinks back to 1 when the queue runs shallow.  A full
     queue blocks ``send`` up to ``send_timeout`` seconds, then raises
@@ -981,7 +974,7 @@ def connect_tcp_reactor(
     reactor: Optional[Reactor] = None,
 ) -> ReactorTcpChannel:
     """Dial a listener and return a loop-owned client channel."""
-    sock = socket.create_connection((host, port), timeout=timeout)
+    sock = connect_tcp(host, port, timeout)
     return ReactorTcpChannel(sock, reactor=reactor, name=f"rtcp->{host}:{port}")
 
 

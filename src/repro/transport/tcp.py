@@ -1,15 +1,10 @@
-"""Real TCP transport over localhost sockets.
+"""Real TCP sockets: the listening socket and the plain dial.
 
-Demonstrates that the middleware's frame protocol runs on an actual network
-stack: a :class:`TcpListener` accepts connections and wraps each socket in
-a :class:`TcpChannel` with a background reader thread feeding a
-:class:`~repro.transport.frames.FrameDecoder`.
-
-The send path is the data-plane fast path: frames are encoded to
-iovec-style view lists (payloads ride zero-copy) and written with one
-vectored ``sendmsg`` syscall; concurrent senders group-commit, so bursts
-of small control/MPI frames queued while another thread holds the socket
-share a single syscall.
+:class:`TcpListener` binds, accepts and closes; what an accepted
+connection becomes is decided by its subclass
+:class:`~repro.transport.reactor.ReactorTcpListener`, which wraps each
+socket in the loop-owned frame channel.  :func:`connect_tcp` is the
+matching client-side dial.
 
 The grid examples and integration tests bind to 127.0.0.1 with ephemeral
 ports; nothing here assumes a particular address family beyond IPv4.
@@ -17,22 +12,14 @@ ports; nothing here assumes a particular address family beyond IPv4.
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
-from collections import deque
-from itertools import islice
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.transport.channel import Channel, Listener
-from repro.transport.errors import ChannelClosed, FrameError, TransportTimeout
-from repro.transport.frames import Frame, FrameDecoder, encode_frame_views
+from repro.transport.errors import ChannelClosed, TransportTimeout
 
-__all__ = ["TcpChannel", "TcpListener", "connect_tcp"]
-
-_RECV_CHUNK = 64 * 1024
-_EOF = object()
-_IOV_MAX = 1024  # conservative bound on buffers per sendmsg call
+__all__ = ["TcpListener", "connect_tcp"]
 
 
 def _set_nodelay(sock: socket.socket) -> None:
@@ -48,130 +35,12 @@ def _set_nodelay(sock: socket.socket) -> None:
         pass
 
 
-def _sendall_views(sock: socket.socket, views: list) -> None:
-    """Write every buffer in ``views`` in order, without concatenating.
-
-    Uses vectored ``sendmsg`` where available (everywhere we run), looping
-    over partial sends; falls back to one joined ``sendall`` otherwise.
-    """
-    sendmsg = getattr(sock, "sendmsg", None)
-    if sendmsg is None:  # pragma: no cover - exotic platforms
-        sock.sendall(b"".join(views))
-        return
-    pending = deque(memoryview(v) for v in views if len(v))
-    while pending:
-        sent = sendmsg(list(islice(pending, _IOV_MAX)))
-        while sent > 0:
-            head = pending[0]
-            if sent >= len(head):
-                sent -= len(head)
-                pending.popleft()
-            else:
-                pending[0] = head[sent:]
-                sent = 0
-
-
-class TcpChannel(Channel):
-    """A frame channel over one TCP connection."""
-
-    def __init__(self, sock: socket.socket, name: str = "tcp"):
-        super().__init__(name=name)
-        self._sock = sock
-        _set_nodelay(sock)
-        self._send_lock = threading.Lock()
-        # Encoded-but-unsent frames: (views, wire_size).  Whoever holds the
-        # send lock drains the whole queue in one vectored write, so frames
-        # queued by other threads piggyback on that syscall (group commit).
-        self._pending_lock = threading.Lock()
-        self._pending: deque = deque()
-        self._frames: "queue.Queue" = queue.Queue()
-        self._closed = threading.Event()
-        self._reader = threading.Thread(
-            target=self._read_loop, daemon=True, name=f"{name}-reader"
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                # recv_into the decoder's reserved tail: the kernel copy
-                # is the only one before frame decode (no per-chunk bytes).
-                if not decoder.feed_into(self._sock.recv_into, _RECV_CHUNK):
-                    break
-                while True:
-                    frame = decoder.next_frame()
-                    if frame is None:
-                        break
-                    self._frames.put((frame, decoder.last_frame_wire_size))
-        except FrameError as exc:
-            self._frames.put(exc)
-        except OSError:
-            pass  # socket closed under us
-        finally:
-            self._frames.put(_EOF)
-
-    def send(self, frame: Frame) -> None:
-        self._enqueue_and_flush([encode_frame_views(frame)])
-
-    def send_many(self, frames: Iterable[Frame]) -> None:
-        batch = [encode_frame_views(frame) for frame in frames]
-        if batch:
-            self._enqueue_and_flush(batch)
-
-    def _enqueue_and_flush(self, frame_views: list) -> None:
-        if self._closed.is_set():
-            raise ChannelClosed(f"{self.name}: send on closed channel")
-        with self._pending_lock:
-            for views in frame_views:
-                self._pending.append((views, sum(map(len, views))))
-        with self._send_lock:
-            with self._pending_lock:
-                if not self._pending:
-                    return  # flushed by whoever held the lock before us
-                batch = list(self._pending)
-                self._pending.clear()
-            flat = [view for views, _ in batch for view in views]
-            try:
-                _sendall_views(self._sock, flat)
-            except OSError as exc:
-                self.close()
-                raise ChannelClosed(f"{self.name}: peer gone ({exc})") from exc
-            for _, size in batch:
-                self.stats.on_send(size)
-
-    def recv(self, timeout: Optional[float] = None) -> Frame:
-        try:
-            item = self._frames.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportTimeout(f"{self.name}: recv timed out") from None
-        if item is _EOF:
-            self._frames.put(_EOF)
-            raise ChannelClosed(f"{self.name}: connection closed")
-        if isinstance(item, FrameError):
-            self._frames.put(_EOF)
-            raise item
-        frame, wire_size = item
-        self.stats.on_receive(wire_size)
-        return frame
-
-    def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
-
 class TcpListener(Listener):
-    """Listening socket producing :class:`TcpChannel` per connection."""
+    """The listening socket: bind, accept, close.
+
+    Turning an accepted connection into a frame channel is the
+    subclass's job (:meth:`_make_channel`).
+    """
 
     def __init__(
         self,
@@ -204,8 +73,11 @@ class TcpListener(Listener):
         return self._make_channel(conn, f"tcp:{peer[0]}:{peer[1]}")
 
     def _make_channel(self, conn: socket.socket, name: str) -> Channel:
-        """Wrap one accepted socket; the reactor listener overrides this."""
-        return TcpChannel(conn, name=name)
+        """Wrap one accepted socket; the reactor listener implements this."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not make channels; "
+            "use ReactorTcpListener"
+        )
 
     def close(self) -> None:
         if self._closed.is_set():
@@ -220,8 +92,6 @@ class TcpListener(Listener):
         self._sock.close()
 
 
-def connect_tcp(host: str, port: int, timeout: float = 10.0) -> TcpChannel:
-    """Dial a TcpListener and return the client channel."""
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(None)
-    return TcpChannel(sock, name=f"tcp->{host}:{port}")
+def connect_tcp(host: str, port: int, timeout: float = 10.0) -> socket.socket:
+    """Dial a listener and return the connected socket."""
+    return socket.create_connection((host, port), timeout=timeout)

@@ -76,7 +76,7 @@ class UdpChannel(Channel):
         self._out_of_order: dict[int, bytes] = {}
         self._fin_sent = False
         self._receiver = threading.Thread(
-            target=self._receive_loop, daemon=True, name=f"{name}-rx"
+            target=self._rx_loop, daemon=True, name=f"{name}-rx"
         )
         self._retransmitter = threading.Thread(
             target=self._retransmit_loop, daemon=True, name=f"{name}-arq"
@@ -94,7 +94,7 @@ class UdpChannel(Channel):
         except OSError:
             pass  # socket gone: the retransmitter/receiver will wind down
 
-    def _receive_loop(self) -> None:
+    def _rx_loop(self) -> None:
         while not self._closed.is_set():
             try:
                 datagram, _addr = self._sock.recvfrom(MAX_UDP_FRAME + 64)

@@ -149,16 +149,14 @@ def assert_invariants(result: dict) -> None:
     assert any(o == "accepted" for _, _, o in result["attempts"])
 
 
-def test_revoked_token_rejected_grid_wide(chaos_seed, monkeypatch):
+def test_revoked_token_rejected_grid_wide(chaos_seed):
     """Clean network: revocation converges and nothing slips through."""
-    monkeypatch.setenv("REPRO_AUTH", "token")
     with replaying(chaos_seed):
         assert_invariants(run_revocation_race(chaos_seed))
 
 
-def test_revocation_survives_delayed_records(chaos_seed, monkeypatch):
+def test_revocation_survives_delayed_records(chaos_seed):
     """Delay faults on record traffic: gossip is slower, never unsafe."""
-    monkeypatch.setenv("REPRO_AUTH", "token")
     plan = FaultPlan(
         delay=0.15, delay_range=(0.0, 0.01), skip=RECORD_TRAFFIC, max_faults=6
     )
@@ -166,9 +164,8 @@ def test_revocation_survives_delayed_records(chaos_seed, monkeypatch):
         assert_invariants(run_revocation_race(chaos_seed, plan))
 
 
-def test_user_revocation_cuts_off_every_token(chaos_seed, monkeypatch):
+def test_user_revocation_cuts_off_every_token(chaos_seed):
     """revoke_user: *all* the user's outstanding tokens die grid-wide."""
-    monkeypatch.setenv("REPRO_AUTH", "token")
     with replaying(chaos_seed):
         grid = build_grid(chaos_seed)
         try:

@@ -12,6 +12,7 @@ from repro.core.grid import Grid, GridError
 from repro.core.proxy import ProxyError
 from repro.mpi.datatypes import MAX, SUM
 from repro.security.auth import AuthenticationError, PermissionDenied
+from repro.security.tickets import TicketService
 
 
 @pytest.fixture()
@@ -269,10 +270,16 @@ class TestMpiOverGrid:
 
 
 class TestTicketsOverGrid:
-    def test_ticket_issued_and_verified_offline(self, grid):
-        ticket = grid.tickets.issue("alice", "pw", rights=["mpi:run"])
-        grid.tickets.verify(ticket, required_right="mpi:run")
+    """The RSA ticket baseline against the grid's own user directory."""
 
-    def test_ticket_wrong_password(self, grid):
+    @pytest.fixture()
+    def tickets(self, grid):
+        return TicketService(grid.users, grid.clock, key_bits=grid.key_bits)
+
+    def test_ticket_issued_and_verified_offline(self, tickets):
+        ticket = tickets.issue("alice", "pw", rights=["mpi:run"])
+        tickets.verify(ticket, required_right="mpi:run")
+
+    def test_ticket_wrong_password(self, tickets):
         with pytest.raises(AuthenticationError):
-            grid.tickets.issue("alice", "bad", rights=[])
+            tickets.issue("alice", "bad", rights=[])

@@ -1,46 +1,26 @@
-"""Dual-mode conformance: the reactor and threaded engines must agree.
-
-``REPRO_IO`` selects between two I/O engines — the shared-reactor event
-loop and the thread-per-connection escape hatch.  They are different
-machinery under the same contract, so every grid-level scenario here
-runs once per engine and the *observable* results are compared for
-equality: same status tables, same MPI answers, same failover outcome,
-same echo payloads.  Timing, thread counts, and telemetry are allowed to
-differ; answers are not.
+"""Grid-level scenarios with their answers pinned.
 
 Each scenario is a pure function of a freshly-built grid that returns a
-deterministic, comparable value.  The parity assertion is then literal
-``==`` between the two engines' results.
+deterministic, comparable value: status tables, MPI answers, failover
+outcome, echo payloads, WMS op replies, token-auth outcomes.  Timing,
+thread counts and telemetry are allowed to differ between revisions;
+answers are not.  The expected values are literal — recorded from the
+reactor serving path as it stood when it became the only I/O engine —
+so a refactor of that path is checked against the same answers.
 """
-
-import pytest
 
 from repro.core.grid import Grid
 from repro.core.protocol import Op
 from repro.mpi.datatypes import SUM
 
-MODES = ("reactor", "threaded")
 
-
-def _run_in_mode(io: str, scenario, **grid_kwargs):
-    """Build a grid under ``io``, run the scenario, tear down."""
-    grid = Grid(io=io, **grid_kwargs)
+def _run(scenario):
+    """Build a grid, run the scenario, tear down."""
+    grid = Grid()
     try:
         return scenario(grid)
     finally:
         grid.shutdown()
-
-
-def _both_modes(scenario, **grid_kwargs) -> dict[str, object]:
-    return {io: _run_in_mode(io, scenario, **grid_kwargs) for io in MODES}
-
-
-def _assert_parity(results: dict[str, object]):
-    assert results["reactor"] == results["threaded"], (
-        f"engines disagree:\n  reactor={results['reactor']!r}\n"
-        f"  threaded={results['threaded']!r}"
-    )
-    return results["reactor"]
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +44,15 @@ def _status_scenario(grid: Grid):
     }
 
 
-def test_global_status_identical_across_engines():
-    compiled = _assert_parity(_both_modes(_status_scenario))
-    assert set(compiled) == {"A", "B"}
-    assert len(compiled["B"]) == 3
+def test_global_status():
+    assert _run(_status_scenario) == {
+        "A": [("A.n0", "A", 1.0, True), ("A.n1", "A", 1.0, True)],
+        "B": [
+            ("B.n0", "B", 1.0, True),
+            ("B.n1", "B", 1.0, True),
+            ("B.n2", "B", 1.0, True),
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +74,11 @@ def _mpi_scenario(grid: Grid):
     return {"returns": result.returns, "placement": result.placement}
 
 
-def test_mpi_round_trip_identical_across_engines():
-    outcome = _assert_parity(_both_modes(_mpi_scenario))
-    assert outcome["returns"] == [(rank, 10) for rank in range(4)]
+def test_mpi_round_trip():
+    assert _run(_mpi_scenario) == {
+        "returns": [(rank, 10) for rank in range(4)],
+        "placement": ["A.n0", "A.n1", "B.n0", "B.n1"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +102,8 @@ def _failover_scenario(grid: Grid):
     return {"job": result, "b_nodes": len(status["B"])}
 
 
-def test_retry_failover_identical_across_engines():
-    outcome = _assert_parity(_both_modes(_failover_scenario))
-    assert outcome == {"job": "via backup", "b_nodes": 2}
+def test_retry_failover():
+    assert _run(_failover_scenario) == {"job": "via backup", "b_nodes": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +129,15 @@ def _tunnel_echo_scenario(grid: Grid):
         "pong_op": pong.op,
         "pong_sender": pong.sender,
         "echoed": echoed,
-        "tunnel_mode": origin._tunnels[peer].mode,
     }
 
 
-def test_secure_tunnel_echo_identical_across_engines():
-    results = _both_modes(_tunnel_echo_scenario)
-    # The engine label itself is *expected* to differ — it proves each
-    # grid really ran on its own transport.  Everything else must match.
-    assert results["reactor"].pop("tunnel_mode") == "reactor"
-    assert results["threaded"].pop("tunnel_mode") == "threaded"
-    outcome = _assert_parity(results)
-    assert outcome["pong_op"] == Op.PONG
-    assert outcome["echoed"] == {"n": 7, "text": "café", "nested": {"ok": True}}
+def test_secure_tunnel_echo():
+    assert _run(_tunnel_echo_scenario) == {
+        "pong_op": Op.PONG,
+        "pong_sender": "proxy.B",
+        "echoed": {"n": 7, "text": "café", "nested": {"ok": True}},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +192,29 @@ def _wms_scenario(grid: Grid):
     }
 
 
-def test_wms_ops_identical_across_engines():
-    outcome = _assert_parity(_both_modes(_wms_scenario))
-    assert outcome["duplicate"]["duplicate"] is True
-    assert outcome["stale"]["duplicate"] is True  # j3 finished on retry
-    assert outcome["queue"]["done"] == 6
-    assert outcome["queue"]["pending"] == outcome["queue"]["claimed"] == 0
-    # The claim order itself is part of the contract: priority tier 1
-    # first, fair-share alternation within a tier, j3 retried once.
-    assert ("j3", "j3#2", "done") in outcome["transcript"]
+def test_wms_ops():
+    assert _run(_wms_scenario) == {
+        "submits": [{"job_id": f"j{i}", "state": "pending"} for i in range(6)],
+        "duplicate": {"duplicate": True, "job_id": "j0", "state": "pending"},
+        # The claim order itself is part of the contract: priority tier 1
+        # first, fair-share alternation within a tier, j3 retried once.
+        "transcript": [
+            ("j1", "j1#1", "done"),
+            ("j3", "j3#1", "pending"),
+            ("j3", "j3#2", "done"),
+            ("j5", "j5#1", "done"),
+            ("j0", "j0#1", "done"),
+            ("j2", "j2#1", "done"),
+            ("j4", "j4#1", "done"),
+        ],
+        # j3 finished on its retry, so the first token is spent
+        "stale": {"duplicate": True, "job_id": "j3", "state": "done"},
+        "job3": {"state": "done", "attempts": 2, "error": "boom"},
+        "queue": {
+            "submitted": 6, "pending": 0, "claimed": 0, "done": 6, "dead": 0,
+            "pilots": {},
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +279,17 @@ def _auth_scenario(grid: Grid):
     }
 
 
-EXPECTED_AUTH_OUTCOME = {
-    "echoed": "tokenised",
-    "denied": "denied",
-    "peer_epoch_reached": True,
-    "post_revocation": {"A": "revoked", "B": "revoked"},
-}
-
-
-def test_token_auth_identical_across_engines(monkeypatch):
-    # The scenario *is* the token plane; pin the mode so a REPRO_AUTH=legacy
-    # sweep of the suite exercises legacy everywhere else but not here.
-    monkeypatch.setenv("REPRO_AUTH", "token")
-    outcome = _assert_parity(_both_modes(_auth_scenario))
-    assert outcome == EXPECTED_AUTH_OUTCOME
+def test_token_auth():
+    assert _run(_auth_scenario) == {
+        "echoed": "tokenised",
+        "denied": "denied",
+        "peer_epoch_reached": True,
+        "post_revocation": {"A": "revoked", "B": "revoked"},
+    }
 
 
 # ---------------------------------------------------------------------------
-# Cross-cutting: OBS_DUMP works over both engines
+# Cross-cutting: OBS_DUMP compiles grid-wide
 # ---------------------------------------------------------------------------
 
 
@@ -320,10 +309,8 @@ def _obs_scenario(grid: Grid):
     }
 
 
-@pytest.mark.parametrize("io", MODES)
-def test_observability_dump_compiles_under_either_engine(io):
-    view = _run_in_mode(io, _obs_scenario)
-    assert view == {
+def test_observability_dump_compiles():
+    assert _run(_obs_scenario) == {
         "A": {"name": "proxy.A", "has_counters": True},
         "B": {"name": "proxy.B", "has_counters": True},
     }

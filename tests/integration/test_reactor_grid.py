@@ -3,8 +3,7 @@
 The reactor migration's claims, checked end-to-end: O(loops + pool)
 threads regardless of tunnel count, clean repeated start/shutdown with
 no thread leaks, timer-driven heartbeats feeding the failure detector,
-tunnel-level backpressure that congests without killing the link, and
-the ``REPRO_IO=threaded`` escape hatch.
+and tunnel-level backpressure that congests without killing the link.
 """
 
 import threading
@@ -36,23 +35,17 @@ class TestThreadBudget:
     def test_connected_grid_uses_loop_not_thread_per_tunnel(self):
         """4 sites fully meshed = 12 tunnels plus node-local secure
         channels; the I/O cost must stay one shared loop thread.  The
-        remaining threads are per-node workers and per-proxy acceptors,
-        which exist in both modes."""
+        remaining threads are per-node workers and per-proxy acceptors."""
         sites = ["A", "B", "C", "D"]
         nodes_per_site = 2
         before = threading.active_count()
-        grid = Grid(io="reactor")  # the claim under test is reactor-specific
+        grid = Grid()
         try:
             for name in sites:
                 grid.add_site(name, nodes=nodes_per_site)
             grid.connect_all()
             budget = len(sites) * nodes_per_site + len(sites) + 2
             assert threading.active_count() - before <= budget
-            for name in sites:
-                for peer in sites:
-                    if peer != name:
-                        tunnel = grid.proxy_of(name)._tunnels[f"proxy.{peer}"]
-                        assert tunnel.mode == "reactor"
         finally:
             grid.shutdown()
 
@@ -185,22 +178,3 @@ class TestTunnelBackpressure:
 
         assert issubclass(TunnelBusy, TunnelError)
 
-
-class TestThreadedEscapeHatch:
-    def test_repro_io_threaded_restores_old_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "threaded")
-        grid = Grid()
-        try:
-            grid.add_site("A", nodes=1)
-            grid.add_site("B", nodes=1)
-            grid.connect_all()
-            grid.add_user("alice", "pw")
-            grid.grant("user:alice", "site:*", "submit")
-            tunnel = grid.proxy_of("A")._tunnels["proxy.B"]
-            assert tunnel.mode == "threaded"
-            result = grid.submit_job(
-                "alice", "pw", "echo", {"value": 7}, origin_site="A", target_site="B"
-            )
-            assert result == 7
-        finally:
-            grid.shutdown()

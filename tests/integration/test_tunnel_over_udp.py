@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.tunnel import Tunnel, TunnelError
 from repro.security.ca import CertificationAuthority
 from repro.security.handshake import accept_secure, connect_secure
 from repro.security.rsa import RsaKeyPair
@@ -63,6 +64,22 @@ def test_handshake_and_records_over_udp(pki):
         frame = secure_b.recv(timeout=10.0)
         assert frame.headers == {"op": "PING"}
         assert frame.payload == b"x" * 2048
+    finally:
+        for raw in raws:
+            raw.close()
+
+
+def test_tunnel_start_refuses_a_channel_the_reactor_cannot_poll(pki):
+    """UDP is a Channel for SecureChannel, not a tunnel host: start() says
+    so instead of spawning a receiver thread of its own."""
+    secure_a, _secure_b, raws = secure_over_udp(pki)
+    try:
+        before = set(threading.enumerate())
+        tunnel = Tunnel(secure_a, "proxy.A")
+        with pytest.raises(TunnelError, match="secure:proxy.A->proxy.B"):
+            tunnel.start()
+        assert set(threading.enumerate()) <= before
+        assert tunnel.join(timeout=0.0)  # never started: nothing to wait for
     finally:
         for raw in raws:
             raw.close()

@@ -15,7 +15,6 @@ from repro.transport.reactor import (
     ReactorTcpChannel,
     ReactorTcpListener,
     connect_tcp_reactor,
-    io_mode,
     on_reactor_thread,
 )
 
@@ -29,30 +28,6 @@ def reactor():
 
 def _frame(payload: bytes = b"x", kind=FrameKind.CONTROL) -> Frame:
     return Frame(kind=kind, payload=payload)
-
-
-# ---------------------------------------------------------------------------
-# Mode selection
-# ---------------------------------------------------------------------------
-
-
-class TestIoMode:
-    def test_default_is_reactor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IO", raising=False)
-        assert io_mode() == "reactor"
-
-    def test_env_selects_threaded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "threaded")
-        assert io_mode() == "threaded"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "threaded")
-        assert io_mode("reactor") == "reactor"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO", "fibers")
-        with pytest.raises(ValueError, match="fibers"):
-            io_mode()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.security.tokens import (
     Token,
     TokenError,
     TokenService,
-    auth_mode,
     scope_grants,
 )
 
@@ -338,16 +337,6 @@ class TestTamper:
 
 
 class TestMode:
-    def test_auth_mode_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUTH", raising=False)
-        assert auth_mode() == "token"
-        monkeypatch.setenv("REPRO_AUTH", "legacy")
-        assert auth_mode() == "legacy"
-        monkeypatch.setenv("REPRO_AUTH", "  TOKEN ")
-        assert auth_mode() == "token"
-        monkeypatch.setenv("REPRO_AUTH", "bogus")
-        assert auth_mode() == "token"
-
     def test_short_key_rejected(self, users, clock):
         with pytest.raises(ValueError):
             TokenService(users, clock, key=b"short")

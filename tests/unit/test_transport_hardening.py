@@ -1,13 +1,12 @@
 """Hardening tests for the data-plane fast path under hostile sockets.
 
-The vectored-send loop, the group-commit queue and the cipher-suite
-negotiation all have to survive what real kernels do on a bad day:
-``sendmsg`` returning partway through a buffer, writes trickling out a
-few bytes at a time, and message boundaries landing anywhere in the TCP
-stream.
+The loop's vectored flush, the write queue's group commit and the
+cipher-suite negotiation all have to survive what real kernels do on a
+bad day: ``sendmsg`` returning partway through a buffer, writes trickling
+out a few bytes at a time, and message boundaries landing anywhere in
+the TCP stream.
 """
 
-import socket
 import threading
 import time
 
@@ -29,88 +28,12 @@ from repro.transport.frames import (
     FrameKind,
     encode_frame,
 )
-from repro.transport.tcp import TcpChannel, TcpListener, _IOV_MAX, _sendall_views
+from repro.transport.reactor import ReactorTcpChannel, ReactorTcpListener
+from repro.transport.tcp import connect_tcp
 
 
 # ---------------------------------------------------------------------------
-# _sendall_views: partial sendmsg returns
-# ---------------------------------------------------------------------------
-
-
-class FakeSock:
-    """A socket whose sendmsg follows a scripted plan of partial returns.
-
-    Each plan entry caps the bytes "sent" by one call (an OSError entry
-    raises instead); once the plan runs dry, calls send everything they
-    were given.
-    """
-
-    def __init__(self, plan=()):
-        self.plan = list(plan)
-        self.written = bytearray()
-        self.call_sizes = []
-
-    def sendmsg(self, buffers):
-        self.call_sizes.append(len(buffers))
-        total = sum(len(b) for b in buffers)
-        allowed = total
-        if self.plan:
-            step = self.plan.pop(0)
-            if isinstance(step, Exception):
-                raise step
-            allowed = min(step, total)
-        remaining = allowed
-        for buffer in buffers:
-            take = min(len(buffer), remaining)
-            self.written += bytes(buffer[:take])
-            remaining -= take
-            if remaining == 0:
-                break
-        return allowed
-
-
-VIEWS = [b"hello ", b"", b"wor", b"ld", b"!" * 40, b"tail"]
-JOINED = b"".join(VIEWS)
-
-
-def test_sendall_views_complete_writes():
-    sock = FakeSock()
-    _sendall_views(sock, VIEWS)
-    assert bytes(sock.written) == JOINED
-    assert sock.call_sizes == [len([v for v in VIEWS if v])]
-
-
-def test_sendall_views_survives_one_byte_returns():
-    sock = FakeSock(plan=[1] * (len(JOINED) - 1))
-    _sendall_views(sock, VIEWS)
-    assert bytes(sock.written) == JOINED
-
-
-def test_sendall_views_survives_midbuffer_partials():
-    # 7 lands mid-"hello ", then mid-"!"-run, etc.
-    sock = FakeSock(plan=[7, 2, 11, 3])
-    _sendall_views(sock, VIEWS)
-    assert bytes(sock.written) == JOINED
-
-
-def test_sendall_views_respects_iov_max():
-    views = [b"x"] * (_IOV_MAX * 2 + 100)
-    sock = FakeSock(plan=[50])  # and a partial for good measure
-    _sendall_views(sock, views)
-    assert bytes(sock.written) == b"x" * len(views)
-    assert all(size <= _IOV_MAX for size in sock.call_sizes)
-    assert len(sock.call_sizes) >= 3
-
-
-def test_sendall_views_propagates_error_after_partial():
-    sock = FakeSock(plan=[5, OSError("EPIPE")])
-    with pytest.raises(OSError):
-        _sendall_views(sock, VIEWS)
-    assert bytes(sock.written) == JOINED[:5]
-
-
-# ---------------------------------------------------------------------------
-# TcpChannel group commit over a trickling socket
+# ReactorTcpChannel group commit over a trickling socket
 # ---------------------------------------------------------------------------
 
 
@@ -132,11 +55,26 @@ class TrickleSock:
         return getattr(self._sock, name)
 
 
-def tcp_pair():
-    listener = TcpListener()
-    client = socket.create_connection((listener.host, listener.port))
-    client.settimeout(None)
-    sender = TcpChannel(client, name="trickle-sender")
+class TrickleListener(ReactorTcpListener):
+    """Accepted channels write through a :class:`TrickleSock`."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def _make_channel(self, conn, name):
+        return super()._make_channel(TrickleSock(conn, self.limit), name)
+
+
+def tcp_pair(limit):
+    """Connected reactor channels; both ends trickle ``limit`` bytes a write.
+
+    The sockets are wrapped before the channels exist, so the loop never
+    sees ``_sock`` change under it.
+    """
+    listener = TrickleListener(limit)
+    dialed = TrickleSock(connect_tcp(listener.host, listener.port), limit)
+    sender = ReactorTcpChannel(dialed, name="trickle-sender")
     receiver = listener.accept(timeout=5.0)
     listener.close()
     return sender, receiver
@@ -154,8 +92,7 @@ def make_frames(start, count):
 
 
 def test_send_many_group_commit_over_trickling_socket():
-    sender, receiver = tcp_pair()
-    sender._sock = TrickleSock(sender._sock, limit=3)
+    sender, receiver = tcp_pair(limit=3)
     try:
         workers = [
             threading.Thread(
@@ -181,8 +118,7 @@ def test_send_many_group_commit_over_trickling_socket():
 
 
 def test_send_on_dead_peer_raises_channel_closed():
-    sender, receiver = tcp_pair()
-    sender._sock = TrickleSock(sender._sock, limit=3)
+    sender, receiver = tcp_pair(limit=3)
     receiver.close()
     try:
         with pytest.raises(ChannelClosed):
@@ -240,9 +176,7 @@ def test_negotiation_over_trickling_sockets_picks_best_suite():
     client_cert = ca.issue("client", "proxy", client_keys.public)
     server_cert = ca.issue("server", "proxy", server_keys.public)
 
-    client_channel, server_channel = tcp_pair()
-    client_channel._sock = TrickleSock(client_channel._sock, limit=16)
-    server_channel._sock = TrickleSock(server_channel._sock, limit=16)
+    client_channel, server_channel = tcp_pair(limit=16)
 
     result = {}
 

@@ -8,8 +8,8 @@ import pytest
 from repro.transport.errors import ChannelClosed, TransportTimeout
 from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import InprocFabric, channel_pair
-from repro.transport.reactor import ReactorTcpListener
-from repro.transport.tcp import TcpListener, connect_tcp
+from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
+from repro.transport.tcp import TcpListener
 
 
 def data_frame(payload: bytes = b"x", **headers) -> Frame:
@@ -172,7 +172,7 @@ class TestInprocFabric:
 
 class TestTcpTransport:
     def test_round_trip_over_real_sockets(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         accepted = []
         done = threading.Event()
 
@@ -185,7 +185,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         client.send(data_frame(b"hello tcp"))
         reply = client.recv(timeout=5.0)
         assert reply.payload == b"HELLO TCP"
@@ -197,7 +197,7 @@ class TestTcpTransport:
         thread.join(timeout=5.0)
 
     def test_many_frames_order_preserved(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         server_channels = []
 
         def server():
@@ -209,7 +209,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         for i in range(200):
             client.send(data_frame(seq=i))
         seqs = [client.recv(timeout=5.0).headers["seq"] for _ in range(200)]
@@ -221,7 +221,7 @@ class TestTcpTransport:
         listener.close()
 
     def test_recv_after_peer_close(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         holder = []
 
         def server():
@@ -232,7 +232,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         assert client.recv(timeout=5.0).payload == b"bye"
         with pytest.raises(ChannelClosed):
             client.recv(timeout=5.0)
@@ -241,7 +241,7 @@ class TestTcpTransport:
         listener.close()
 
     def test_listener_accept_timeout(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         with pytest.raises(TransportTimeoutOrClosed):
             listener.accept(timeout=0.05)
         listener.close()
@@ -272,13 +272,13 @@ class TestTcpTransport:
         assert woke_at - closed_at < 0.1
 
     def test_send_after_close_raises(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         holder = []
         thread = threading.Thread(
             target=lambda: holder.append(listener.accept(timeout=5.0))
         )
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         client.close()
         with pytest.raises(ChannelClosed):
             client.send(data_frame())
@@ -288,7 +288,7 @@ class TestTcpTransport:
         listener.close()
 
     def test_large_payload(self):
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         payload = bytes(range(256)) * 4096  # 1 MiB
         holder = []
 
@@ -299,7 +299,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         assert client.recv(timeout=10.0).payload == payload
         thread.join(timeout=5.0)
         client.close()
@@ -310,29 +310,31 @@ class TestTcpTransport:
 
     def _echo_pair(self):
         """Connected (client, server_channel, listener) over loopback."""
-        listener = TcpListener()
+        listener = ReactorTcpListener()
         holder = []
         thread = threading.Thread(
             target=lambda: holder.append(listener.accept(timeout=5.0))
         )
         thread.start()
-        client = connect_tcp(*listener.address)
+        client = connect_tcp_reactor(*listener.address)
         thread.join(timeout=5.0)
         return client, holder[0], listener
 
     def test_send_many_batches_arrive_in_order(self):
         client, server, listener = self._echo_pair()
         try:
-            frames = [data_frame(bytes([i % 256]) * (i % 97), seq=i) for i in range(300)]
+            # 600 frames ≈ 1200 iovec entries: one backlog that the flush
+            # must split across sendmsg calls (1024 buffers each).
+            frames = [data_frame(bytes([i % 256]) * (i % 97), seq=i) for i in range(600)]
             client.send_many(frames)
-            got = [server.recv(timeout=5.0) for _ in range(300)]
-            assert [f.headers["seq"] for f in got] == list(range(300))
+            got = [server.recv(timeout=5.0) for _ in range(600)]
+            assert [f.headers["seq"] for f in got] == list(range(600))
             for want, have in zip(frames, got):
                 assert have.payload == want.payload
             # Coalesced writes must still account per frame, and both
             # sides must agree on the wire byte count.
-            assert client.stats.frames_sent == 300
-            assert server.stats.frames_received == 300
+            assert client.stats.frames_sent == 600
+            assert server.stats.frames_received == 600
             assert client.stats.bytes_sent == server.stats.bytes_received
         finally:
             client.close()
@@ -351,9 +353,9 @@ class TestTcpTransport:
 
     def test_concurrent_senders_never_interleave_frames(self):
         # Multiple threads hammering send()/send_many() exercise the
-        # group-commit coalescing path: whoever holds the socket lock
-        # drains everyone's queued frames in one write.  Frames must
-        # arrive intact and in per-sender order.
+        # group-commit coalescing path: the loop flushes everyone's
+        # queued frames in one write.  Frames must arrive intact and in
+        # per-sender order.
         client, server, listener = self._echo_pair()
         n_threads, per_thread = 8, 80
         try:

@@ -14,7 +14,7 @@ from tools.gridlint.callgraph import CallGraph
 from tools.gridlint.engine import Finding, Project, Rule, Source, rule
 
 #: Modules allowed to spawn raw threads: the transport layer owns I/O
-#: threading (reactor loops, threaded-mode receivers) and the dispatch
+#: threading (reactor loops, UDP ARQ threads) and the dispatch
 #: pipeline owns its blocking-handler worker pool.
 SANCTIONED_THREAD_PATHS = ("transport/",)
 SANCTIONED_THREAD_SUFFIXES = ("core/dispatch.py",)
@@ -130,7 +130,7 @@ class NoBlockingOnReactor(Rule):
 class NoUnsanctionedThreads(Rule):
     """Raw ``threading.Thread``/``Timer`` only in sanctioned modules.
 
-    The transport layer (reactor loops, threaded-mode channel readers)
+    The transport layer (reactor loops, UDP ARQ threads)
     and the dispatch worker pool are the two places allowed to own
     threads; everywhere else must go through them so shutdown ordering
     and the thread budget stay auditable.  Legitimate exceptions
