@@ -7,7 +7,7 @@ this driver executes them in order and prints the same tables the
 pytest benchmarks save under benchmarks/results/.
 
 ``--quick`` runs a smoke pass: experiments that support it (currently
-``obs``, ``racesan``, ``wms``, ``auth`` and ``tests``) shrink their
+``obs``, ``racesan``, ``wms`` and ``tests``) shrink their
 workloads so the whole sweep finishes in seconds — useful for CI and for
 checking nothing is broken before a full measurement run.
 
@@ -117,7 +117,6 @@ def main(argv: list[str]) -> int:
     import benchmarks.bench_e10_multiproxy as e10
     import benchmarks.bench_e11_isolation as e11
     import benchmarks.bench_e12_owner_priority as e12
-    import benchmarks.bench_auth as auth
     import benchmarks.bench_obs as obs
     import benchmarks.bench_racesan as racesan
     import benchmarks.bench_wms as wms
@@ -160,10 +159,6 @@ def main(argv: list[str]) -> int:
         "wms": lambda: [
             ("WMS: matchmaking vs round-robin, chaos kill, durability",
              wms.run_tables(quick=quick)),
-        ],
-        "auth": lambda: [
-            ("Auth: token vs RSA decisions, handshake resumption, revocation",
-             auth.run_tables(quick=quick)),
         ],
         "gridlint": lambda: [
             ("Gridlint: invariant checks over src/repro", run_gridlint()),

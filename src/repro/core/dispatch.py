@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.protocol import ControlMessage, Op, ProtocolError
 from repro.obs.metrics import enabled as obs_enabled
 from repro.obs.trace import TraceContext, swap_trace
-from repro.security.tokens import Token, TokenError, TokenService
+from repro.security.tokens import TokenError, TokenService
 from repro.transport.frames import Frame
 from repro.transport.reactor import on_reactor_thread
 
@@ -388,15 +387,15 @@ class TokenAuthGuard:
     Installed with :meth:`DispatchPipeline.add_guard` when a proxy
     attaches a :class:`~repro.security.tokens.TokenService`.  The guard
     budget is strict — it runs on every guarded message, often on the
-    event-loop thread — so the verdict is one HMAC at worst and an LRU
-    cache hit at best, never an asymmetric-crypto call (gridlint GL105
-    walks the call graph from guards to enforce exactly that).
+    event-loop thread — so the verdict is one HMAC at worst and a cache
+    hit at best, never an asymmetric-crypto call (gridlint GL105 walks
+    the call graph from guards to enforce exactly that).
 
-    Cache correctness: an entry stores the revocation epoch it was
-    verified under.  Any revocation bumps the service epoch, so every
-    cached verdict self-invalidates on its next lookup; expiry and scope
-    are re-checked on hits (both are cheap claim reads, and expiry is a
-    property of the clock, not of the cached signature check).
+    The guard keeps no cache: the service's epoch-stamped LRU of verified
+    blobs serves every verification on this proxy (origin submits,
+    delegation, refresh), so a token is decoded and HMAC-checked once per
+    proxy and epoch.  A hit counts as ``auth.token.cache_hits`` and still
+    runs ``check_claims`` (expiry, skew, depth, revocation, this op's scope).
 
     On success the verified :class:`~repro.security.tokens.Token` is
     stashed on the message as ``auth_claims`` for the handler — the
@@ -408,14 +407,9 @@ class TokenAuthGuard:
         service: TokenService,
         scopes: Optional[dict[int, str]] = None,
         obs: Optional["ObsHub"] = None,
-        cache_size: int = 4096,
     ) -> None:
         self.service = service
         self.scopes = dict(GUARDED_OP_SCOPES if scopes is None else scopes)
-        self.cache_size = int(cache_size)
-        #: blob → (epoch verified under, parsed token); LRU by move-to-end
-        self._cache: "OrderedDict[bytes, tuple[int, Token]]" = OrderedDict()
-        self._cache_lock = threading.Lock()
         self.obs = obs
         # Instruments resolved once at construction (GL301).
         metrics = obs.metrics if obs is not None else None
@@ -442,22 +436,13 @@ class TokenAuthGuard:
                 f"{Op.name_of(message.op)} requires a token "
                 f"with scope {required!r}",
             )
-        epoch = self.service.epoch
-        with self._cache_lock:
-            entry = self._cache.get(blob)
-            if entry is not None and entry[0] == epoch:
-                self._cache.move_to_end(blob)
-                token: Optional[Token] = entry[1]
-            else:
-                token = None
+        token = self.service.cached(blob)
         if token is not None:
             # Signature already proven; re-check the claims that can
             # drift (clock moved past expiry, different op → scope).
             try:
                 self.service.check_claims(token, required_scope=required)
             except TokenError as exc:
-                with self._cache_lock:
-                    self._cache.pop(blob, None)
                 return self._deny(message, str(exc))
             if self._m_hits is not None:
                 self._m_hits.inc()
@@ -486,11 +471,6 @@ class TokenAuthGuard:
                 self._h_verify.observe(time.perf_counter() - start)
             if span is not None:
                 span.finish()
-        with self._cache_lock:
-            self._cache[blob] = (epoch, token)
-            self._cache.move_to_end(blob)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
         if self._m_ok is not None:
             self._m_ok.inc()
         message.auth_claims = token  # type: ignore[attr-defined]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import threading
+import time
 from typing import Any, Callable, Optional
 
 from repro.control.failure import FailureDetector, PeerState
@@ -170,7 +171,6 @@ class ProxyServer:
         #: the per-request RSA credential path is the only auth plane
         self.tokens: Optional[TokenService] = None
         self._service_token: Optional[Token] = None
-        self._service_blob: Optional[bytes] = None
         #: revocation-gossip bookkeeping: peers we are already pulling
         #: the revocation list from (dedups bursts of repoch heartbeats)
         self._rlist_pulling: set[str] = set()
@@ -832,8 +832,7 @@ class ProxyServer:
             # tokens are valid and the last write wins.
             token = service.mint_service_token(self.name)
             self._service_token = token
-            self._service_blob = token.to_bytes()
-        return self._service_blob
+        return token.to_bytes()
 
     def _handle_auth_login(self, message: ControlMessage, peer: str) -> ControlMessage:
         body = message.body
@@ -1102,8 +1101,9 @@ class ProxyServer:
             result, elapsed = self._timed_execute(node, task, params, timeout)
             self._account(claims.userid, self.site.name, node, task, elapsed)
             return result
+        # Already verified: hand it over parsed; the child is reused while it lives.
         delegated = service.delegate(
-            token_blob, delegate_to=self.name, scopes=("jobs:submit",)
+            claims, delegate_to=self.name, scopes=("jobs:submit",)
         )
         body = {
             "task": task,
@@ -1125,6 +1125,9 @@ class ProxyServer:
                 last_error = exc
                 continue
             if reply.op in (Op.JOB_REJECTED, Op.AUTH_DENIED):
+                if reply.op == Op.AUTH_DENIED:
+                    # It may know of a revocation we do not: never re-send this child.
+                    service.forget_delegation(delegated)
                 reason = reply.body.get("reason") or reply.body.get("error")
                 raise ProxyError(f"job rejected by {peer!r}: {reason}")
             return reply.body.get("result")
@@ -1181,11 +1184,9 @@ class ProxyServer:
         return message.reply(Op.JOB_RESULT, {"result": result, "node": node})
 
     def _timed_execute(self, node, task, params, timeout):
-        import time as _time
-
-        start = _time.perf_counter()
+        start = time.perf_counter()
         result = self.site.nodes[node].execute(task, params, timeout=timeout)
-        return result, _time.perf_counter() - start
+        return result, time.perf_counter() - start
 
     def _account(self, userid, origin_site, node, task, elapsed) -> None:
         """Record executed work in the usage ledger, if one is attached.

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hmac
 import secrets
 import threading
+from collections import OrderedDict
 from hashlib import sha256
 from typing import Callable, Iterable, Optional
 
@@ -64,6 +65,8 @@ DEFAULT_TOKEN_LIFETIME = 900.0
 #: Delegation chains are bounded: user → origin proxy → destination
 #: proxy is depth 2; one spare hop covers proxy-of-proxies federation.
 MAX_DELEGATION_DEPTH = 3
+_CACHE_ENTRIES = 4096  #: LRU bound of each TokenService cache
+_Lru = OrderedDict[object, "tuple[int, Token]"]  #: key → (epoch stored under, token)
 
 def auth_mode() -> str:
     # benchmarks/e2e/harness.py records this as provenance; ROADMAP item 1 deletes it.
@@ -110,6 +113,7 @@ class Token:
         "chain",
         "_payload",
         "signature",
+        "_blob",
     )
 
     def __init__(
@@ -124,6 +128,7 @@ class Token:
         chain: tuple[dict[str, object], ...],
         payload: bytes,
         signature: bytes,
+        blob: Optional[bytes] = None,
     ) -> None:
         self.userid = userid
         self.groups = groups
@@ -135,6 +140,7 @@ class Token:
         self.chain = chain
         self._payload = payload
         self.signature = signature
+        self._blob = blob
 
     @classmethod
     def mint(
@@ -183,7 +189,9 @@ class Token:
         return len(self.chain)
 
     def to_bytes(self) -> bytes:
-        return encode_value({"p": self._payload, "s": self.signature})
+        if self._blob is None:  # kept once parsed or encoded; racing writers agree
+            self._blob = encode_value({"p": self._payload, "s": self.signature})
+        return self._blob
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Token":
@@ -204,6 +212,7 @@ class Token:
                 chain=chain,
                 payload=payload,
                 signature=signature,
+                blob=bytes(blob),
             )
         except TokenError:
             raise
@@ -335,6 +344,12 @@ class TokenService:
     at one site verifies at any other without a network hop.  State that
     must converge (the revocation list) is a CRDT gossiped by the
     proxies; everything else is stateless given the key.
+
+    Two bounded LRUs remember work done under it: ``_verified`` (blob →
+    token, entered once its HMAC is proven) and ``_delegations`` (parent,
+    target, scopes, lifetime → child).  An entry dies with the revocation
+    epoch it was stored under; :meth:`check_claims` runs on every use
+    regardless — a hit skips the decode and the HMAC, never a check.
     """
 
     def __init__(
@@ -363,6 +378,9 @@ class TokenService:
         self._group_scopes: dict[str, tuple[str, ...]] = {}
         self._seq_lock = threading.Lock()
         self._seq = 0
+        self._cache_lock = threading.Lock()
+        self._verified: _Lru = OrderedDict()
+        self._delegations: _Lru = OrderedDict()
 
     # -- policy -----------------------------------------------------------
 
@@ -483,7 +501,7 @@ class TokenService:
 
     def delegate(
         self,
-        blob: bytes,
+        parent: "Token | bytes",
         *,
         delegate_to: str,
         scopes: Iterable[str],
@@ -494,14 +512,26 @@ class TokenService:
         Attenuation is enforced, never trusted: requested scopes must be
         covered by the parent's, expiry is capped at the parent's, and
         the chain depth is bounded by ``max_delegation_depth``.
+
+        ``parent`` is a blob or the token :meth:`verify_blob` returned
+        for it (a cache hit, never trusted unproven).  The child minted
+        earlier for the same arguments is reused while the epoch stands,
+        the parent passes :meth:`check_claims` and the child has more
+        than ``max_clock_skew`` left — its users share its id and hop time.
         """
-        parent = self.verify_blob(blob)
+        epoch = self.revocations.epoch
+        parent = self.verify_blob(parent.to_bytes() if isinstance(parent, Token) else parent)
         if parent.depth >= self.max_delegation_depth:
             raise TokenError(
                 f"delegation depth {parent.depth} at bound "
                 f"{self.max_delegation_depth}"
             )
         requested = tuple(sorted(set(scopes)))
+        # Verified parents share a signature only if they are one token.
+        key = (parent.signature, delegate_to, requested, lifetime)
+        child = self._cache_get(self._delegations, key, epoch)
+        if child is not None and child.expires_at - self.clock() > self.max_clock_skew:
+            return child
         for scope in requested:
             if not scope_grants(parent.scopes, scope):
                 raise TokenError(
@@ -513,7 +543,7 @@ class TokenService:
             "parent": parent.token_id,
             "at": self.clock(),
         }
-        return self._mint(
+        child = self._mint(
             parent.userid,
             parent.groups,
             requested,
@@ -521,11 +551,19 @@ class TokenService:
             chain=(*parent.chain, hop),
             expires_cap=parent.expires_at,
         )
+        self._cache_put(self._delegations, key, epoch, child)
+        return child
+
+    def forget_delegation(self, child: Token) -> None:
+        """Drop a cached child a peer refused, so it is never re-sent."""
+        with self._cache_lock:
+            for key in [k for k, (_, c) in self._delegations.items() if c is child]:
+                del self._delegations[key]
 
     def revoke(self, token: "Token | bytes") -> bool:
-        """Revoke one token (parsed leniently: expired blobs still revoke)."""
-        if isinstance(token, (bytes, bytearray, memoryview)):
-            token = Token.from_bytes(bytes(token))
+        """Revoke one token (claims unchecked: expired blobs still revoke)."""
+        if not isinstance(token, Token):
+            token = self._authentic(token)
         return self.revocations.revoke_token(token.token_id)
 
     def revoke_user(self, userid: str) -> bool:
@@ -544,16 +582,45 @@ class TokenService:
     def merge_rlist(self, wire: dict[str, object]) -> bool:
         return self.revocations.merge(wire)
 
+    def _cache_get(self, cache: _Lru, key: object, epoch: int) -> Optional[Token]:
+        with self._cache_lock:
+            stamp, token = cache.get(key, (None, None))
+            if stamp != epoch:  # absent, or stale: the next put overwrites it
+                return None
+            cache.move_to_end(key)
+            return token
+
+    def _cache_put(self, cache: _Lru, key: object, epoch: int, token: Token) -> None:
+        with self._cache_lock:
+            cache[key] = (epoch, token)
+            cache.move_to_end(key)
+            while len(cache) > _CACHE_ENTRIES:
+                cache.popitem(last=False)
+
+    def cached(self, blob: bytes) -> Optional[Token]:
+        """The token ``blob`` verified to, if cached; the caller owes ``check_claims``."""
+        return self._cache_get(self._verified, blob, self.revocations.epoch)
+
+    def _authentic(self, blob: bytes) -> Token:
+        """Parse ``blob`` and prove its HMAC — once per blob and epoch."""
+        blob, epoch = bytes(blob), self.revocations.epoch
+        token = self._cache_get(self._verified, blob, epoch)
+        if token is None:
+            token = Token.from_bytes(blob)
+            token.check_signature(self.key)
+            self._cache_put(self._verified, blob, epoch, token)
+        return token
+
     def verify_blob(
         self, blob: bytes, *, required_scope: Optional[str] = None
     ) -> Token:
-        """Parse + verify a token blob; returns the claims on success.
+        """Verify a token blob; returns the claims on success.
 
-        Cost: one decode, one HMAC, a set lookup, two float compares —
-        no asymmetric crypto (gridlint GL105 pins this down for guards).
+        Cost: one decode and one HMAC the first time a blob is seen in a
+        revocation epoch, then always a set lookup and two float compares
+        — no asymmetric crypto (gridlint GL105 pins this down for guards).
         """
-        token = Token.from_bytes(blob)
-        token.check_signature(self.key)
+        token = self._authentic(blob)
         self.check_claims(token, required_scope=required_scope)
         return token
 

@@ -749,8 +749,6 @@ class ReactorTcpChannel(Channel):
             self._enqueue(batch)
 
     def _enqueue(self, frame_views: list) -> None:
-        if self._closed.is_set():
-            raise ChannelClosed(f"{self.name}: send on closed channel")
         sizes = [sum(map(len, views)) for views in frame_views]
         need = sum(sizes)
         # Any loop thread — not just our own — must fail fast rather than
@@ -761,6 +759,8 @@ class ReactorTcpChannel(Channel):
             else time.monotonic() + self.send_timeout
         )
         with self._wq_cond:
+            if self._closed.is_set():
+                raise ChannelClosed(f"{self.name}: send on closed channel")
             while (
                 self._wq_bytes and self._wq_bytes + need > self.max_write_queue
             ):
@@ -796,7 +796,7 @@ class ReactorTcpChannel(Channel):
             else:
                 self.reactor_loop.schedule(self._flush_on_loop)
 
-    def _flush_on_loop(self) -> None:
+    def _flush_on_loop(self, closing: bool = False) -> None:
         """Drain the write queue with vectored non-blocking writes.
 
         Adaptive group commit: when producers have recently kept the
@@ -808,13 +808,14 @@ class ReactorTcpChannel(Channel):
         shrinks as soon as the queue runs shallow — an idle channel pays
         zero added latency.  Deferral is skipped outright when the queue
         is under memory pressure: with backpressure imminent, draining
-        beats batching.
+        beats batching; ``_close_on_loop``'s ``closing`` pass never defers.
         """
         with self._wq_cond:
             self._flush_scheduled = False
             depth = len(self._wq)
             defer = (
                 depth
+                and not closing
                 and not self._coalesce_deferred
                 and depth < self._coalesce_window
                 and self._wq_bytes * 2 < self.max_write_queue
@@ -834,7 +835,7 @@ class ReactorTcpChannel(Channel):
                 self._coalesce_window *= 2  # gridlint: disable=GL106,GL107 -- loop-confined: adapted only by _flush_on_loop on the owning loop thread
         elif depth <= 1 and self._coalesce_window > 1:
             self._coalesce_window //= 2  # gridlint: disable=GL106,GL107 -- loop-confined: adapted only by _flush_on_loop on the owning loop thread
-        if not backlog or self._closed.is_set():
+        if not backlog or (self._closed.is_set() and not closing):
             return
         views = deque()
         for frame_views, _ in backlog:
@@ -914,21 +915,32 @@ class ReactorTcpChannel(Channel):
             return
         with self._wq_cond:
             self._write_armed = armed
+            # A sender that queued while the flag still read armed
+            # scheduled nothing: flush its frames, the fd no longer will.
+            stranded = not armed and bool(self._wq) and not self._flush_scheduled
+            if stranded:
+                self._flush_scheduled = True
+        if stranded:
+            self.reactor_loop.schedule(self._flush_on_loop)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
+        # Under _wq_cond: a sender has either queued its frame or sees the flag.
+        with self._wq_cond:
+            if self._closed.is_set():
+                return
+            self._closed.set()
+            self._wq_cond.notify_all()  # blocked senders raise ChannelClosed
+        self.reactor_loop.schedule(self._close_on_loop)
+
+    def _close_on_loop(self) -> None:
+        # Frames queued before close() get one non-blocking write; the rest is dropped.
+        self._flush_on_loop(closing=True)
         with self._wq_cond:
             self._wq.clear()
             self._m_wq_gauge.add(-self._wq_bytes)
             self._wq_bytes = 0
-            self._wq_cond.notify_all()
-        self.reactor_loop.schedule(self._close_on_loop)
-
-    def _close_on_loop(self) -> None:
         self.reactor_loop.unregister_fd(self._sock)
         try:
             self._sock.shutdown(socket.SHUT_RDWR)

@@ -17,7 +17,7 @@ import pytest
 from repro.control.retry import RetryPolicy
 from repro.core.grid import Grid
 from repro.core.proxy import ProxyError
-from repro.security.tokens import TokenError
+from repro.security.tokens import Token, TokenError
 from repro.transport.faulty import FaultInjector, FaultPlan, FaultyChannel
 
 from tests.chaos.conftest import replaying
@@ -187,3 +187,89 @@ def test_user_revocation_cuts_off_every_token(chaos_seed):
                         )
         finally:
             grid.shutdown()
+
+
+def test_hot_token_is_verified_once_and_revocation_still_bites(monkeypatch):
+    """One login, 100 submits over a 2-site TCP grid: the origin proves
+    the user token's HMAC once, the destination proves the (reused)
+    delegation's once, everything else is a cache hit — and with every
+    cache hot, each kind of revocation still denies the very next use at
+    the origin *and* at the destination (no accepted-after-revocation).
+    Counted, not timed; no gossip runs (heartbeats are off), so each
+    proxy knows only the revocations made at it.
+    """
+    hmacs = []
+    real = Token.check_signature
+
+    def counted(self, key):
+        hmacs.append(self.token_id)
+        return real(self, key)
+
+    monkeypatch.setattr(Token, "check_signature", counted)
+    grid = Grid(transport="tcp")
+    try:
+        for site in ("A", "B"):
+            grid.add_site(site, nodes=1)
+        grid.connect_all()
+        grid.enable_token_auth()
+        grid.add_user("alice", "pw")
+        grid.grant("user:alice", "site:*", "submit")
+        origin, dest = grid.proxy_of("A"), grid.proxy_of("B")
+
+        def submit(blob, value=0):
+            return origin.submit_job_with_token(
+                blob, "echo", {"value": value}, target_site="B"
+            )
+
+        def child_of(blob):
+            return origin.tokens.delegate(
+                blob, delegate_to=origin.name, scopes=("jobs:submit",)
+            )
+
+        def hits():
+            return dest.obs.metrics.counter("auth.token.cache_hits").value
+
+        blob = grid.login("alice", "pw", via_site="A")
+        assert [submit(blob, i) for i in range(100)] == list(range(100))
+        assert len(hmacs) <= 2, hmacs
+        assert hits() >= 98
+        child = child_of(blob)
+        assert dest.tokens.cached(child.to_bytes()) is not None
+
+        # revoke(child) where only the destination knows: AUTH_DENIED
+        # comes back, the origin drops the child and mints another.
+        dest.tokens.revoke(child)
+        with pytest.raises(ProxyError, match="revoked"):
+            submit(blob)
+        fresh = child_of(blob)
+        assert fresh.token_id != child.token_id
+        assert submit(blob, 7) == 7
+
+        # revoke(child) at the origin: never presented again.
+        before = hits()
+        origin.tokens.revoke(fresh)
+        assert submit(blob, 8) == 8  # re-minted; the parent is still good
+        assert child_of(blob).token_id != fresh.token_id
+        with pytest.raises(TokenError, match="revoked"):
+            origin.tokens.verify_blob(fresh.to_bytes())
+        assert hits() == before  # the new child was a miss, not a stale hit
+
+        # revoke(token) at the origin: denied before anything is sent.
+        sent = origin.obs.metrics.counter("request.sent").value
+        origin.tokens.revoke(blob)
+        with pytest.raises(TokenError, match="revoked"):
+            submit(blob)
+        assert origin.obs.metrics.counter("request.sent").value == sent
+
+        # revoke_user, destination first: a hot second login dies there
+        # on its next use, and at the origin once the origin is told.
+        blob2 = grid.login("alice", "pw", via_site="A")
+        assert [submit(blob2, i) for i in range(3)] == [0, 1, 2]
+        dest.tokens.revoke_user("alice")
+        with pytest.raises(ProxyError, match="revoked"):
+            submit(blob2)
+        origin.tokens.revoke_user("alice")
+        with pytest.raises(TokenError, match="revoked"):
+            submit(blob2)
+    finally:
+        grid.shutdown()

@@ -4,8 +4,11 @@ import threading
 
 import pytest
 
-from repro.core.dispatch import DROP, DispatchPipeline
+from repro.core.dispatch import DROP, DispatchPipeline, TokenAuthGuard
 from repro.core.protocol import ControlMessage, Op
+from repro.obs import ObsHub
+from repro.security.auth import UserDirectory
+from repro.security.tokens import Token, TokenService
 from repro.transport.frames import Frame, FrameKind
 
 
@@ -244,6 +247,90 @@ class TestGuards:
 # ---------------------------------------------------------------------------
 # Extension overrides
 # ---------------------------------------------------------------------------
+
+
+class TestTokenAuthGuard:
+    """The guard over the service's shared verified-blob cache: counted
+    in HMACs and counters on a hand-cranked clock, never timed."""
+
+    @pytest.fixture
+    def plane(self, monkeypatch):
+        now = [1000.0]
+        users = UserDirectory(pbkdf_iterations=10)
+        users.add_user("alice", "wonder")
+        service = TokenService(users, lambda: now[0], key=b"k" * 32, issuer="proxy.A")
+        obs = ObsHub("proxy.A")
+        hmacs = []
+        real = Token.check_signature
+
+        def counted(self, key):
+            hmacs.append(self.token_id)
+            return real(self, key)
+
+        def count(name):
+            return obs.metrics.counter(f"auth.token.{name}").value
+
+        monkeypatch.setattr(Token, "check_signature", counted)
+        return service, TokenAuthGuard(service, obs=obs), now, hmacs, count
+
+    def _submit(self, blob, op=Op.JOB_SUBMIT) -> ControlMessage:
+        return ControlMessage(op=op, body={}, sender="peer", auth=blob)
+
+    def test_second_request_is_a_hit_with_claims_attached(self, plane):
+        service, guard, _, hmacs, count = plane
+        blob = service.login("alice", "wonder").to_bytes()
+        first, second = self._submit(blob), self._submit(blob)
+        assert guard(first, "peer") is None and guard(second, "peer") is None
+        assert len(hmacs) == 1
+        assert (count("ok"), count("cache_hits"), count("denied")) == (2, 1, 0)
+        assert second.auth_claims is first.auth_claims
+        assert second.auth_claims.userid == "alice"
+
+    def test_verdict_served_from_a_verification_made_elsewhere(self, plane):
+        # The origin path (verify_blob) and the guard share one cache.
+        service, guard, _, hmacs, count = plane
+        blob = service.login("alice", "wonder").to_bytes()
+        service.verify_blob(blob, required_scope="jobs:submit")
+        assert guard(self._submit(blob), "peer") is None
+        assert len(hmacs) == 1 and count("cache_hits") == 1
+
+    @pytest.mark.parametrize("how", ["token", "user"])
+    def test_revocation_denies_the_very_next_hot_request(self, plane, how):
+        service, guard, _, _, count = plane
+        token = service.login("alice", "wonder")
+        blob = token.to_bytes()
+        for _ in range(3):
+            assert guard(self._submit(blob), "peer") is None
+        service.revoke(token) if how == "token" else service.revoke_user("alice")
+        reply = guard(self._submit(blob), "peer")
+        assert reply.op == Op.AUTH_DENIED and "revoked" in reply.body["error"]
+        assert (count("ok"), count("denied")) == (3, 1)
+
+    def test_scope_and_expiry_are_honoured_on_hits(self, plane):
+        service, guard, now, hmacs, count = plane
+        blob = service.login("alice", "wonder").to_bytes()
+        assert guard(self._submit(blob), "peer") is None
+        reply = guard(self._submit(blob, Op.AUTH_REVOKE), "peer")
+        assert reply.op == Op.AUTH_DENIED and "lacks scope" in reply.body["error"]
+        now[0] += service.lifetime + 1.0
+        reply = guard(self._submit(blob), "peer")
+        assert reply.op == Op.AUTH_DENIED and "expired" in reply.body["error"]
+        assert len(hmacs) == 1 and count("cache_hits") == 0
+
+    def test_forged_blob_is_denied_every_time_and_never_cached(self, plane):
+        service, guard, _, hmacs, count = plane
+        blob = service.login("alice", "wonder").to_bytes()
+        assert guard(self._submit(blob), "peer") is None
+        forged = blob[:-1] + bytes([blob[-1] ^ 0x01])
+        for _ in range(2):
+            assert guard(self._submit(forged), "peer").op == Op.AUTH_DENIED
+        assert len(hmacs) == 3 and count("cache_hits") == 0
+
+    def test_guard_has_no_cache_of_its_own(self, plane):
+        service, guard, *_ = plane
+        with pytest.raises(TypeError):
+            TokenAuthGuard(service, cache_size=16)
+        assert not hasattr(guard, "_cache")
 
 
 class TestOverrides:

@@ -1,5 +1,6 @@
 """Unit tests for the shared reactor: loops, timers, channels, backpressure."""
 
+import selectors
 import socket
 import threading
 import time
@@ -313,6 +314,37 @@ class TestBackpressure:
             for _ in range(30):
                 server.send(_frame(payload))  # blocks, then proceeds
             assert time.monotonic() - start < 8.0
+        finally:
+            server.close()
+            raw.close()
+            listener.close()
+
+    def test_frame_queued_while_write_interest_drops_is_flushed(self, reactor):
+        """A sender that queues after the loop drained the queue but
+        before it published ``_write_armed = False`` schedules no flush
+        (the flag says the fd will call back).  The loop must pick that
+        frame up when it drops write interest, or it is stranded."""
+        listener = ReactorTcpListener(reactor=reactor)
+        raw = socket.create_connection((listener.host, listener.port))
+        server = listener.accept(timeout=5.0)
+        loop = server.reactor_loop
+        real_modify = loop.modify_fd
+
+        def modify_with_a_sender_slipping_in(fileobj, events, callback):
+            if not events & selectors.EVENT_WRITE:
+                server.send(_frame(b"late"))
+            real_modify(fileobj, events, callback)
+
+        def arm_then_disarm():
+            server._set_write_interest(True)
+            loop.modify_fd = modify_with_a_sender_slipping_in
+            server._set_write_interest(False)
+            loop.modify_fd = real_modify
+
+        try:
+            loop.schedule(arm_then_disarm)
+            raw.settimeout(5.0)
+            assert b"late" in raw.recv(65536)
         finally:
             server.close()
             raw.close()

@@ -2,7 +2,9 @@
 
 Covers the ISSUE-8 contract: expiry, refresh, revocation epoch
 semantics (including concurrent-revoke CRDT merges), delegation
-attenuation, and tamper rejection — all on a hand-cranked clock.
+attenuation, and tamper rejection — all on a hand-cranked clock.  The
+cached paths (verified-blob LRU, delegation reuse) are checked by
+counting HMACs and comparing bytes, never by timing.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ def users() -> UserDirectory:
 @pytest.fixture()
 def service(users: UserDirectory, clock: FakeClock) -> TokenService:
     return TokenService(users, clock, key=KEY, issuer="proxy.A")
+
+
+@pytest.fixture()
+def hmacs(monkeypatch) -> list:
+    """Every ``Token.check_signature`` call appends one entry."""
+    calls: list = []
+    real = Token.check_signature
+
+    def counted(self, key):
+        calls.append(self.token_id)
+        return real(self, key)
+
+    monkeypatch.setattr(Token, "check_signature", counted)
+    return calls
 
 
 class TestScopeGrammar:
@@ -334,6 +350,162 @@ class TestTamper:
         for blob in (b"", b"garbage", b"\x00" * 64):
             with pytest.raises(TokenError):
                 service.verify_blob(blob)
+
+
+class TestVerifiedCache:
+    def test_hit_skips_the_hmac_never_a_claim_check(self, service, clock, hmacs):
+        blob = service.login("alice", "wonder", scopes=["jobs:submit"]).to_bytes()
+        first = service.verify_blob(blob, required_scope="jobs:submit")
+        again = service.verify_blob(blob, required_scope="jobs:submit")
+        assert again is first and len(hmacs) == 1
+        assert service.cached(blob) is first
+        # Scope and expiry are read off the cached claims on every use.
+        with pytest.raises(TokenError, match="lacks scope"):
+            service.verify_blob(blob, required_scope="wms:read")
+        clock.advance(service.lifetime + 1.0)
+        with pytest.raises(TokenError, match="expired"):
+            service.verify_blob(blob, required_scope="jobs:submit")
+        assert len(hmacs) == 1
+
+    def test_failed_hmac_is_never_cached_and_a_variant_never_hits(
+        self, service, hmacs
+    ):
+        blob = service.login("alice", "wonder").to_bytes()
+        forged = blob[:-1] + bytes([blob[-1] ^ 0x01])  # last signature byte
+        for _ in range(2):
+            with pytest.raises(TokenError, match="signature"):
+                service.verify_blob(forged)
+        assert len(hmacs) == 2 and len(service._verified) == 0
+        service.verify_blob(blob)
+        assert service.cached(forged) is None
+        with pytest.raises(TokenError, match="signature"):
+            service.verify_blob(forged)
+        assert list(service._verified) == [blob]
+
+    def test_to_bytes_returns_the_blob_it_was_parsed_from(self, service):
+        blob = service.login("alice", "wonder").to_bytes()
+        assert service.verify_blob(blob).to_bytes() is blob
+
+    def test_any_epoch_bump_costs_one_fresh_hmac(self, service, hmacs):
+        blob = service.login("alice", "wonder").to_bytes()
+        other = service.login("bob", "builder")
+        service.verify_blob(blob)
+        service.revoke(other)  # somebody else's token: the epoch moves
+        assert service.cached(blob) is None
+        service.verify_blob(blob)
+        service.verify_blob(blob)
+        assert hmacs.count(Token.from_bytes(blob).token_id) == 2
+
+    @pytest.mark.parametrize("how", ["token", "blob", "user"])
+    def test_revocation_denies_the_very_next_use_of_a_hot_token(
+        self, service, how
+    ):
+        token = service.login("alice", "wonder")
+        blob = token.to_bytes()
+        for _ in range(3):
+            service.verify_blob(blob, required_scope="jobs:submit")
+        if how == "user":
+            service.revoke_user("alice")
+        else:
+            service.revoke(token if how == "token" else blob)
+        with pytest.raises(TokenError, match="revoked"):
+            service.verify_blob(blob, required_scope="jobs:submit")
+        with pytest.raises(TokenError, match="revoked"):
+            service.delegate(blob, delegate_to="proxy.B", scopes=["jobs:submit"])
+
+    def test_revoke_by_blob_authenticates_but_ignores_expiry(
+        self, service, clock
+    ):
+        blob = service.login("alice", "wonder").to_bytes()
+        forged = blob[:-1] + bytes([blob[-1] ^ 0x01])
+        with pytest.raises(TokenError, match="signature"):
+            service.revoke(forged)
+        assert service.epoch == 0
+        clock.advance(service.lifetime + 1.0)
+        assert service.revoke(blob) is True
+
+    def test_both_caches_are_bounded(self, service):
+        for i in range(5000):
+            parent = service.mint_service_token(f"svc{i}")
+            service.delegate(
+                parent.to_bytes(), delegate_to="proxy.B", scopes=["jobs:submit"]
+            )
+        assert len(service._verified) == 4096
+        assert len(service._delegations) == 4096
+        # LRU: the newest survive, the oldest went.
+        assert service.cached(parent.to_bytes()) is not None
+
+
+class TestDelegationReuse:
+    def _child(self, service, parent, to="proxy.B", scopes=("jobs:submit",)):
+        return service.delegate(parent, delegate_to=to, scopes=scopes)
+
+    def test_reused_until_within_skew_of_expiry_then_reminted(
+        self, service, clock, hmacs
+    ):
+        blob = service.login("alice", "wonder").to_bytes()
+        first = self._child(service, blob)
+        for parent in (blob, service.verify_blob(blob)):  # blob or parsed
+            assert self._child(service, parent) is first
+        assert len(hmacs) == 1  # the parent, once; children are never checked
+        clock.advance(first.expires_at - service.max_clock_skew - 1.0 - clock.now)
+        assert self._child(service, blob).to_bytes() == first.to_bytes()
+        clock.advance(2.0)  # ≤ max_clock_skew left to live
+        fresh = self._child(service, blob)
+        assert fresh.token_id != first.token_id
+        assert fresh.expires_at <= first.expires_at  # still capped at parent's
+        assert fresh.chain[-1]["at"] == clock.now
+
+    def test_parents_targets_scopes_and_lifetimes_never_share(self, service):
+        alice = service.login("alice", "wonder").to_bytes()
+        alice2 = service.login("alice", "wonder").to_bytes()
+        bob = service.login("bob", "builder").to_bytes()
+        children = [
+            self._child(service, alice),
+            self._child(service, alice2),
+            self._child(service, bob),
+            self._child(service, alice, to="proxy.C"),
+            self._child(service, alice, scopes=("wms:read",)),
+            service.delegate(
+                alice, delegate_to="proxy.B", scopes=["jobs:submit"], lifetime=5.0
+            ),
+        ]
+        assert len({child.token_id for child in children}) == len(children)
+        assert children[2].userid == "bob"
+        assert children[4].scopes == ("wms:read",)
+
+    def test_scope_widening_still_refused_beside_a_cached_child(self, service):
+        parent = service.login("alice", "wonder", scopes=["jobs:submit"]).to_bytes()
+        self._child(service, parent)
+        with pytest.raises(TokenError, match="cannot delegate"):
+            self._child(service, parent, scopes=("jobs:submit", "wms:read"))
+
+    def test_revoking_the_child_stops_its_reuse(self, service):
+        blob = service.login("alice", "wonder").to_bytes()
+        first = self._child(service, blob)
+        service.verify_blob(first.to_bytes())  # hot at a "destination" too
+        service.revoke(first)
+        with pytest.raises(TokenError, match="revoked"):
+            service.verify_blob(first.to_bytes())
+        second = self._child(service, blob)  # the parent is still good
+        assert second.token_id != first.token_id
+        service.verify_blob(second.to_bytes())
+
+    def test_expired_parent_never_reuses(self, service, clock):
+        blob = service.login("alice", "wonder").to_bytes()
+        self._child(service, blob)
+        clock.advance(service.lifetime + 1.0)
+        with pytest.raises(TokenError, match="expired"):
+            self._child(service, blob)
+
+    def test_forget_delegation_evicts_only_that_child(self, service):
+        alice = service.login("alice", "wonder").to_bytes()
+        bob = service.login("bob", "builder").to_bytes()
+        a, b = self._child(service, alice), self._child(service, bob)
+        service.forget_delegation(a)
+        service.forget_delegation(a)  # idempotent
+        assert self._child(service, bob) is b
+        assert self._child(service, alice).token_id != a.token_id
 
 
 class TestMode:

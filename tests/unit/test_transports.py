@@ -240,6 +240,24 @@ class TestTcpTransport:
         client.close()
         listener.close()
 
+    def test_send_then_close_delivers_the_frame(self):
+        """``send(); close()`` used to race the loop's flush: ``close``
+        cleared the write queue first and the frame was lost."""
+        listener = ReactorTcpListener()
+        try:
+            for i in range(50):
+                client = connect_tcp_reactor(*listener.address)
+                server = listener.accept(timeout=5.0)
+                server.send(data_frame(b"bye", seq=i))
+                server.close()
+                frame = client.recv(timeout=5.0)
+                assert (frame.payload, frame.headers["seq"]) == (b"bye", i)
+                with pytest.raises(ChannelClosed):
+                    client.recv(timeout=5.0)
+                client.close()
+        finally:
+            listener.close()
+
     def test_listener_accept_timeout(self):
         listener = ReactorTcpListener()
         with pytest.raises(TransportTimeoutOrClosed):
