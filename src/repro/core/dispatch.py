@@ -18,9 +18,10 @@ safe to run:
    veto a message with a reply (e.g. "proxy is shutting down") or raise,
    which becomes an ERROR reply.  Under the token control plane this
    stage is where per-request auth lives: :class:`TokenAuthGuard`
-   verifies the bearer token riding the control header (one HMAC + a
-   revocation-epoch check, LRU verdict cache — never asymmetric crypto;
-   gridlint GL105 enforces that budget).  Legacy *credential*
+   verifies the bearer token riding the control header (at worst one
+   HMAC + a revocation-epoch check, at best a hit in the token service's
+   cache of verified blobs — the guard keeps none of its own — and never
+   asymmetric crypto; gridlint GL105 enforces that budget).  Legacy *credential*
    verification stays inside the handlers that carry credentials — the
    paper checks them at the destination proxy per-operation, and the
    denial op differs per operation (AUTH_DENIED vs JOB_REJECTED).

@@ -209,9 +209,7 @@ class ControlMessage:
             headers["trace"] = self.trace
         if self.auth is not None:
             headers["auth"] = self.auth
-        return Frame(
-            kind=FrameKind.CONTROL, headers=headers, payload=encode_value(self.body)
-        )
+        return Frame(FrameKind.CONTROL, 0, headers, encode_value(self.body))
 
     @classmethod
     def from_frame(cls, frame: Frame) -> "ControlMessage":
@@ -280,13 +278,20 @@ class RequestTracker:
             event = self._waiting.get(message_id)
         if event is None:
             raise ProtocolError(f"no outstanding request {message_id}")
-        if not event.wait(timeout=timeout):
-            with self._lock:
-                self._waiting.pop(message_id, None)
-            raise ProtocolError(f"request {message_id} timed out after {timeout}s")
+        event.wait(timeout=timeout)
         with self._lock:
             self._waiting.pop(message_id, None)
-            return self._replies.pop(message_id)
+            # Looked up even after a timeout: a reply that raced it is kept.
+            reply = self._replies.pop(message_id, None)
+        if reply is None:
+            raise ProtocolError(f"request {message_id} timed out after {timeout}s")
+        return reply
+
+    def discard(self, message_id: int) -> None:
+        """Forget a request whose reply will never be waited for."""
+        with self._lock:
+            self._waiting.pop(message_id, None)
+            self._replies.pop(message_id, None)
 
     def cancel(self, message_id: int, reason: str = "link down") -> None:
         """Wake one waiter with an ERROR reply."""

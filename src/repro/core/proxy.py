@@ -550,6 +550,7 @@ class ProxyServer:
                     f"within {timeout:.3f}s"
                 ) from exc
         finally:
+            self._tracker.discard(message.message_id)  # a failed send never waits
             with self._inflight_lock:
                 self._inflight_by_peer.get(peer_proxy, set()).discard(
                     message.message_id

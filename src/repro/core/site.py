@@ -2,14 +2,13 @@
 
 A site models one administrative domain — a cluster or a LAN of
 workstations.  In the live runtime, :class:`SiteNode` tracks a node's
-capabilities and executes registered task kinds on a worker thread; the
-simulation substrate models the same nodes analytically for the scaled
-benchmarks.
+capabilities and executes registered task kinds one at a time, on the
+thread that asks; the simulation substrate models the same nodes
+analytically for the scaled benchmarks.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -71,10 +70,11 @@ def _default_tasks() -> TaskRegistry:
 
 
 class SiteNode:
-    """One station: capabilities plus a single worker thread.
+    """One station: capabilities plus one CPU.
 
-    The worker executes tasks one at a time (a 2003 workstation donates
-    one CPU); queued tasks wait.  ``fail()`` simulates a crash for the
+    Tasks execute one at a time (a 2003 workstation donates one CPU) on
+    the thread that calls :meth:`execute`; callers that find the CPU
+    taken wait for it.  ``fail()`` simulates a crash for the
     failure-injection tests.
     """
 
@@ -98,52 +98,30 @@ class SiteNode:
         self.disk_used = 0
         self.tasks = tasks or _default_tasks()
         self.tasks_completed = 0
-        self._queue: "queue.Queue" = queue.Queue()
         self._alive = threading.Event()
         self._alive.set()
-        self._running = 0
-        self._lock = threading.Lock()
-        self._worker = threading.Thread(  # gridlint: disable=GL102 -- the paper's execution model: each station donates one CPU as a dedicated worker
-            target=self._work_loop, daemon=True, name=f"node-{name}"
-        )
-        self._worker.start()
-
-    def _work_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            kind, params, done = item
-            if not self._alive.is_set():
-                done["error"] = RuntimeError(f"node {self.name!r} is down")
-                done["event"].set()
-                continue
-            with self._lock:
-                self._running += 1
-            try:
-                fn = self.tasks.get(kind)
-                done["result"] = fn(**params)
-            except BaseException as exc:
-                done["error"] = exc
-            finally:
-                with self._lock:
-                    self._running -= 1
-                    self.tasks_completed += 1
-                done["event"].set()
+        self._cpu = threading.Lock()  # held while a task runs
 
     def execute(
         self, kind: str, params: Optional[dict] = None, timeout: float = 60.0
     ) -> Any:
-        """Run a registered task to completion; raises its error."""
+        """Run a registered task to completion; raises its error.
+
+        ``timeout`` bounds the wait for the station's CPU, not the task.
+        """
         if not self._alive.is_set():
             raise RuntimeError(f"node {self.name!r} is down")
-        done: dict = {"event": threading.Event(), "result": None, "error": None}
-        self._queue.put((kind, params or {}, done))
-        if not done["event"].wait(timeout=timeout):
+        if not self._cpu.acquire(timeout=timeout):
             raise TimeoutError(f"task {kind!r} on {self.name!r} timed out")
-        if done["error"] is not None:
-            raise done["error"]
-        return done["result"]
+        try:
+            if not self._alive.is_set():  # crashed while this task queued
+                raise RuntimeError(f"node {self.name!r} is down")
+            try:
+                return self.tasks.get(kind)(**(params or {}))
+            finally:
+                self.tasks_completed += 1
+        finally:
+            self._cpu.release()
 
     def fail(self) -> None:
         """Mark the node dead (failure injection)."""
@@ -158,8 +136,7 @@ class SiteNode:
 
     @property
     def running_tasks(self) -> int:
-        with self._lock:
-            return self._running
+        return int(self._cpu.locked())
 
     def status(self) -> NodeStatus:
         return NodeStatus(
@@ -176,7 +153,7 @@ class SiteNode:
         )
 
     def shutdown(self) -> None:
-        self._queue.put(None)
+        """Nothing to stop: a node owns no thread."""
 
 
 @dataclass

@@ -143,8 +143,7 @@ class SecureChannel(Channel):
 
     def send(self, frame: Frame) -> None:
         record = self._send_cipher.seal(encode_frame(frame))
-        carrier = Frame(kind=FrameKind.DATA, channel=frame.channel, payload=record)
-        self._inner.send(carrier)
+        self._inner.send(Frame(FrameKind.DATA, frame.channel, {}, record))
         self.stats.on_send(len(record))
 
     def send_many(self, frames) -> None:
@@ -158,9 +157,7 @@ class SecureChannel(Channel):
         sizes = []
         for frame in frames:
             record = self._send_cipher.seal(encode_frame(frame))
-            carriers.append(
-                Frame(kind=FrameKind.DATA, channel=frame.channel, payload=record)
-            )
+            carriers.append(Frame(FrameKind.DATA, frame.channel, {}, record))
             sizes.append(len(record))
         if not carriers:
             return

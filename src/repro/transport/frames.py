@@ -74,6 +74,8 @@ class FrameKind(enum.IntEnum):
     MPI = 5  # multiplexed MPI traffic through virtual slaves
 
 
+_KINDS = {int(kind): kind for kind in FrameKind}
+
 # ---------------------------------------------------------------------------
 # gridcodec: self-describing value encoding
 # ---------------------------------------------------------------------------
@@ -89,8 +91,30 @@ _T_LIST = 0x07
 _T_DICT = 0x08
 _T_TUPLE = 0x09
 
+_B_INT, _B_STR, _B_BYTES = b"\x03", b"\x05", b"\x06"  # those tags, ready to concatenate
+#: encode_value({}): what a frame without headers carries
+_NO_HEADERS = b"\x08\x00\x00\x00\x00"
+
 _F64 = struct.Struct("!d")
 _U32 = struct.Struct("!I")
+_pack_u32 = _U32.pack
+_unpack_u32 = _U32.unpack_from
+
+#: Wire form (tag + length + utf-8) of dict keys already encoded.  Control
+#: traffic repeats a few dozen keys for ever; a forwarded dict can carry
+#: arbitrary remote keys, so the table is emptied when it reaches its
+#: bound rather than allowed to grow.
+_KEY_BLOBS: dict[str, bytes] = {}
+_MAX_KEYS = 1024
+
+
+def _key_blob(key: str) -> bytes:
+    raw = key.encode("utf-8")
+    blob = _B_STR + _pack_u32(len(raw)) + raw
+    if len(_KEY_BLOBS) >= _MAX_KEYS:
+        _KEY_BLOBS.clear()
+    _KEY_BLOBS[key] = blob
+    return blob
 
 
 def encode_value(value: Any) -> bytes:
@@ -101,9 +125,40 @@ def encode_value(value: Any) -> bytes:
 
 
 def _encode_into(value: Any, out: bytearray, depth: int) -> None:
+    # One call per container, not per value: a dict writes its exact-type
+    # str/int/bytes leaves in place; everything else — other containers,
+    # None/bool/float, every subclass — goes through the ladder below.
     if depth > _MAX_DEPTH:
         raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
-    if value is None:
+    if isinstance(value, dict):
+        count = len(value)
+        if count > _MAX_CONTAINER:
+            raise CodecError(f"container too large: {count}")
+        if count and depth == _MAX_DEPTH:  # its leaves would sit one deeper
+            raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
+        out.append(_T_DICT)
+        out += _pack_u32(count)
+        depth += 1
+        for key, item in value.items():
+            if type(key) is str:
+                out += _KEY_BLOBS.get(key) or _key_blob(key)
+            elif isinstance(key, str):
+                _encode_into(key, out, depth)
+            else:
+                raise CodecError(f"dict keys must be str, got {type(key).__name__}")
+            kind = type(item)
+            if kind is str:
+                raw = item.encode("utf-8")
+                out += _B_STR + _pack_u32(len(raw)) + raw
+            elif kind is int:
+                raw = item.to_bytes((item.bit_length() + 8) // 8 + 1, "big", signed=True)
+                out += _B_INT + _pack_u32(len(raw)) + raw
+            elif kind is bytes:
+                out += _B_BYTES + _pack_u32(len(item))
+                out += item
+            else:
+                _encode_into(item, out, depth)
+    elif value is None:
         out.append(_T_NONE)
     elif value is True:
         out.append(_T_TRUE)
@@ -113,7 +168,7 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
         # Ints are unbounded (RSA material travels in handshakes).
         out.append(_T_INT)
-        out += _U32.pack(len(raw))
+        out += _pack_u32(len(raw))
         out += raw
     elif isinstance(value, float):
         out.append(_T_FLOAT)
@@ -121,35 +176,25 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(_T_STR)
-        out += _U32.pack(len(raw))
+        out += _pack_u32(len(raw))
         out += raw
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
         out.append(_T_BYTES)
-        out += _U32.pack(len(raw))
+        out += _pack_u32(len(raw))
         out += raw
     elif isinstance(value, (list, tuple)):
         if len(value) > _MAX_CONTAINER:
             raise CodecError(f"container too large: {len(value)}")
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
-        out += _U32.pack(len(value))
+        out += _pack_u32(len(value))
         for item in value:
-            _encode_into(item, out, depth + 1)
-    elif isinstance(value, dict):
-        if len(value) > _MAX_CONTAINER:
-            raise CodecError(f"container too large: {len(value)}")
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-            _encode_into(key, out, depth + 1)
             _encode_into(item, out, depth + 1)
     else:
         raise CodecError(f"cannot encode type {type(value).__name__}")
 
 
-def decode_value(data) -> Any:
+def decode_value(data: "bytes | bytearray | memoryview") -> Any:
     """Decode a bytes-like buffer produced by :func:`encode_value`.
 
     Rejects trailing garbage: a frame header must be exactly one value.
@@ -163,9 +208,12 @@ def decode_value(data) -> Any:
     return value
 
 
-def _decode_from(data, offset: int, depth: int) -> tuple[Any, int]:
-    # Hot path: called once per header value per frame, so length reads and
-    # bounds checks are inlined rather than delegated.
+def _decode_from(
+    data: "bytes | bytearray | memoryview", offset: int, depth: int
+) -> tuple[Any, int]:
+    # Mirror of _encode_into: one call per container, a dict reads its
+    # keys and its int/str/bytes leaves in place.  Length reads and bounds
+    # checks are inlined; every length is checked before it is used.
     size = len(data)
     if depth > _MAX_DEPTH:
         raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
@@ -173,6 +221,49 @@ def _decode_from(data, offset: int, depth: int) -> tuple[Any, int]:
         raise CodecError("truncated value")
     tag = data[offset]
     offset += 1
+    if tag == _T_DICT:
+        if offset + 4 > size:
+            raise CodecError("truncated value")
+        count = _unpack_u32(data, offset)[0]
+        offset += 4
+        if count > _MAX_CONTAINER:
+            raise CodecError(f"container too large: {count}")
+        if count and depth == _MAX_DEPTH:  # its leaves would sit one deeper
+            raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
+        depth += 1
+        result: dict[str, Any] = {}
+        try:
+            for _ in range(count):
+                if offset + 5 > size:
+                    raise CodecError("truncated value")
+                if data[offset] != _T_STR:
+                    raise CodecError("dict key is not a string")
+                end = offset + 5 + _unpack_u32(data, offset + 1)[0]
+                if end >= size:  # the key and at least the value's tag
+                    raise CodecError("truncated value")
+                # bytes(bytes) is identity, so only memoryview input copies
+                # — and must: decoded values own their data.
+                key = bytes(data[offset + 5 : end]).decode("utf-8")
+                tag = data[end]
+                offset = end + 1
+                if tag == _T_STR or tag == _T_BYTES or tag == _T_INT:
+                    if offset + 4 > size:
+                        raise CodecError("truncated value")
+                    end = offset + 4 + _unpack_u32(data, offset)[0]
+                    if end > size:
+                        raise CodecError("truncated value")
+                    if tag == _T_INT:
+                        result[key] = int.from_bytes(data[offset + 4 : end], "big", signed=True)
+                    elif tag == _T_BYTES:
+                        result[key] = bytes(data[offset + 4 : end])
+                    else:
+                        result[key] = bytes(data[offset + 4 : end]).decode("utf-8")
+                    offset = end
+                else:
+                    result[key], offset = _decode_from(data, end, depth)
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"invalid utf-8 in string: {exc}") from exc
+        return result, offset
     if tag == _T_NONE:
         return None, offset
     if tag == _T_TRUE:
@@ -184,38 +275,26 @@ def _decode_from(data, offset: int, depth: int) -> tuple[Any, int]:
         if end > size:
             raise CodecError("truncated value")
         return _F64.unpack_from(data, offset)[0], end
-    if tag == _T_INT:
+    if tag == _T_INT or tag == _T_STR or tag == _T_BYTES:
         if offset + 4 > size:
             raise CodecError("truncated value")
-        end = offset + 4 + _U32.unpack_from(data, offset)[0]
+        end = offset + 4 + _unpack_u32(data, offset)[0]
         offset += 4
         if end > size:
             raise CodecError("truncated value")
-        return int.from_bytes(data[offset:end], "big", signed=True), end
-    if tag == _T_STR:
-        if offset + 4 > size:
-            raise CodecError("truncated value")
-        end = offset + 4 + _U32.unpack_from(data, offset)[0]
-        offset += 4
-        if end > size:
-            raise CodecError("truncated value")
+        if tag == _T_INT:
+            return int.from_bytes(data[offset:end], "big", signed=True), end
+        if tag == _T_BYTES:
+            return bytes(data[offset:end]), end
         try:
-            # bytes(bytes) is identity, so only memoryview input copies.
             return bytes(data[offset:end]).decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise CodecError(f"invalid utf-8 in string: {exc}") from exc
-    if tag == _T_BYTES:
+    if tag == _T_LIST or tag == _T_TUPLE:
         if offset + 4 > size:
             raise CodecError("truncated value")
-        end = offset + 4 + _U32.unpack_from(data, offset)[0]
+        count = _unpack_u32(data, offset)[0]
         offset += 4
-        if end > size:
-            raise CodecError("truncated value")
-        # Copy out of memoryviews: decoded values must own their data
-        # (a sub-view would dangle once the decoder buffer is reused).
-        return bytes(data[offset:end]), end
-    if tag in (_T_LIST, _T_TUPLE):
-        count, offset = _read_length(data, offset)
         if count > _MAX_CONTAINER:
             raise CodecError(f"container too large: {count}")
         items = []
@@ -223,30 +302,7 @@ def _decode_from(data, offset: int, depth: int) -> tuple[Any, int]:
             item, offset = _decode_from(data, offset, depth + 1)
             items.append(item)
         return (items if tag == _T_LIST else tuple(items)), offset
-    if tag == _T_DICT:
-        count, offset = _read_length(data, offset)
-        if count > _MAX_CONTAINER:
-            raise CodecError(f"container too large: {count}")
-        result: dict[str, Any] = {}
-        for _ in range(count):
-            key, offset = _decode_from(data, offset, depth + 1)
-            if not isinstance(key, str):
-                raise CodecError("dict key is not a string")
-            value, offset = _decode_from(data, offset, depth + 1)
-            result[key] = value
-        return result, offset
     raise CodecError(f"unknown type tag 0x{tag:02x}")
-
-
-def _read_length(data: bytes, offset: int) -> tuple[int, int]:
-    end = offset + _U32.size
-    _check_bounds(data, end)
-    return _U32.unpack_from(data, offset)[0], end
-
-
-def _check_bounds(data: bytes, end: int) -> None:
-    if end > len(data):
-        raise CodecError("truncated value")
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +320,12 @@ class Frame:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        self.kind = FrameKind(self.kind)
+        if type(self.kind) is not FrameKind:
+            self.kind = FrameKind(self.kind)
         if not 0 <= self.channel <= 0xFFFFFFFF:
             raise FrameError(f"channel id out of range: {self.channel}")
+        if type(self.payload) is bytes:
+            return
         if isinstance(self.payload, bytearray):
             self.payload = bytes(self.payload)
         elif not isinstance(self.payload, (bytes, memoryview)):
@@ -292,7 +351,9 @@ def encode_frame_views(frame: Frame) -> list[bytes]:
     bodies.  :func:`encode_frame` joins the views for callers that need one
     contiguous blob.
     """
-    header_blob = encode_value(frame.headers)
+    headers = frame.headers
+    bare = type(headers) is dict and not headers  # every sealed record's carrier frame
+    header_blob = _NO_HEADERS if bare else encode_value(headers)
     if len(header_blob) > _MAX_HEADER:
         raise FrameError(f"header blob too large: {len(header_blob)}")
     if len(frame.payload) > MAX_FRAME_PAYLOAD:
@@ -354,10 +415,9 @@ def _decode_frame_at(
         raise FrameError(f"header length too large: {hlen}")
     if plen > MAX_FRAME_PAYLOAD:
         raise FrameError(f"payload length too large: {plen}")
-    try:
-        kind = FrameKind(kind_raw)
-    except ValueError as exc:
-        raise FrameError(f"unknown frame kind: {kind_raw}") from exc
+    kind = _KINDS.get(kind_raw)
+    if kind is None:
+        raise FrameError(f"unknown frame kind: {kind_raw}")
     total = _HEADER_STRUCT.size + hlen + plen
     if available < total:
         return None, 0
@@ -378,6 +438,8 @@ def _decode_frame_at(
             payload = view[body_start + hlen : offset + total]
         else:
             payload = b""  # empty views would pin the buffer for nothing
+    if header_blob == _NO_HEADERS:
+        return Frame(kind, channel, {}, payload), total
     try:
         headers = decode_value(header_blob)
     except CodecError as exc:
@@ -387,7 +449,7 @@ def _decode_frame_at(
         raise FrameError(f"corrupt frame headers: {exc}") from exc
     if not isinstance(headers, dict):
         raise FrameError("frame headers are not a dict")
-    return Frame(kind=kind, channel=channel, headers=headers, payload=payload), total
+    return Frame(kind, channel, headers, payload), total
 
 
 def _decode_frame_prefix(data: bytes) -> tuple[Optional[Frame], int]:

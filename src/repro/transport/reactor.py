@@ -11,7 +11,8 @@ Two pieces live here, plus :func:`get_global_reactor`, which hands out
 the shared process-wide reactor:
 
 * :class:`Reactor` — ``loops`` event-loop threads, each with its own
-  ``selectors`` selector, a self-pipe for cross-thread wakeups, and a
+  ``selectors`` selector, a gated socketpair for cross-thread wakeups
+  (at most one byte in flight, none from the loop itself), and a
   timer heap (one-shot :meth:`call_later` and jittered periodic
   :meth:`call_every` — heartbeats and deadline expiry ride these).
   Channels of *any* transport join via :meth:`add_channel`, which drives
@@ -252,7 +253,12 @@ class _Registration:
 
 
 class _Loop:
-    """One event-loop thread: selector + self-pipe + pending queue + timers."""
+    """One event-loop thread: selector + wake pair + pending queue + timers.
+
+    Wake protocol (DESIGN §9): the loop never wakes itself, other threads
+    keep at most one byte in flight (``_wake_sent``), and the gate
+    re-opens after ``_on_wake``'s read, before that pass drains the queue.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -263,6 +269,7 @@ class _Loop:
         self._selector.register(self._wake_recv, selectors.EVENT_READ, self._on_wake)
         self._pending: deque = deque()
         self._pending_lock = threading.Lock()
+        self._wake_sent = False  # a wake byte is in flight (under _pending_lock)
         self._timers: list = []  # heap of (deadline, seq, handle)
         self._timer_lock = threading.Lock()
         self._running = threading.Event()
@@ -305,10 +312,17 @@ class _Loop:
     # -- cross-thread entry points --------------------------------------
 
     def wake(self) -> None:
+        """Make the loop re-read its queue and timers; at most one byte in flight."""
+        if self.on_loop_thread():
+            return  # _run re-reads both before it blocks again
+        with self._pending_lock:
+            if self._wake_sent:
+                return  # that byte's _on_wake precedes the next _run_pending
+            self._wake_sent = True
         try:
             self._wake_send.send(b"\x00")
-        except (BlockingIOError, OSError):
-            pass  # pipe already full → the loop is waking anyway
+        except OSError:
+            pass  # loop already stopped and closed the pair
 
     def schedule(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the loop thread at the next iteration."""
@@ -354,10 +368,13 @@ class _Loop:
 
     def _on_wake(self, mask: int) -> None:
         try:
-            while self._wake_recv.recv(4096):  # gridlint: disable=GL101 -- wake pipe is non-blocking; drain exits on BlockingIOError
-                pass
+            self._wake_recv.recv(64)  # gridlint: disable=GL101 -- wake pair is non-blocking; an empty read raises BlockingIOError
         except (BlockingIOError, OSError):
             pass
+        # Only after the read: cleared first, a second waker's byte could
+        # land in the same recv, leaving the flag set over an empty pipe.
+        with self._pending_lock:
+            self._wake_sent = False
 
     def _next_timeout(self) -> Optional[float]:
         with self._pending_lock:

@@ -433,6 +433,86 @@ class TestSiteNode:
         assert sorted(order) == [0, 1, 2, 3, 4]
         node.shutdown()
 
+    def test_concurrent_tasks_never_overlap(self):
+        inside, overlaps = [0], []
+        registry = TaskRegistry()
+
+        def probe(node):
+            inside[0] += 1
+            overlaps.append((inside[0], node.running_tasks))
+            time.sleep(0.005)
+            inside[0] -= 1
+
+        registry.register("probe", probe)
+        node = SiteNode("n0", "A", tasks=registry)
+        threads = [
+            threading.Thread(target=node.execute, args=("probe", {"node": node}))
+            for _ in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert overlaps == [(1, 1)] * 6
+        assert node.running_tasks == 0
+        assert node.tasks_completed == 6
+
+    def _hold_cpu(self):
+        """A node whose only CPU is taken until ``release`` is set."""
+        started, release = threading.Event(), threading.Event()
+        registry = TaskRegistry()
+        registry.register("hold", lambda: (started.set(), release.wait(timeout=10.0)))
+        registry.register("noop", lambda: None)
+        node = SiteNode("n0", "A", tasks=registry)
+        holder = threading.Thread(target=node.execute, args=("hold",))
+        holder.start()
+        assert started.wait(timeout=5.0)
+        return node, holder, release
+
+    def test_timeout_bounds_the_wait_for_the_cpu(self):
+        node, holder, release = self._hold_cpu()
+        try:
+            with pytest.raises(TimeoutError, match="timed out"):
+                node.execute("noop", timeout=0.05)
+            assert node.running_tasks == 1  # the holder, undisturbed
+        finally:
+            release.set()
+            holder.join(timeout=5.0)
+        node.execute("noop", timeout=1.0)
+        assert node.tasks_completed == 2  # the refused attempt never ran
+
+    def test_node_failing_while_a_task_waits_rejects_it(self):
+        node, holder, release = self._hold_cpu()
+        outcome = []
+
+        def waiter():
+            try:
+                outcome.append(node.execute("noop", timeout=10.0))
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.05)  # usually enough to be waiting; either order must raise
+        node.fail()
+        release.set()
+        holder.join(timeout=5.0)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome[0], RuntimeError) and "is down" in str(outcome[0])
+
+    def test_shutdown_is_idempotent_and_nodes_own_no_thread(self):
+        from repro.core.grid import Grid
+
+        with Grid() as grid:
+            grid.add_site("A", nodes=3)
+            assert not [t.name for t in threading.enumerate() if t.name.startswith("node-")]
+            node = grid.sites["A"].nodes["A.n0"]
+            assert node.execute("echo", {"value": 1}) == 1
+            node.shutdown()
+            node.shutdown()
+
 
 class TestSite:
     def test_add_nodes_and_statuses(self):
@@ -458,3 +538,28 @@ class TestSite:
         site.nodes["A.n0"].fail()
         assert [n.name for n in site.alive_nodes()] == ["A.n1"]
         site.shutdown()
+
+
+class TestRequestTrackerHygiene:
+    def test_failed_sends_leave_no_waiters_behind(self, monkeypatch):
+        """One ``expect()`` per attempt used to stay in the tracker for the
+        life of the proxy when the send itself failed."""
+        from repro.core.grid import Grid
+        from repro.core.protocol import Op
+        from repro.core.proxy import PeerUnavailable
+
+        with Grid() as grid:
+            grid.add_site("A", nodes=1)
+            grid.add_site("B", nodes=1)
+            grid.connect_all()
+            proxy = grid.proxy_of("A")
+            peer = grid.proxy_of("B").name
+            assert proxy._request_once(peer, Op.PING, None, 2.0).op == Op.PONG
+            dead = proxy.tunnel_to(peer)
+            dead.close()
+            # The race under test: the tunnel dies between lookup and send.
+            monkeypatch.setattr(proxy, "tunnel_to", lambda name: dead)
+            for _ in range(100):
+                with pytest.raises(PeerUnavailable, match="tunnel closed"):
+                    proxy._request_once(peer, Op.PING, None, 2.0)
+            assert not proxy._tracker._waiting and not proxy._tracker._replies

@@ -137,6 +137,32 @@ class TestRequestTracker:
         with pytest.raises(ProtocolError, match="timed out"):
             tracker.wait(request.message_id, timeout=0.01)
 
+    def test_reply_racing_the_timeout_is_returned(self):
+        tracker = RequestTracker()
+        request = ControlMessage(op=Op.PING)
+        tracker.expect(request)
+
+        class FulfilledJustTooLate(threading.Event):
+            def wait(self, timeout=None):
+                assert tracker.fulfil(request.reply(Op.PONG, {"n": 1}))
+                return False  # what Event.wait reports when the timeout won
+
+        tracker._waiting[request.message_id] = FulfilledJustTooLate()
+        assert tracker.wait(request.message_id, timeout=0.01).body == {"n": 1}
+        assert not tracker._waiting and not tracker._replies
+
+    def test_discard_forgets_waiter_and_reply(self):
+        tracker = RequestTracker()
+        unsent, answered = ControlMessage(op=Op.PING), ControlMessage(op=Op.PING)
+        tracker.expect(unsent)
+        tracker.expect(answered)
+        tracker.fulfil(answered.reply(Op.PONG))
+        tracker.discard(unsent.message_id)
+        tracker.discard(answered.message_id)
+        tracker.discard(answered.message_id)  # idempotent
+        assert not tracker._waiting and not tracker._replies
+        assert not tracker.fulfil(unsent.reply(Op.PONG))  # a late reply finds nobody
+
     def test_unexpected_reply_ignored(self):
         tracker = RequestTracker()
         stray = ControlMessage(op=Op.PONG, reply_to=999999)

@@ -1,7 +1,9 @@
 """Unit tests for the shared reactor: loops, timers, channels, backpressure."""
 
+import select
 import selectors
 import socket
+import sys
 import threading
 import time
 
@@ -597,6 +599,125 @@ class TestLifecycle:
         reactor.next_loop().schedule(probe)
         assert done.wait(timeout=5.0)
         assert result["on_loop"] is True
+
+
+# ---------------------------------------------------------------------------
+# The wake gate: at most one byte in flight, none from the loop itself
+# ---------------------------------------------------------------------------
+
+
+class _CountingSender:
+    """Stands in for a loop's ``_wake_send`` socket; counts the bytes written."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = 0
+
+    def send(self, data):
+        self.sent += len(data)
+        return self._sock.send(data)
+
+    def close(self):
+        self._sock.close()
+
+
+def _count_wakes(reactor):
+    loop = reactor.next_loop()
+    loop._wake_send = _CountingSender(loop._wake_send)
+    return loop, loop._wake_send
+
+
+def _at_rest(loop) -> bool:
+    readable, _, _ = select.select([loop._wake_recv], [], [], 0)
+    return not loop._wake_sent and not readable
+
+
+class TestWakeGate:
+    def test_concurrent_schedules_all_run_in_order_and_gate_rests_open(self, reactor):
+        """The stranded-flag regression: if ``_on_wake`` re-opened the gate
+        before its read, a second waker's byte could be swallowed by the
+        same ``recv`` and the flag would stay set over an empty pipe — the
+        loop then sleeps on pending callbacks and this never completes."""
+        loop = reactor.next_loop()
+        threads, per_thread = 8, 2000
+        seen = [[] for _ in range(threads)]
+        remaining = [threads * per_thread]
+        done = threading.Event()
+
+        def record(t, i):
+            seen[t].append(i)
+            if i % 500 == 0:
+                time.sleep(0.001)  # a busy loop: wakers pile up behind it
+            remaining[0] -= 1  # loop thread only
+            if not remaining[0]:
+                done.set()
+
+        together = threading.Barrier(threads)
+
+        def producer(t):
+            for i in range(per_thread):
+                if i % 4 == 0:
+                    # The loop drains and goes idle while the producers
+                    # regroup, then all eight wake it at once: one byte
+                    # is being read while the other seven race the gate.
+                    together.wait(timeout=30.0)
+                loop.schedule(lambda t=t, i=i: record(t, i))
+
+        workers = [threading.Thread(target=producer, args=(t,)) for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt inside the few-bytecode windows
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+                assert not w.is_alive()
+            assert done.wait(timeout=30.0), f"{remaining[0]} callbacks stranded"
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [list(range(per_thread))] * threads
+        deadline = time.monotonic() + 5.0
+        while not _at_rest(loop) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _at_rest(loop)
+
+    def test_loop_callbacks_write_no_wake_bytes(self, reactor):
+        loop, sender = _count_wakes(reactor)
+        ran = [0]
+        done = threading.Event()
+
+        def inner():
+            ran[0] += 1
+            if ran[0] == 200:
+                done.set()
+
+        def outer():
+            for _ in range(100):
+                loop.schedule(inner)
+                loop.call_later(0.0, inner)
+
+        loop.schedule(outer)  # the only off-loop call
+        assert done.wait(timeout=5.0)
+        assert sender.sent == 1
+
+    def test_echo_writes_at_most_one_wake_byte_per_off_loop_send(self, reactor):
+        listener = ReactorTcpListener(reactor=reactor)
+        client = connect_tcp_reactor(listener.host, listener.port, reactor=reactor)
+        server = listener.accept(timeout=5.0)
+        try:
+            reactor.add_channel(server, server.send)  # echo, on the loop
+            client.send(_frame(b"warm"))
+            assert client.recv(timeout=5.0).payload == b"warm"
+            _, sender = _count_wakes(reactor)
+            rounds = 200
+            for i in range(rounds):
+                client.send(_frame(b"n%d" % i))
+                assert client.recv(timeout=5.0).payload == b"n%d" % i
+            assert sender.sent <= rounds
+        finally:
+            client.close()
+            server.close()
+            listener.close()
 
 
 # ---------------------------------------------------------------------------
