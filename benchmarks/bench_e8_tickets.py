@@ -2,13 +2,16 @@
 
 The paper's foreseen upgrade: "a single authentication per session, with
 the access rights stored safely in a ticket and reused transparently".
+The grid's ticket is the bearer token of :mod:`repro.security.tokens` —
+the mechanism every token-guarded request uses.
 
 Both schemes serve sessions of increasing length with the real crypto:
 per-request authentication hashes the password every time; the ticket
-scheme pays one password authentication + one RSA signature up front,
-then one signature verification per request.  Expected shape: tickets
-amortise — per-request cost falls toward the verification floor as the
-session grows, while the baseline stays flat.
+scheme pays one password authentication + one HMAC mint up front
+(``TokenService.login``), then one ``verify_blob`` per request — an HMAC
+the first time a proxy sees the blob, claim checks after that.
+Expected shape: tickets amortise — per-request cost falls toward the
+verification floor as the session grows, while the baseline stays flat.
 """
 
 import time
@@ -17,16 +20,15 @@ import pytest
 
 from benchmarks.common import save_table
 from repro.security.auth import UserDirectory
-from repro.security.tickets import TicketService
+from repro.security.tokens import TokenService
 
 SESSION_LENGTHS = [1, 10, 100, 500]
-KEY_BITS = 512
 
 
 def make_world():
     users = UserDirectory()
     users.add_user("alice", "pw")
-    service = TicketService(users, lambda: 0.0, key_bits=KEY_BITS)
+    service = TokenService(users, lambda: 0.0)
     return users, service
 
 
@@ -40,9 +42,9 @@ def run_experiment() -> list[dict]:
         per_request_total = time.perf_counter() - start
 
         start = time.perf_counter()
-        ticket = service.issue("alice", "pw", rights=["mpi:run"])
+        ticket = service.login("alice", "pw", scopes=["jobs:submit"]).to_bytes()
         for _ in range(requests):
-            service.verify(ticket, required_right="mpi:run")
+            service.verify_blob(ticket, required_scope="jobs:submit")
         ticket_total = time.perf_counter() - start
 
         rows.append(
@@ -89,11 +91,11 @@ def test_e8_password_auth_cost(benchmark):
 @pytest.mark.benchmark(group="e8-tickets")
 def test_e8_ticket_verify_cost(benchmark):
     _, service = make_world()
-    ticket = service.issue("alice", "pw", rights=["*"])
-    benchmark(lambda: service.verify(ticket))
+    ticket = service.login("alice", "pw").to_bytes()
+    benchmark(lambda: service.verify_blob(ticket))
 
 
 @pytest.mark.benchmark(group="e8-tickets")
 def test_e8_ticket_issue_cost(benchmark):
     _, service = make_world()
-    benchmark(lambda: service.issue("alice", "pw", rights=["mpi:run"]))
+    benchmark(lambda: service.login("alice", "pw", scopes=["jobs:submit"]))

@@ -8,7 +8,7 @@ Demonstrates the paper's layer 2 using the library's primitives directly:
 3. tunneled traffic is confidential (headers included) and
    tamper-evident;
 4. a revoked certificate is refused at handshake time;
-5. Kerberos-style tickets authenticate once per session.
+5. Kerberos-style tickets (bearer tokens) authenticate once per session.
 
 Run:  python examples/secure_tunneling.py
 """
@@ -20,7 +20,7 @@ from repro.security.auth import UserDirectory
 from repro.security.ca import CertificationAuthority
 from repro.security.handshake import accept_secure, connect_secure
 from repro.security.rsa import RsaKeyPair
-from repro.security.tickets import TicketService
+from repro.security.tokens import TokenService
 from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import channel_pair
 
@@ -103,13 +103,16 @@ def main() -> None:
     print("\n== session tickets (single authentication per session) ==")
     users = UserDirectory()
     users.add_user("alice", "pw")
-    tgs = TicketService(users, clock, key_bits=KEY_BITS)
-    ticket = tgs.issue("alice", "pw", rights=["mpi:run", "dfs:read"])
-    print(f"ticket for {ticket.userid!r}, rights {ticket.rights}, "
-          f"valid {ticket.expires_at - ticket.issued_at:.0f}s")
+    origin = TokenService(users, clock, issuer="proxy.A")
+    destination = TokenService(users, clock, key=origin.key, issuer="proxy.B")
+    token = origin.login("alice", "pw", scopes=["jobs:submit", "wms:read"])
+    print(f"token for {token.userid!r}, scopes {token.scopes}, "
+          f"valid {token.expires_at - token.issued_at:.0f}s")
+    ticket = token.to_bytes()
     for request in range(3):
-        tgs.verify(ticket, required_right="mpi:run")  # no password involved
-    print("3 requests verified offline — zero re-authentications")
+        # no password involved, no hop back to the issuing proxy
+        destination.verify_blob(ticket, required_scope="jobs:submit")
+    print("3 requests verified at another proxy — zero re-authentications")
 
 
 if __name__ == "__main__":

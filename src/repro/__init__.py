@@ -26,7 +26,7 @@ Packages
 ==========================  ==================================================
 :mod:`repro.core`           the proxy architecture (paper's contribution)
 :mod:`repro.transport`      layer 1: frames, channels, in-proc + TCP
-:mod:`repro.security`       layer 2: CA, certificates, handshake, auth, tickets
+:mod:`repro.security`       layer 2: CA, certificates, handshake, auth, tokens
 :mod:`repro.control`        layer 3: monitoring, scheduling, failure detection
 :mod:`repro.mpi`            layer 4 substrate: a from-scratch MPI ("minimpi")
 :mod:`repro.simulation`     discrete-event substrate for scaled experiments

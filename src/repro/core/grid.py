@@ -23,6 +23,12 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.control.accounting import UsageLedger
 from repro.control.retry import RetryPolicy
+from repro.control.scheduler import (
+    Job,
+    LoadBalancedScheduler,
+    NodeView,
+    RoundRobinScheduler,
+)
 from repro.core.protocol import Op
 from repro.core.proxy import ProxyServer
 from repro.core.routing import GridDirectory
@@ -39,6 +45,11 @@ from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
 __all__ = ["Grid", "GridError"]
 
 _app_ids = itertools.count(1)
+
+_PLACEMENT_POLICIES = {
+    "round_robin": RoundRobinScheduler,
+    "load_balanced": LoadBalancedScheduler,
+}
 
 
 class GridError(Exception):
@@ -547,10 +558,12 @@ class Grid:
         """rank → site and rank → node maps under the chosen policy.
 
         ``round_robin`` cycles the flat node list (MPI's native policy,
-        per the paper); ``load_balanced`` fills fastest/least-loaded
-        nodes first using the grid's status information.
+        per the paper); ``load_balanced`` puts each rank where it would
+        finish earliest given node speed and running tasks.  Both are
+        the schedulers of :mod:`repro.control.scheduler` (E6), fed the
+        live site status.
         """
-        all_nodes: list[tuple[str, str, float, int]] = []
+        views: list[NodeView] = []
         for site_name in sorted(self.sites):
             # A site with no live proxy is unreachable: its stations may
             # be healthy, but nothing can tunnel their traffic — route
@@ -562,23 +575,25 @@ class Grid:
             ):
                 continue
             for node in self.sites[site_name].alive_nodes():
-                all_nodes.append(
-                    (site_name, node.name, node.cpu_speed, node.running_tasks)
+                views.append(
+                    NodeView(
+                        name=node.name,
+                        site=site_name,
+                        speed=node.cpu_speed,
+                        queued_work=float(node.running_tasks),
+                    )
                 )
-        if not all_nodes:
+        if not views:
             raise GridError("no alive nodes to place on")
-        if policy == "round_robin":
-            ordered = all_nodes
-        elif policy == "load_balanced":
-            ordered = sorted(all_nodes, key=lambda t: (t[3], -t[2], t[1]))
-        else:
+        if policy not in _PLACEMENT_POLICIES:
             raise GridError(f"unknown placement policy: {policy!r}")
-        rank_to_site: dict[int, str] = {}
-        rank_to_node: dict[int, str] = {}
-        for rank in range(nprocs):
-            site_name, node_name, _, _ = ordered[rank % len(ordered)]
-            rank_to_site[rank] = site_name
-            rank_to_node[rank] = node_name
+        scheduler = _PLACEMENT_POLICIES[policy](views)
+        rank_to_node = scheduler.assign_all(
+            [Job(work=1.0, job_id=rank) for rank in range(nprocs)]
+        )
+        rank_to_site = {
+            rank: scheduler.nodes[name].site for rank, name in rank_to_node.items()
+        }
         return rank_to_site, rank_to_node
 
     def run_mpi(

@@ -943,6 +943,10 @@ class ProxyServer:
         if userid is not None:
             body["userid"] = userid
         reply = self.request(peer_proxy, Op.AUTH_REVOKE, body, timeout=timeout)
+        if reply.op != Op.AUTH_REVOKED:
+            # The peer's token guard answers {"error": …}, its handlers {"reason": …}.
+            reason = reply.body.get("reason") or reply.body.get("error")
+            raise AuthenticationError(str(reason or "revoke denied"))
         return int(reply.body.get("epoch", 0))
 
     def _schedule_rlist_pull(self, peer: str) -> None:

@@ -236,16 +236,10 @@ class Tunnel:
         """Start inbound delivery; idempotent.
 
         The secure channel joins the shared event loop and frames arrive
-        as loop callbacks.  A channel the loop cannot poll (UDP) is
-        refused with :class:`TunnelError`.
+        as loop callbacks.
         """
         if self._registration is not None:
             return
-        if not self._secure.supports_reactor:
-            raise TunnelError(
-                f"tunnel {self.local_name}->{self.peer_name}: channel "
-                f"{self._secure.name!r} cannot join the reactor"
-            )
         self._registration = get_global_reactor().add_channel(
             self._secure,
             on_frame=self._deliver,

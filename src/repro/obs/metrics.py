@@ -181,7 +181,7 @@ class Histogram:
             seen = 0
             for edge, count in zip(self.bounds, self._counts):
                 seen += count
-                if seen >= rank:
+                if count and seen >= rank:
                     return edge
             return self._max  # rank fell in the overflow bucket
 

@@ -18,8 +18,9 @@ implementation with the same structure (see DESIGN.md §2):
   and the grid CA;
 * :mod:`repro.security.handshake` — the SSL-like channel handshake;
 * :mod:`repro.security.auth` — users, passwords, groups, permissions;
-* :mod:`repro.security.tickets` — Kerberos-style session tickets (the
-  paper's named future work).
+* :mod:`repro.security.tokens` — bearer tokens: the paper's foreseen
+  "single authentication per session, with the access rights stored
+  safely in a ticket".
 
 **This code is for research reproduction, not production use.**
 """
@@ -42,7 +43,6 @@ from repro.security.handshake import (
     connect_secure,
 )
 from repro.security.rsa import RsaKeyPair, RsaPublicKey
-from repro.security.tickets import Ticket, TicketError, TicketService
 
 __all__ = [
     "AccessControlList",
@@ -60,9 +60,6 @@ __all__ = [
     "RsaPublicKey",
     "SecureChannel",
     "SessionKeys",
-    "Ticket",
-    "TicketError",
-    "TicketService",
     "UserDirectory",
     "accept_secure",
     "connect_secure",

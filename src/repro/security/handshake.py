@@ -186,10 +186,6 @@ class SecureChannel(Channel):
             return None
         return self._open_record(carrier)
 
-    @property
-    def supports_reactor(self) -> bool:
-        return self._inner.supports_reactor
-
     def set_ready_callback(self, callback) -> None:
         self._inner.set_ready_callback(callback)
 

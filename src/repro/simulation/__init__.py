@@ -20,8 +20,6 @@ Contents
     background load required by the paper ("the priority of the resource's
     utilization by the user of the machine and not by third party
     applications").
-:mod:`repro.simulation.metrics`
-    Counters, timers, histograms and time-series used by every experiment.
 :mod:`repro.simulation.randomness`
     Seeded random streams and the distributions used by workload generators.
 """
@@ -34,19 +32,15 @@ from repro.simulation.engine import (
     Simulator,
     Timeout,
 )
-from repro.simulation.metrics import Counter, Histogram, MetricsRegistry, TimeSeries
 from repro.simulation.network import Host, Link, Network, Packet
 from repro.simulation.randomness import RandomStream
 from repro.simulation.resources import NodeResources, OwnerActivity, ResourceSnapshot
 
 __all__ = [
-    "Counter",
     "Event",
-    "Histogram",
     "Host",
     "Interrupt",
     "Link",
-    "MetricsRegistry",
     "Network",
     "NodeResources",
     "OwnerActivity",
@@ -56,6 +50,5 @@ __all__ = [
     "RandomStream",
     "ResourceSnapshot",
     "Simulator",
-    "TimeSeries",
     "Timeout",
 ]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.simulation.engine import Queue, Simulator
-from repro.simulation.metrics import MetricsRegistry
 
 __all__ = ["Host", "Link", "LinkStats", "Network", "Packet", "LAN_PROFILE", "WAN_PROFILE"]
 
@@ -155,11 +154,10 @@ class Network:
     small and static, so recomputation cost is irrelevant.
     """
 
-    def __init__(self, sim: Simulator, metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.metrics = metrics or MetricsRegistry("network")
-        self._m_packets = self.metrics.counter("net.packets")
-        self._m_bytes = self.metrics.counter("net.bytes")
+        self.packets_sent = 0
+        self.bytes_sent = 0
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self._next_hop: dict[tuple[str, str], str] = {}
@@ -278,8 +276,8 @@ class Network:
             self._rebuild_routes()
         if packet.destination not in self.hosts:
             raise KeyError(f"unknown destination: {packet.destination!r}")
-        self._m_packets.add()
-        self._m_bytes.add(packet.size)
+        self.packets_sent += 1
+        self.bytes_sent += packet.size
         return self._forward(packet, packet.source)
 
     def _forward(self, packet: Packet, current: str) -> float:

@@ -9,20 +9,19 @@ channels for data traffic and control.  This package provides:
     frames are untrusted input) and length-delimited frames with distinct
     CONTROL and DATA classes.
 :mod:`repro.transport.channel`
-    The abstract channel/listener interfaces every transport implements.
+    The abstract channel/listener interfaces every transport implements:
+    blocking ``send``/``recv`` plus the ``poll_recv``/ready-callback
+    protocol the shared reactor drives.
 :mod:`repro.transport.inproc`
     In-process transport: thread-safe channel pairs and a named fabric,
     used by unit/integration tests and the single-process runtime.
 :mod:`repro.transport.tcp`
     The TCP listening socket and dial; the frame channel over them is
     :class:`repro.transport.reactor.ReactorTcpChannel`.
-:mod:`repro.transport.udp`
-    Reliable frames over real UDP datagrams (ARQ with cumulative ACKs
-    and retransmission) — the paper's layer diagram names UDP alongside
-    TCP as a base protocol.
 :mod:`repro.transport.faulty`
     Deterministic fault injection (drops, delays, reorders, corruption,
-    disconnects) over any channel — the substrate of the chaos suite.
+    disconnects) over any channel — the substrate of the chaos suite and
+    the way to run the stack over a lossy carrier.
 :mod:`repro.transport.errors`
     The transport exception hierarchy.
 """
@@ -53,7 +52,6 @@ from repro.transport.faulty import (
 )
 from repro.transport.inproc import InprocChannel, InprocFabric, channel_pair
 from repro.transport.tcp import TcpListener
-from repro.transport.udp import UdpChannel, udp_pair
 
 __all__ = [
     "Channel",
@@ -74,9 +72,7 @@ __all__ = [
     "TcpListener",
     "TransportError",
     "TransportTimeout",
-    "UdpChannel",
     "channel_pair",
-    "udp_pair",
     "decode_frame",
     "decode_value",
     "encode_frame",

@@ -1,11 +1,12 @@
 """Abstract channel and listener interfaces.
 
 Every concrete transport (in-process, TCP, and the secure tunnel built on
-top of either) presents the same two-method surface — ``send(frame)`` /
-``recv(timeout)`` — so the middleware layers above are transport-agnostic.
-This is what lets the proxy interpose transparently: an MPI rank talking to
-a "local" virtual slave uses the same channel type as the tunnel between
-two sites.
+top of either) presents the same surface — ``send(frame)`` /
+``recv(timeout)`` for blocking callers, ``poll_recv()`` /
+``set_ready_callback()`` for the event loop — so the middleware layers
+above are transport-agnostic.  This is what lets the proxy interpose
+transparently: an MPI rank talking to a "local" virtual slave uses the same
+channel type as the tunnel between two sites.
 """
 
 from __future__ import annotations
@@ -79,27 +80,20 @@ class Channel(abc.ABC):
     def closed(self) -> bool:
         """True once the channel can no longer send."""
 
-    # -- reactor protocol (optional) ----------------------------------------
+    # -- reactor protocol ---------------------------------------------------
     #
-    # Channels that can be driven by the shared event loop implement three
-    # extra methods; layered channels (secure, faulty) delegate to their
-    # inner transport so support propagates up the stack.  Channels that
-    # only support blocking ``recv`` (UDP) leave ``supports_reactor``
-    # False and keep their own reader threads.
+    # Every channel can be driven by the shared event loop; layered
+    # channels (secure, faulty) delegate to their inner transport.
 
-    @property
-    def supports_reactor(self) -> bool:
-        """True when poll_recv/set_ready_callback are functional."""
-        return False
-
+    @abc.abstractmethod
     def poll_recv(self) -> Optional[Frame]:
         """Non-blocking receive: next frame, or None when nothing is ready.
 
         Raises exactly what :meth:`recv` raises on terminal conditions
         (ChannelClosed, FrameError, ...) but never TransportTimeout.
         """
-        raise NotImplementedError(f"{type(self).__name__} is not reactor-capable")
 
+    @abc.abstractmethod
     def set_ready_callback(self, callback: Optional[Callable[[], None]]) -> None:
         """Install ``callback`` to fire whenever frames *may* be readable.
 
@@ -108,7 +102,6 @@ class Channel(abc.ABC):
         loop's socket reader, a close).  Spurious invocations are fine —
         the consumer drains with :meth:`poll_recv` until None.
         """
-        raise NotImplementedError(f"{type(self).__name__} is not reactor-capable")
 
     def __enter__(self) -> "Channel":
         return self

@@ -287,10 +287,6 @@ class FaultyChannel(Channel):
             self.stats.on_receive(len(frame.payload))
             return frame
 
-    @property
-    def supports_reactor(self) -> bool:
-        return self._inner.supports_reactor
-
     def set_ready_callback(self, callback) -> None:
         self._inner.set_ready_callback(callback)
 

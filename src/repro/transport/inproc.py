@@ -125,10 +125,6 @@ class InprocChannel(Channel):
         self.stats.on_receive(nbytes)
         return frame
 
-    @property
-    def supports_reactor(self) -> bool:
-        return True
-
     def set_ready_callback(self, callback: Optional[Callable[[], None]]) -> None:
         self._ready_cb = callback
 

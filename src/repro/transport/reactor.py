@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 import selectors
 import socket
@@ -526,10 +525,10 @@ class Reactor:
     ) -> _Registration:
         """Drive ``channel`` from the loop: every frame → ``on_frame``.
 
-        Works for any channel implementing the reactor protocol
-        (``poll_recv``/``set_ready_callback``) — reactor TCP, in-process
-        pairs, fault-injected wrappers, and secure channels layered over
-        any of them.  ``on_close(channel, exc)`` fires once when the
+        Works for any :class:`Channel` (``poll_recv``/``set_ready_callback``
+        are part of the interface) — reactor TCP, in-process pairs,
+        fault-injected wrappers, and secure channels layered over any of
+        them.  ``on_close(channel, exc)`` fires once when the
         channel dies (peer gone, framing error, record MAC failure).
 
         ``on_batch(frames)``, when given, replaces per-frame delivery:
@@ -539,10 +538,6 @@ class Reactor:
         """
         if on_frame is None and on_batch is None:
             raise ValueError("add_channel needs on_frame or on_batch")
-        if not channel.supports_reactor:
-            raise ValueError(
-                f"channel {channel.name!r} does not support reactor I/O"
-            )
         # Pin layered channels to the loop that owns their underlying fd
         # when there is one; queue-backed channels round-robin.
         loop = getattr(channel, "reactor_loop", None) or self.next_loop()
@@ -742,10 +737,6 @@ class ReactorTcpChannel(Channel):
 
     def _detach_read(self) -> None:
         self.reactor_loop.unregister_fd(self._sock)
-
-    @property
-    def supports_reactor(self) -> bool:
-        return True
 
     def set_ready_callback(self, callback) -> None:
         # Registration thread publishes; the loop thread reads in
@@ -1018,14 +1009,13 @@ _global_reactor: Optional[Reactor] = None
 def get_global_reactor() -> Reactor:
     """The shared reactor every proxy/tunnel in this process registers on.
 
-    Loop count comes from ``$REPRO_REACTOR_LOOPS`` (default 1 — with the
-    GIL, extra loops only help when I/O itself saturates one core).
+    One loop: with the GIL, extra loops only help when I/O itself
+    saturates one core.
     """
     global _global_reactor
     with _global_lock:
         if _global_reactor is None:
-            loops = int(os.environ.get("REPRO_REACTOR_LOOPS", "1") or 1)
-            _global_reactor = Reactor(loops=max(1, loops), name="grid-reactor")
+            _global_reactor = Reactor(name="grid-reactor")
         return _global_reactor.start()
 
 

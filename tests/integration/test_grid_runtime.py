@@ -12,7 +12,6 @@ from repro.core.grid import Grid, GridError
 from repro.core.proxy import ProxyError
 from repro.mpi.datatypes import MAX, SUM
 from repro.security.auth import AuthenticationError, PermissionDenied
-from repro.security.tickets import TicketService
 
 
 @pytest.fixture()
@@ -267,19 +266,3 @@ class TestMpiOverGrid:
     def test_unknown_policy_rejected(self, grid):
         with pytest.raises(GridError):
             grid.place_ranks(2, policy="quantum")
-
-
-class TestTicketsOverGrid:
-    """The RSA ticket baseline against the grid's own user directory."""
-
-    @pytest.fixture()
-    def tickets(self, grid):
-        return TicketService(grid.users, grid.clock, key_bits=grid.key_bits)
-
-    def test_ticket_issued_and_verified_offline(self, tickets):
-        ticket = tickets.issue("alice", "pw", rights=["mpi:run"])
-        tickets.verify(ticket, required_right="mpi:run")
-
-    def test_ticket_wrong_password(self, tickets):
-        with pytest.raises(AuthenticationError):
-            tickets.issue("alice", "bad", rights=[])

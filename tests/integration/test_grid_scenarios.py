@@ -289,6 +289,120 @@ def test_token_auth():
 
 
 # ---------------------------------------------------------------------------
+# Scenario 7: the AUTH_* wire ops through their client wrappers
+# ---------------------------------------------------------------------------
+
+
+class _Clock:
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+def _token_grid(clock=None) -> Grid:
+    grid = Grid(clock=clock)
+    grid.add_site("A", nodes=1)
+    grid.add_site("B", nodes=1)
+    grid.connect_all()
+    grid.enable_token_auth()
+    grid.add_user("alice", "pw")
+    grid.grant("user:alice", "site:*", "submit")
+    return grid
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_remote_login_refresh_revoke_over_the_wire():
+    """AUTH_LOGIN / AUTH_REFRESH / AUTH_REVOKE from A against B."""
+    import time
+
+    from repro.security.tokens import Token
+
+    clock = _Clock()
+    grid = _token_grid(clock)
+    try:
+        a, b = grid.proxy_of("A"), grid.proxy_of("B")
+
+        def submit(origin, blob):
+            return origin.submit_job_with_token(
+                blob, "echo", {"value": "ok"}, target_site="B", timeout=60.0
+            )
+
+        blob = a.auth_login(b.name, "alice", "pw")
+        login = Token.from_bytes(blob)
+        echoed = submit(a, blob)
+
+        clock.now += 10.0
+        fresh_blob = a.auth_refresh(b.name, blob)
+        fresh = Token.from_bytes(fresh_blob)
+        wrong_password = _outcome(lambda: a.auth_login(b.name, "alice", "nope"))
+
+        epoch = a.auth_revoke(b.name, token_blob=fresh_blob)
+        # B pushed its bumped epoch on revoke; A pulls the list on the
+        # dispatch pool, which we poll rather than sleep for.
+        deadline = time.monotonic() + 30.0
+        while a.tokens.epoch < epoch and time.monotonic() < deadline:
+            time.sleep(0.02)
+
+        outcomes = {
+            "issuer": login.issuer == b.name,
+            "echoed": echoed,
+            "refreshed": (
+                fresh_blob != blob,
+                fresh.token_id != login.token_id,
+                fresh.expires_at - login.expires_at,
+            ),
+            "wrong_password": wrong_password,
+            "epoch": (epoch > 0, b.tokens.epoch == epoch, a.tokens.epoch >= epoch),
+            "fresh_at_origin": _outcome(lambda: submit(a, fresh_blob)),
+            "fresh_at_destination": _outcome(lambda: submit(b, fresh_blob)),
+            "login_token_still_good": _outcome(lambda: submit(a, blob)),
+            "revoke_nothing": _outcome(lambda: a.auth_revoke(b.name)),
+        }
+    finally:
+        grid.shutdown()
+    assert outcomes == {
+        "issuer": True,
+        "echoed": "ok",
+        "refreshed": (True, True, 10.0),
+        "wrong_password": "AuthenticationError",
+        "epoch": (True, True, True),
+        "fresh_at_origin": "TokenError",
+        "fresh_at_destination": "TokenError",
+        "login_token_still_good": "ok",
+        "revoke_nothing": "ProxyError",
+    }
+
+
+def test_refused_revocation_is_not_reported_as_done():
+    """B's guard denies A's AUTH_REVOKE (an operator killed A's leaked
+    service token at B): the wrapper raises, nothing was revoked."""
+    import pytest
+
+    from repro.security.auth import AuthenticationError
+
+    grid = _token_grid()
+    try:
+        a, b = grid.proxy_of("A"), grid.proxy_of("B")
+        blob = grid.login("alice", "pw", via_site="A")
+        b.tokens.revoke(a._service_token_blob())
+        epoch = b.tokens.epoch
+        with pytest.raises(AuthenticationError, match="revoked"):
+            a.auth_revoke(b.name, token_blob=blob)
+        assert b.tokens.epoch == epoch
+        assert b.tokens.verify_blob(blob).userid == "alice"
+    finally:
+        grid.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # Cross-cutting: OBS_DUMP compiles grid-wide
 # ---------------------------------------------------------------------------
 

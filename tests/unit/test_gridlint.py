@@ -89,9 +89,9 @@ def spawn():
 """
 }
 
-# Same construct inside the transport layer: sanctioned.
+# Same construct inside the reactor module: sanctioned.
 _GL102_NEGATIVE = {
-    "repro/transport/work.py": """\
+    "repro/transport/reactor.py": """\
 import threading
 
 def spawn():
@@ -491,6 +491,11 @@ def test_rule_stays_quiet_on_negative_fixture(tmp_path, code):
     result = lint(tmp_path, FIXTURES[code]["negative"], select={code})
     assert codes_of(result) == [], render_text(result)
     assert result.exit_code == 0
+
+
+def test_gl102_flags_a_transport_that_spawns_its_own_threads(tmp_path):
+    files = {"repro/transport/work.py": _GL102_POSITIVE["repro/core/work.py"]}
+    assert codes_of(lint(tmp_path, files, select={"GL102"})) == ["GL102"]
 
 
 @pytest.mark.parametrize("code", sorted(FIXTURES))

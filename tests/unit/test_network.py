@@ -174,9 +174,8 @@ def test_network_metrics_count_traffic():
     net.hosts["b"].on_packet(lambda p: None)
     net.hosts["a"].send("b", size=100)
     sim.run()
-    snap = net.metrics.snapshot()
-    assert snap["net.packets"] == 1
-    assert snap["net.bytes"] == 100
+    assert net.packets_sent == 1
+    assert net.bytes_sent == 100
 
 
 def test_profiles_have_sane_shape():

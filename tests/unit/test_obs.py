@@ -110,6 +110,13 @@ class TestHistogramBuckets:
         assert snap["p99"] == 0.1
         assert snap["count"] == 100
 
+    def test_low_quantile_skips_empty_buckets(self):
+        h = MetricsRegistry("t").histogram("q", bounds=[0.1, 0.5, 1.0])
+        h.observe(0.7)
+        h.observe(0.7)
+        assert h.quantile(0.0) == 1.0  # not the edge of an empty bucket
+        assert h.quantile(0.5) == h.quantile(1.0) == 1.0
+
 
 class TestSpanLinkage:
     def test_child_span_links_to_parent_across_recorders(self):

@@ -140,10 +140,13 @@ class TestAddChannel:
         assert len(closes) == 1
         assert isinstance(closes[0], ChannelClosed)
 
-    def test_non_reactor_channel_rejected(self, reactor):
+    def test_channel_without_poll_protocol_cannot_be_instantiated(self):
+        """poll_recv / set_ready_callback are part of the Channel
+        interface: a transport the loop could not poll fails at
+        construction, not at add_channel."""
         from repro.transport.channel import Channel
 
-        class Legacy(Channel):
+        class BlockingOnly(Channel):
             def send(self, frame):
                 pass
 
@@ -157,8 +160,8 @@ class TestAddChannel:
             def closed(self):
                 return False
 
-        with pytest.raises(ValueError, match="does not support reactor"):
-            reactor.add_channel(Legacy(name="legacy"), lambda f: None)
+        with pytest.raises(TypeError, match="poll_recv.*set_ready_callback"):
+            BlockingOnly(name="blocking-only")
 
     def test_faulty_channel_drops_on_the_loop(self, reactor):
         """A fault-injected wrapper runs on the loop; dropped frames never

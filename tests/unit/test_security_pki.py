@@ -1,4 +1,4 @@
-"""Unit tests for certificates, the CA, handshake, auth and tickets."""
+"""Unit tests for certificates, the CA, handshake and auth."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from repro.security.handshake import (
     connect_secure,
 )
 from repro.security.rsa import RsaKeyPair
-from repro.security.tickets import Ticket, TicketError, TicketService
 from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import channel_pair
 
@@ -420,79 +419,3 @@ class TestCredential:
         cred = Credential.issue("alice", "proxy.siteA", 100.0, proxy_key)
         with pytest.raises(AuthenticationError, match="signature"):
             cred.verify(node_key.public, now=200.0)
-
-
-class TestTickets:
-    def make_service(self, clock):
-        users = UserDirectory()
-        users.add_user("alice", "pw")
-        service = TicketService(users, clock, key_bits=KEY_BITS)
-        return users, service
-
-    def test_issue_and_verify(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["mpi:run"])
-        service.verify(ticket, required_right="mpi:run")
-        assert ticket.userid == "alice"
-
-    def test_wrong_password_no_ticket(self, clock):
-        _, service = self.make_service(clock)
-        with pytest.raises(AuthenticationError):
-            service.issue("alice", "wrong", rights=["mpi:run"])
-
-    def test_expired_ticket_rejected(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["*"], lifetime=10.0)
-        clock.now += 11.0
-        with pytest.raises(TicketError, match="expired"):
-            service.verify(ticket)
-
-    def test_missing_right_rejected(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["mpi:run"])
-        with pytest.raises(TicketError, match="lacks right"):
-            service.verify(ticket, required_right="admin")
-
-    def test_wildcard_right(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["*"])
-        service.verify(ticket, required_right="anything")
-
-    def test_serialisation_round_trip(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["a", "b"])
-        restored = Ticket.from_bytes(ticket.to_bytes())
-        service.verify(restored, required_right="a")
-        assert restored.rights == ["a", "b"]
-
-    def test_tampered_ticket_rejected(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["mpi:run"])
-        forged = Ticket(
-            userid="mallory",
-            rights=ticket.rights,
-            issued_at=ticket.issued_at,
-            expires_at=ticket.expires_at,
-            issuer=ticket.issuer,
-            payload=ticket._payload.replace(b"alice", b"malry"),
-            signature=ticket.signature,
-        )
-        with pytest.raises(TicketError, match="signature"):
-            service.verify(forged)
-
-    def test_offline_verification_with_public_key(self, clock):
-        _, service = self.make_service(clock)
-        ticket = service.issue("alice", "pw", rights=["mpi:run"])
-        # A remote proxy verifies with only the public key and its clock.
-        TicketService.verify_with_key(
-            ticket, service.public_key, clock(), required_right="mpi:run"
-        )
-
-    def test_malformed_ticket_rejected(self):
-        with pytest.raises(TicketError):
-            Ticket.from_bytes(b"junk")
-
-    def test_invalid_lifetime_rejected(self, clock):
-        _, service = self.make_service(clock)
-        with pytest.raises(ValueError):
-            service.issue("alice", "pw", rights=[], lifetime=-1.0)

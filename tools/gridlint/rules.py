@@ -13,21 +13,25 @@ from typing import Iterator, Optional
 from tools.gridlint.callgraph import CallGraph
 from tools.gridlint.engine import Finding, Project, Rule, Source, rule
 
-#: Modules allowed to spawn raw threads: the transport layer owns I/O
-#: threading (reactor loops, UDP ARQ threads) and the dispatch
-#: pipeline owns its blocking-handler worker pool.
-SANCTIONED_THREAD_PATHS = ("transport/",)
-SANCTIONED_THREAD_SUFFIXES = ("core/dispatch.py",)
+#: Modules allowed to spawn raw threads: the reactor owns the I/O loop
+#: threads, ``Listener.serve`` its accept thread, and the dispatch
+#: pipeline its blocking-handler worker pool.  A new transport that
+#: spawns its own is flagged.
+SANCTIONED_THREAD_SUFFIXES = (
+    "transport/reactor.py",
+    "transport/channel.py",
+    "core/dispatch.py",
+)
 
 #: Functions that are allowed to resolve metric instruments by name —
 #: construction-time wiring, by convention.
 INSTRUMENT_WIRING_FUNCTIONS = frozenset({"__init__", "bind_metrics"})
 
 #: Registry implementations themselves (get-or-create lives here).
-INSTRUMENT_IMPL_SUFFIXES = ("obs/metrics.py", "simulation/metrics.py")
+INSTRUMENT_IMPL_SUFFIXES = ("obs/metrics.py",)
 
 #: Instrument-resolving registry methods (hot-path construction bait).
-INSTRUMENT_METHODS = frozenset({"counter", "gauge", "histogram", "timeseries"})
+INSTRUMENT_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 #: The asymmetric-crypto module: any call resolving into it from a
 #: dispatch guard is a per-request RSA operation on the hot path (GL105).
@@ -130,10 +134,10 @@ class NoBlockingOnReactor(Rule):
 class NoUnsanctionedThreads(Rule):
     """Raw ``threading.Thread``/``Timer`` only in sanctioned modules.
 
-    The transport layer (reactor loops, UDP ARQ threads)
-    and the dispatch worker pool are the two places allowed to own
-    threads; everywhere else must go through them so shutdown ordering
-    and the thread budget stay auditable.  Legitimate exceptions
+    The reactor (event loops), ``Listener.serve`` and the dispatch
+    worker pool are the places allowed to own threads; everywhere else
+    — other transports included — must go through them so shutdown
+    ordering and the thread budget stay auditable.  Legitimate exceptions
     (handshake workers, accept loops) carry a suppression naming why the
     thread cannot ride the reactor.
     """
@@ -144,9 +148,7 @@ class NoUnsanctionedThreads(Rule):
     def check(self, project: Project) -> Iterator[Finding]:
         for source in project.sources:
             path = source.path.replace("\\", "/")
-            if any(part in path for part in SANCTIONED_THREAD_PATHS) or any(
-                path.endswith(sfx) for sfx in SANCTIONED_THREAD_SUFFIXES
-            ):
+            if any(path.endswith(sfx) for sfx in SANCTIONED_THREAD_SUFFIXES):
                 continue
             aliases = _module_aliases(source.tree, "threading")
             imported = {
