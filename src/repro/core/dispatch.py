@@ -16,15 +16,12 @@ safe to run:
    security posture for unauthenticated noise is silence, not errors).
 2. **authorize** — registered guards run before any handler; a guard can
    veto a message with a reply (e.g. "proxy is shutting down") or raise,
-   which becomes an ERROR reply.  Under the token control plane this
-   stage is where per-request auth lives: :class:`TokenAuthGuard`
+   which becomes an ERROR reply.  This stage is where per-request auth
+   lives: :class:`TokenAuthGuard`
    verifies the bearer token riding the control header (at worst one
    HMAC + a revocation-epoch check, at best a hit in the token service's
    cache of verified blobs — the guard keeps none of its own — and never
-   asymmetric crypto; gridlint GL105 enforces that budget).  Legacy *credential*
-   verification stays inside the handlers that carry credentials — the
-   paper checks them at the destination proxy per-operation, and the
-   denial op differs per operation (AUTH_DENIED vs JOB_REJECTED).
+   asymmetric crypto; gridlint GL105 enforces that budget).
 3. **lookup** — the handler registry maps op → handler; ops registered
    ``blocking=True`` (job execution, DFS ops, any extension handler) are
    bounced to a **sized worker pool** so the event loop never stalls.
@@ -363,7 +360,7 @@ class DispatchPipeline:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-#: Which ops require which token scope once the token plane is enabled.
+#: Which ops require which token scope.
 #: Everything that executes or mutates work is here; pure liveness and
 #: telemetry ops (PING, STATUS_QUERY, OBS_DUMP, …) stay open — they are
 #: how the grid notices problems, auth problems included.  AUTH_LOGIN /
@@ -385,8 +382,8 @@ GUARDED_OP_SCOPES: dict[int, str] = {
 class TokenAuthGuard:
     """Authorize-stage bearer-token check for guarded ops.
 
-    Installed with :meth:`DispatchPipeline.add_guard` when a proxy
-    attaches a :class:`~repro.security.tokens.TokenService`.  The guard
+    Every proxy installs one with :meth:`DispatchPipeline.add_guard`
+    over its :class:`~repro.security.tokens.TokenService`.  The guard
     budget is strict — it runs on every guarded message, often on the
     event-loop thread — so the verdict is one HMAC at worst and a cache
     hit at best, never an asymmetric-crypto call (gridlint GL105 walks
@@ -399,8 +396,7 @@ class TokenAuthGuard:
     runs ``check_claims`` (expiry, skew, depth, revocation, this op's scope).
 
     On success the verified :class:`~repro.security.tokens.Token` is
-    stashed on the message as ``auth_claims`` for the handler — the
-    token path's replacement for the ``credential`` body field.
+    stashed on the message as ``auth_claims`` for the handler.
     """
 
     def __init__(

@@ -104,11 +104,10 @@ class Grid:
         self._tcp_listeners: dict[str, ReactorTcpListener] = {}
         self._connected_pairs: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
-        #: grid-wide HMAC token key (set by enable_token_auth); every
-        #: proxy's TokenService replica shares it, so a token minted at
-        #: one proxy verifies at all of them
-        self._token_key: Optional[bytes] = None
-        self._token_kwargs: dict[str, Any] = {}
+        #: grid-wide HMAC token key; every proxy's TokenService replica
+        #: shares it, so a token minted at one proxy verifies at all of
+        #: them (revocation lists start independent, converge by gossip)
+        self._token_key = secrets.token_bytes(32)
 
     # ------------------------------------------------------------------
     # Construction
@@ -148,11 +147,13 @@ class Grid:
             trust_anchor=self.ca.public_key,
             clock=self.clock,
             directory=self.directory,
+            tokens=TokenService(
+                self.users, self.clock, key=self._token_key, issuer=proxy_name
+            ),
             users=self.users,
             acl=self.acl,
         )
         proxy.ledger = self.ledger
-        self._attach_tokens(proxy)
         self._start_listening(proxy, address)
         self.sites[name] = site
         self.proxies[proxy_name] = proxy
@@ -184,11 +185,13 @@ class Grid:
             trust_anchor=self.ca.public_key,
             clock=self.clock,
             directory=self.directory,
+            tokens=TokenService(
+                self.users, self.clock, key=self._token_key, issuer=proxy_name
+            ),
             users=self.users,
             acl=self.acl,
         )
         proxy.ledger = self.ledger
-        self._attach_tokens(proxy)
         self._start_listening(proxy, address)
         self.proxies[proxy_name] = proxy
         return proxy
@@ -319,43 +322,10 @@ class Grid:
     # Token control plane
     # ------------------------------------------------------------------
 
-    def enable_token_auth(
-        self, lifetime: float = 900.0, **kwargs: Any
-    ) -> bytes:
-        """Switch the grid to the token auth plane (login once → tokens).
-
-        Mints one grid-wide HMAC key and attaches a
-        :class:`~repro.security.tokens.TokenService` replica to every
-        proxy — current *and* future (sites added later auto-attach).
-        Replicas share the key, so a token issued at any proxy verifies
-        everywhere; their revocation lists start independent and
-        converge by heartbeat gossip.
-
-        Returns the shared key (tests that build a second grid against
-        the same token universe need it; pass ``key=...`` via ``kwargs``
-        to supply your own).
-        """
-        if self._token_key is not None:
-            raise GridError("token auth is already enabled")
-        self._token_kwargs = dict(kwargs, lifetime=lifetime)
-        self._token_key = self._token_kwargs.pop(
-            "key", None
-        ) or secrets.token_bytes(32)
-        for proxy in self.proxies.values():
-            self._attach_tokens(proxy)
+    def enable_token_auth(self) -> bytes:
+        """The grid token key (every grid has the token plane by construction)."""
+        # Kept only for benchmarks/e2e/harness.py, which calls it.
         return self._token_key
-
-    def _attach_tokens(self, proxy: ProxyServer) -> None:
-        if self._token_key is None or proxy.tokens is not None:
-            return
-        service = TokenService(
-            self.users,
-            self.clock,
-            key=self._token_key,
-            issuer=proxy.name,
-            **self._token_kwargs,
-        )
-        proxy.attach_token_service(service)
 
     def login(
         self,
@@ -368,10 +338,6 @@ class Grid:
         if not self.sites:
             raise GridError("grid has no sites")
         proxy = self.proxy_of(via_site or sorted(self.sites)[0])
-        if proxy.tokens is None:
-            raise GridError(
-                "token auth is not enabled (call enable_token_auth first)"
-            )
         return proxy.tokens.login(userid, password, scopes=scopes).to_bytes()
 
     def revoke_token(
@@ -383,8 +349,6 @@ class Grid:
         makes every peer pull the list within one round trip.
         """
         proxy = self.proxy_of(via_site or sorted(self.sites)[0])
-        if proxy.tokens is None:
-            raise GridError("token auth is not enabled")
         proxy.tokens.revoke(token_blob)
         proxy.send_heartbeats()
         return proxy.tokens.epoch
@@ -392,8 +356,6 @@ class Grid:
     def revoke_user(self, userid: str, via_site: Optional[str] = None) -> int:
         """Revoke every outstanding token of ``userid`` grid-wide."""
         proxy = self.proxy_of(via_site or sorted(self.sites)[0])
-        if proxy.tokens is None:
-            raise GridError("token auth is not enabled")
         proxy.tokens.revoke_user(userid)
         proxy.send_heartbeats()
         return proxy.tokens.epoch

@@ -48,7 +48,7 @@ class Op:
     HELLO = 100  # proxy introduces itself after the tunnel comes up
     PING = 101
     PONG = 102
-    BYE = 103
+    # 103 is retired (a goodbye op nothing ever sent): do not reuse the number
     # -- monitoring / control (layer 3)
     STATUS_QUERY = 200  # "send me your site's status"
     STATUS_REPORT = 201
@@ -58,8 +58,8 @@ class Op:
     OBS_DATA = 211
     # 212 is retired (a removed worker-stats op): do not reuse the number
     # -- authentication / permissions (layer 2)
-    AUTH_CHECK = 300  # validate a user credential at the destination
-    AUTH_OK = 301
+    # 300/301 are retired (the per-request RSA credential check and its
+    # ack, replaced by the token plane): do not reuse the numbers
     AUTH_DENIED = 302
     # -- token control plane (login once → HMAC bearer tokens)
     AUTH_LOGIN = 310  # userid+password (or signature) → AUTH_TOKEN
@@ -71,7 +71,7 @@ class Op:
     AUTH_RLIST_DATA = 316
     # -- jobs
     JOB_SUBMIT = 400
-    JOB_ACCEPTED = 401
+    # 401 is retired (an accept ack nothing ever sent): do not reuse the number
     JOB_REJECTED = 402
     JOB_RESULT = 403
     # -- workload manager (durable queue + pilot claims)
@@ -110,10 +110,10 @@ Op._names = {
 }
 
 #: Ops a retry policy may transparently re-send.  Pure reads (status,
-#: resource location) and checks with no side effects are idempotent; a
-#: duplicated JOB_SUBMIT would execute the job twice and MPI_START /
-#: MPI_END mutate address-space state, so those are excluded and a caller
-#: must treat their timeouts as indeterminate rather than retry blindly.
+#: resource location) are idempotent; a duplicated JOB_SUBMIT would
+#: execute the job twice and MPI_START / MPI_END mutate address-space
+#: state, so those are excluded and a caller must treat their timeouts
+#: as indeterminate rather than retry blindly.
 #: The workload-manager ops mutate state but carry their own dedup keys
 #: (JOB_QSUBMIT: job_id; JOB_CLAIM: claim_id; JOB_DONE: per-attempt
 #: token), so a duplicated delivery is absorbed at the authority.
@@ -123,8 +123,7 @@ Op._names = {
 #: to a grow-only set, and AUTH_RLIST is a pure read — so retry policies
 #: may re-send all four blindly.
 IDEMPOTENT_OPS = frozenset(
-    {Op.HELLO, Op.PING, Op.STATUS_QUERY, Op.LOCATE_RESOURCE, Op.AUTH_CHECK,
-     Op.OBS_DUMP,
+    {Op.HELLO, Op.PING, Op.STATUS_QUERY, Op.LOCATE_RESOURCE, Op.OBS_DUMP,
      Op.JOB_QSUBMIT, Op.JOB_CLAIM, Op.JOB_STATUS, Op.JOB_DONE,
      Op.AUTH_LOGIN, Op.AUTH_REFRESH, Op.AUTH_REVOKE, Op.AUTH_RLIST}
 )

@@ -12,8 +12,9 @@ One :class:`ProxyServer` fronts one site.  It owns:
   kind.
 * **Layer 2** — its CA-issued certificate and key (host authentication),
   the site's user directory and ACL (user authentication and permissions,
-  checked at the originating *and* destination proxy), and credential
-  issuance so destinations can verify users offline.
+  checked at the originating *and* destination proxy), and the token
+  service: a login buys a bearer token, each hop gets an attenuated
+  delegation the destination verifies offline.
 * **Layer 3** — local site monitoring and the control protocol's
   status/locate services; per-site collection with on-demand global
   compilation.
@@ -56,7 +57,6 @@ from repro.core.virtual_slave import AppSpace
 from repro.security.auth import (
     AccessControlList,
     AuthenticationError,
-    Credential,
     PermissionDenied,
     UserDirectory,
 )
@@ -123,6 +123,7 @@ class ProxyServer:
         trust_anchor,
         clock: Callable[[], float],
         directory: GridDirectory,
+        tokens: TokenService,
         users: Optional[UserDirectory] = None,
         acl: Optional[AccessControlList] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -167,9 +168,9 @@ class ProxyServer:
         self._m_req_retries = _m.counter("request.retries")
         self._m_req_timeouts = _m.counter("request.timeouts")
         self._m_req_unavailable = _m.counter("request.peer_unavailable")
-        #: token control plane (set by attach_token_service); None means
-        #: the per-request RSA credential path is the only auth plane
-        self.tokens: Optional[TokenService] = None
+        #: token control plane: this proxy's replica of the grid's token
+        #: service (shared key, own revocation list converging by gossip)
+        self.tokens = tokens
         self._service_token: Optional[Token] = None
         #: revocation-gossip bookkeeping: peers we are already pulling
         #: the revocation list from (dedups bursts of repoch heartbeats)
@@ -521,7 +522,7 @@ class ProxyServer:
             self._m_req_unavailable.inc()
             raise
         message = ControlMessage(op=op, body=body or {}, sender=self.name)
-        if auth is None and self.tokens is not None and op in _AUTO_STAMP_OPS:
+        if auth is None and op in _AUTO_STAMP_OPS:
             auth = self._service_token_blob()
         if auth is not None:
             message.auth = auth
@@ -615,15 +616,20 @@ class ProxyServer:
         )
 
     def _register_handlers(self) -> None:
-        """Wire the op registry (built-ins) and the authorize guard.
+        """Wire the op registry (built-ins) and the authorize guards.
 
+        The :class:`TokenAuthGuard` makes every guarded op (jobs, WMS,
+        MPI control, revoke) require a valid bearer token.
         ``JOB_SUBMIT`` is ``blocking``: it runs user task code, which
         must never stall the shared event loop (and could deadlock it by
-        waiting on traffic the same loop delivers).  Everything else is
-        a bounded in-memory operation and runs inline.
+        waiting on traffic the same loop delivers).  So are
+        ``AUTH_LOGIN`` (PBKDF2 and token minting) and ``AUTH_REVOKE``
+        (fans heartbeats out to every tunnel).  Everything else is a
+        bounded in-memory operation and runs inline.
         """
         pipe = self.pipeline
         pipe.add_guard(self._guard_sender_identity)
+        pipe.add_guard(TokenAuthGuard(self.tokens, obs=self.obs))
         pipe.register(Op.HELLO, lambda message, peer: None)
         pipe.register(
             Op.PING,
@@ -637,7 +643,10 @@ class ProxyServer:
         )
         pipe.register(Op.LOCATE_RESOURCE, self._handle_locate)
         pipe.register(Op.OBS_DUMP, self._handle_obs_dump)
-        pipe.register(Op.AUTH_CHECK, self._handle_auth_check)
+        pipe.register(Op.AUTH_LOGIN, self._handle_auth_login, blocking=True)
+        pipe.register(Op.AUTH_REFRESH, self._handle_auth_refresh)
+        pipe.register(Op.AUTH_REVOKE, self._handle_auth_revoke, blocking=True)
+        pipe.register(Op.AUTH_RLIST, self._handle_auth_rlist)
         pipe.register(Op.JOB_SUBMIT, self._handle_job_submit, blocking=True)
         pipe.register(
             Op.MPI_START, lambda message, peer: self._handle_mpi_start(message)
@@ -714,10 +723,7 @@ class ProxyServer:
             if self.health.is_watching(peer_name)
         }
         dump["auth"] = {
-            "token_service": self.tokens is not None,
-            "revocation_epoch": (
-                self.tokens.epoch if self.tokens is not None else 0
-            ),
+            "revocation_epoch": self.tokens.epoch,
             "tickets": {
                 "issued": self.ticket_keeper.issued,
                 "redeemed": self.ticket_keeper.redeemed,
@@ -762,76 +768,21 @@ class ProxyServer:
             self.wms.release_pilot(peer, error=f"pilot {peer} declared dead")
 
     # ------------------------------------------------------------------
-    # Layer 2: authentication and permissions
+    # Layer 2: token control plane (login once → HMAC bearer tokens)
     # ------------------------------------------------------------------
 
-    def authenticate_user(self, userid: str, password: str) -> Credential:
-        """Origin-side authentication; returns a proxy-signed credential."""
-        self.users.authenticate_password(userid, password)  # may raise
-        return Credential.issue(userid, self.name, self.clock(), self.keypair)
-
-    def _verify_remote_credential(self, blob: bytes, peer: str) -> Credential:
-        """Destination-side check of a credential signed by the peer proxy."""
-        credential = Credential.from_bytes(blob)
-        tunnel = self.tunnel_to(peer)
-        # The clock is passed as a callable so the freshness check reads
-        # the seeded simulation clock at the moment of verification.
-        credential.verify(tunnel.peer_certificate.public_key, self.clock)
-        return credential
-
-    def _handle_auth_check(self, message: ControlMessage, peer: str) -> ControlMessage:
-        try:
-            credential = self._verify_remote_credential(
-                message.body["credential"], peer
-            )
-            self.acl.check(
-                credential.userid,
-                message.body.get("resource", f"site:{self.site.name}"),
-                message.body.get("action", "access"),
-            )
-        except (AuthenticationError, PermissionDenied, KeyError) as exc:
-            return message.reply(Op.AUTH_DENIED, {"reason": str(exc)})
-        return message.reply(Op.AUTH_OK, {"userid": credential.userid})
-
-    # ------------------------------------------------------------------
-    # Layer 2b: token control plane (login once → HMAC bearer tokens)
-    # ------------------------------------------------------------------
-
-    def attach_token_service(self, service: TokenService) -> None:
-        """Adopt a :class:`~repro.security.tokens.TokenService`.
-
-        This proxy then serves the AUTH_LOGIN/AUTH_REFRESH/AUTH_REVOKE/
-        AUTH_RLIST ops and installs a :class:`TokenAuthGuard` so guarded
-        ops (jobs, WMS, MPI) require a valid bearer token.  Login does
-        PBKDF2 and token minting, and revoke fans heartbeats out to every
-        tunnel, so both run ``blocking``; refresh and the revocation-list
-        read are cheap HMAC/dict work and stay inline.
-        """
-        if self.tokens is not None:
-            raise ProxyError(f"proxy {self.name!r} already has a token service")
-        self.tokens = service
-        pipe = self.pipeline
-        pipe.register(Op.AUTH_LOGIN, self._handle_auth_login, blocking=True)
-        pipe.register(Op.AUTH_REFRESH, self._handle_auth_refresh)
-        pipe.register(Op.AUTH_REVOKE, self._handle_auth_revoke, blocking=True)
-        pipe.register(Op.AUTH_RLIST, self._handle_auth_rlist)
-        pipe.add_guard(TokenAuthGuard(service, obs=self.obs))
-
-    def _service_token_blob(self) -> Optional[bytes]:
+    def _service_token_blob(self) -> bytes:
         """This proxy's own bearer token, re-minted shortly before expiry.
 
         Stamped on guarded infrastructure requests (WMS claims, MPI
         control) so proxy-to-proxy traffic passes peers' token guards
         without a per-request login round trip.
         """
-        service = self.tokens
-        if service is None:
-            return None
         token = self._service_token
         if token is None or token.expires_at - self.clock() < 30.0:
             # Benign race: two threads may re-mint concurrently; both
             # tokens are valid and the last write wins.
-            token = service.mint_service_token(self.name)
+            token = self.tokens.mint_service_token(self.name)
             self._service_token = token
         return token.to_bytes()
 
@@ -971,7 +922,7 @@ class ProxyServer:
     def _pull_revocations(self, peer: str) -> None:
         """Anti-entropy pull: fetch the peer's revocation list and merge."""
         try:
-            if self._closing.is_set() or self.tokens is None:
+            if self._closing.is_set():
                 return
             self._m_auth_pulls.inc()
             try:
@@ -1031,53 +982,14 @@ class ProxyServer:
     ) -> Any:
         """Full job path: authenticate, authorise at origin, run or forward.
 
-        The origin proxy validates the user and the ACL; remote targets
-        revalidate the credential and the ACL at the destination, exactly
-        as the paper specifies.
-
-        With a token service attached, the legacy signature is kept but
-        the mechanics change: the password buys one login, and the job
-        travels under the resulting bearer token via
-        :meth:`submit_job_with_token` — no per-request RSA.
+        The password buys one login at this (the origin) proxy, and the
+        job travels under the resulting bearer token via
+        :meth:`submit_job_with_token`: ACL at the origin, token and ACL
+        again at the destination, exactly as the paper specifies.
         """
-        target_site = target_site or self.site.name
-        if self.tokens is not None:
-            token = self.tokens.login(userid, password)
-            return self.submit_job_with_token(
-                token.to_bytes(), task, params, target_site, timeout
-            )
-        credential = self.authenticate_user(userid, password)
-        self.acl.check(userid, f"site:{target_site}", "submit")
-        if target_site == self.site.name:
-            node = self.pick_node()
-            result, elapsed = self._timed_execute(node, task, params, timeout)
-            self._account(userid, self.site.name, node, task, elapsed)
-            return result
-        body = {
-            "credential": credential.to_bytes(),
-            "task": task,
-            "params": params or {},
-            "resource": f"site:{target_site}",
-            "origin": self.site.name,
-        }
-        # Sites may run several proxies; fail over on connectivity errors
-        # (a policy rejection from a live proxy is final, not retried).
-        # Peers the failure detector has declared dead are tried last, so
-        # a degraded site is routed around without waiting for errors.
-        last_error: Optional[ProxyError] = None
-        for peer in self.ranked_peers(self.directory.proxies_of_site(target_site)):
-            try:
-                reply = self.request(peer, Op.JOB_SUBMIT, body, timeout=timeout)
-            except ProxyError as exc:
-                last_error = exc
-                continue
-            if reply.op == Op.JOB_REJECTED:
-                raise ProxyError(
-                    f"job rejected by {peer!r}: {reply.body.get('reason')}"
-                )
-            return reply.body.get("result")
-        raise ProxyError(
-            f"no proxy of site {target_site!r} reachable: {last_error}"
+        token = self.tokens.login(userid, password)
+        return self.submit_job_with_token(
+            token.to_bytes(), task, params, target_site, timeout
         )
 
     def submit_job_with_token(
@@ -1096,8 +1008,6 @@ class ProxyServer:
         compromised destination cannot replay the user's full token.
         """
         service = self.tokens
-        if service is None:
-            raise ProxyError(f"proxy {self.name!r} has no token service")
         target_site = target_site or self.site.name
         claims = service.verify_blob(token_blob, required_scope="jobs:submit")
         self.acl.check(claims.userid, f"site:{target_site}", "submit")
@@ -1113,9 +1023,12 @@ class ProxyServer:
         body = {
             "task": task,
             "params": params or {},
-            "resource": f"site:{target_site}",
             "origin": self.site.name,
         }
+        # Sites may run several proxies; fail over on connectivity errors
+        # (a policy rejection from a live proxy is final, not retried).
+        # Peers the failure detector has declared dead are tried last, so
+        # a degraded site is routed around without waiting for errors.
         last_error: Optional[ProxyError] = None
         for peer in self.ranked_peers(self.directory.proxies_of_site(target_site)):
             try:
@@ -1141,34 +1054,15 @@ class ProxyServer:
         )
 
     def _handle_job_submit(self, message: ControlMessage, peer: str) -> ControlMessage:
-        claims: Optional[Token] = getattr(message, "auth_claims", None)
-        if claims is not None:
-            # Token plane: the guard already verified signature, expiry,
-            # revocation and the jobs:submit scope; re-checking the ACL
-            # here is the destination's own policy say (defense in
-            # depth — matching the paper's check-at-both-ends rule).
-            userid = claims.userid
-            try:
-                self.acl.check(
-                    userid,
-                    message.body.get("resource", f"site:{self.site.name}"),
-                    "submit",
-                )
-            except PermissionDenied as exc:
-                return message.reply(Op.JOB_REJECTED, {"reason": str(exc)})
-        else:
-            try:
-                credential = self._verify_remote_credential(
-                    message.body["credential"], peer
-                )
-                self.acl.check(
-                    credential.userid,
-                    message.body.get("resource", f"site:{self.site.name}"),
-                    "submit",
-                )
-            except (AuthenticationError, PermissionDenied, KeyError) as exc:
-                return message.reply(Op.JOB_REJECTED, {"reason": str(exc)})
-            userid = credential.userid
+        # The guard already verified signature, expiry, revocation and
+        # the jobs:submit scope.  The ACL check is the destination's own
+        # policy say — the paper's check-at-both-ends rule — so its
+        # subject is this site, never a resource the sender names.
+        userid = message.auth_claims.userid  # type: ignore[attr-defined]
+        try:
+            self.acl.check(userid, f"site:{self.site.name}", "submit")
+        except PermissionDenied as exc:
+            return message.reply(Op.JOB_REJECTED, {"reason": str(exc)})
         try:
             node = self.pick_node()
             result, elapsed = self._timed_execute(
@@ -1573,15 +1467,12 @@ class ProxyServer:
     def send_heartbeats(self) -> None:
         """Emit one heartbeat on every live tunnel (callers own the period).
 
-        With a token service attached the heartbeat also carries this
-        proxy's revocation **epoch** (``repoch``) — the gossip digest.
-        Peers behind it pull the full list over AUTH_RLIST; peers without
-        the header (or without a token plane) ignore it, which is the
-        control protocol's expandable-header rule at work.
+        The heartbeat also carries this proxy's revocation **epoch**
+        (``repoch``) — the gossip digest.  Peers behind it pull the full
+        list over AUTH_RLIST; peers without the header ignore it, which
+        is the control protocol's expandable-header rule at work.
         """
-        headers: dict[str, Any] = {"from": self.name}
-        if self.tokens is not None:
-            headers["repoch"] = self.tokens.epoch
+        headers: dict[str, Any] = {"from": self.name, "repoch": self.tokens.epoch}
         with self._tunnel_lock:
             tunnels = list(self._tunnels.values())
         for tunnel in tunnels:
@@ -1624,8 +1515,6 @@ class ProxyServer:
     def _on_heartbeat(self, tunnel: Tunnel, frame: Frame) -> None:
         self.last_heard[tunnel.peer_name] = self.clock()
         self.health.heard_from(tunnel.peer_name)
-        if self.tokens is None:
-            return
         repoch = frame.headers.get("repoch")
         if isinstance(repoch, int) and repoch > self.tokens.epoch:
             # The peer has revocations we lack.  This callback runs on

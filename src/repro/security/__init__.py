@@ -28,7 +28,6 @@ implementation with the same structure (see DESIGN.md §2):
 from repro.security.auth import (
     AccessControlList,
     AuthenticationError,
-    Credential,
     PermissionDenied,
     UserDirectory,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "CertificateError",
     "CertificationAuthority",
     "CipherError",
-    "Credential",
     "DiffieHellman",
     "HandshakeError",
     "PermissionDenied",

@@ -11,8 +11,6 @@ This module provides:
   registered signing key; group membership.
 * :class:`AccessControlList` — (principal, resource, action) permissions
   where a principal is a user or a group, with deny-by-default semantics.
-* :class:`Credential` — a signed assertion of identity a proxy can verify
-  without contacting the home site (used for the destination-proxy check).
 """
 
 from __future__ import annotations
@@ -22,15 +20,13 @@ import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
-from repro.security.rsa import RsaKeyPair, RsaPublicKey
-from repro.transport.frames import decode_value, encode_value
+from repro.security.rsa import RsaPublicKey
 
 __all__ = [
     "AccessControlList",
     "AuthenticationError",
-    "Credential",
     "PermissionDenied",
     "UserDirectory",
 ]
@@ -222,87 +218,3 @@ class AccessControlList:
                 f"user {userid!r} may not {action!r} on {resource!r}"
             )
 
-
-class Credential:
-    """A signed identity assertion, verifiable at the destination proxy.
-
-    The originating proxy authenticates the user (password or signature)
-    and emits a credential signed with the *proxy's* key; the destination
-    proxy trusts it because the proxy's certificate chains to the grid CA.
-    This implements the paper's "access permissions are validated at the
-    originating and destination proxies" without a round-trip to the home
-    site per request.
-    """
-
-    def __init__(
-        self,
-        userid: str,
-        issuer: str,
-        issued_at: float,
-        payload: bytes,
-        signature: bytes,
-    ) -> None:
-        self.userid = userid
-        self.issuer = issuer
-        self.issued_at = issued_at
-        self._payload = payload
-        self.signature = signature
-
-    @classmethod
-    def issue(
-        cls, userid: str, issuer: str, now: float, issuer_key: RsaKeyPair
-    ) -> "Credential":
-        payload = encode_value(
-            {"userid": userid, "issuer": issuer, "issued_at": now}
-        )
-        return cls(
-            userid=userid,
-            issuer=issuer,
-            issued_at=now,
-            payload=payload,
-            signature=issuer_key.sign(payload),
-        )
-
-    def to_bytes(self) -> bytes:
-        return encode_value({"payload": self._payload, "signature": self.signature})
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Credential":
-        try:
-            outer = decode_value(blob)
-            fields = decode_value(outer["payload"])
-            return cls(
-                userid=fields["userid"],
-                issuer=fields["issuer"],
-                issued_at=fields["issued_at"],
-                payload=outer["payload"],
-                signature=outer["signature"],
-            )
-        except Exception as exc:
-            raise AuthenticationError(f"malformed credential: {exc}") from exc
-
-    def verify(
-        self,
-        issuer_public: RsaPublicKey,
-        now: Union[float, Callable[[], float]],
-        max_age: float = 3600.0,
-    ) -> None:
-        """Check signature and freshness.
-
-        ``now`` is a timestamp *or* a clock callable: callers that own a
-        seeded clock (proxies under the simulation transport) pass the
-        clock itself so freshness is read at verification time from the
-        same time source the chaos scheduler drives — wall-clock leaking
-        in here is exactly what gridlint GL401 exists to catch, and what
-        made replayed fault schedules time-sensitive.
-        """
-        if callable(now):
-            now = now()
-        if not issuer_public.verify(self._payload, self.signature):
-            raise AuthenticationError(
-                f"credential signature invalid (user {self.userid!r})"
-            )
-        if now - self.issued_at > max_age:
-            raise AuthenticationError(f"credential expired (user {self.userid!r})")
-        if self.issued_at - now > 60.0:
-            raise AuthenticationError("credential issued in the future")

@@ -54,7 +54,6 @@ def build_grid(seed: int, plan=None) -> Grid:
     for site in SITES:
         grid.add_site(site, nodes=1)
     grid.connect_all()
-    grid.enable_token_auth()
     grid.add_user("alice", "pw")
     grid.grant("user:alice", "site:*", "submit")
     return grid
@@ -211,7 +210,6 @@ def test_hot_token_is_verified_once_and_revocation_still_bites(monkeypatch):
         for site in ("A", "B"):
             grid.add_site(site, nodes=1)
         grid.connect_all()
-        grid.enable_token_auth()
         grid.add_user("alice", "pw")
         grid.grant("user:alice", "site:*", "submit")
         origin, dest = grid.proxy_of("A"), grid.proxy_of("B")

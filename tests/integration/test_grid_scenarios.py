@@ -231,7 +231,6 @@ def _auth_scenario(grid: Grid):
     grid.add_site("A", nodes=1)
     grid.add_site("B", nodes=1)
     grid.connect_all()
-    grid.enable_token_auth()
     grid.add_user("alice", "pw")
     grid.grant("user:alice", "site:*", "submit")
 
@@ -306,7 +305,6 @@ def _token_grid(clock=None) -> Grid:
     grid.add_site("A", nodes=1)
     grid.add_site("B", nodes=1)
     grid.connect_all()
-    grid.enable_token_auth()
     grid.add_user("alice", "pw")
     grid.grant("user:alice", "site:*", "submit")
     return grid
@@ -323,12 +321,25 @@ def test_remote_login_refresh_revoke_over_the_wire():
     """AUTH_LOGIN / AUTH_REFRESH / AUTH_REVOKE from A against B."""
     import time
 
+    from repro.security.rsa import RsaKeyPair
     from repro.security.tokens import Token
 
     clock = _Clock()
     grid = _token_grid(clock)
     try:
+        grid.add_site("C", nodes=1)
+        grid.connect_all()
         a, b = grid.proxy_of("A"), grid.proxy_of("B")
+        key = RsaKeyPair.generate(512)
+        grid.users.register_key("alice", key.public)
+
+        def login_by_signature(signature):
+            reply = a.request(
+                b.name,
+                Op.AUTH_LOGIN,
+                {"userid": "alice", "message": b"challenge", "signature": signature},
+            )
+            return Op.name_of(reply.op), reply.body.get("token") or reply.body["reason"]
 
         def submit(origin, blob):
             return origin.submit_job_with_token(
@@ -343,6 +354,7 @@ def test_remote_login_refresh_revoke_over_the_wire():
         fresh_blob = a.auth_refresh(b.name, blob)
         fresh = Token.from_bytes(fresh_blob)
         wrong_password = _outcome(lambda: a.auth_login(b.name, "alice", "nope"))
+        signed_op, signed_blob = login_by_signature(key.sign(b"challenge"))
 
         epoch = a.auth_revoke(b.name, token_blob=fresh_blob)
         # B pushed its bumped epoch on revoke; A pulls the list on the
@@ -360,6 +372,11 @@ def test_remote_login_refresh_revoke_over_the_wire():
                 fresh.expires_at - login.expires_at,
             ),
             "wrong_password": wrong_password,
+            "signed_login": (signed_op, Token.from_bytes(signed_blob).issuer),
+            "signed_token_at_third_site": grid.submit_job_with_token(
+                signed_blob, "echo", {"value": "ok"}, origin_site="C"
+            ),
+            "forged_signature": login_by_signature(b"forged"),
             "epoch": (epoch > 0, b.tokens.epoch == epoch, a.tokens.epoch >= epoch),
             "fresh_at_origin": _outcome(lambda: submit(a, fresh_blob)),
             "fresh_at_destination": _outcome(lambda: submit(b, fresh_blob)),
@@ -373,6 +390,12 @@ def test_remote_login_refresh_revoke_over_the_wire():
         "echoed": "ok",
         "refreshed": (True, True, 10.0),
         "wrong_password": "AuthenticationError",
+        "signed_login": ("AUTH_TOKEN", "proxy.B"),
+        "signed_token_at_third_site": "ok",
+        # AuthenticationError in B's handler, AUTH_DENIED on the wire
+        "forged_signature": (
+            "AUTH_DENIED", "signature verification failed for 'alice'",
+        ),
         "epoch": (True, True, True),
         "fresh_at_origin": "TokenError",
         "fresh_at_destination": "TokenError",
@@ -400,6 +423,80 @@ def test_refused_revocation_is_not_reported_as_done():
         assert b.tokens.verify_blob(blob).userid == "alice"
     finally:
         grid.shutdown()
+
+
+def test_default_grid_refuses_guarded_ops_without_a_token():
+    """No grid runs unguarded: a plain ``Grid()`` answers AUTH_DENIED to
+    every guarded op that carries no token, and serves its own API."""
+    from repro.control.wms import JobSpec
+    from repro.core.dispatch import GUARDED_OP_SCOPES
+
+    def scenario(grid: Grid):
+        grid.add_site("A", nodes=1)
+        grid.add_site("B", nodes=1)
+        grid.connect_all()
+        grid.attach_workload_manager("B")
+        grid.add_user("alice", "pw")
+        grid.grant("user:alice", "site:*", "submit")
+        a, b = grid.proxy_of("A"), grid.proxy_of("B")
+        # auth=b"" bypasses the service-token auto-stamp of a.request
+        bare = {
+            Op.name_of(op): Op.name_of(a.request(b.name, op, {}, auth=b"").op)
+            for op in GUARDED_OP_SCOPES
+        }
+        unstamped = a.request(b.name, Op.JOB_SUBMIT, {"task": "noop"})
+        return {
+            "bare": bare,
+            "unstamped_submit": Op.name_of(unstamped.op),
+            "submit_job": grid.submit_job(
+                "alice", "pw", "echo", {"value": "ok"},
+                origin_site="A", target_site="B",
+            ),
+            "wms_submit": a.wms_submit(b.name, JobSpec(job_id="j0")),
+            "run_mpi": grid.run_mpi(lambda comm: comm.rank, nprocs=2).returns,
+        }
+
+    assert _run(scenario) == {
+        "bare": {Op.name_of(op): "AUTH_DENIED" for op in GUARDED_OP_SCOPES},
+        "unstamped_submit": "AUTH_DENIED",
+        "submit_job": "ok",
+        "wms_submit": {"job_id": "j0", "state": "pending"},
+        "run_mpi": [0, 1],
+    }
+
+
+def test_destination_checks_the_acl_against_itself():
+    """The destination's half of "validated at the originating and
+    destination proxies" takes its subject from itself: a peer that
+    names a resource the user *does* hold cannot buy a run on B."""
+    grid = _token_grid()
+    try:
+        grid.add_user("u", "pw")
+        grid.grant("user:u", "site:A", "submit")
+        a, b = grid.proxy_of("A"), grid.proxy_of("B")
+        token = a.tokens.login("u", "pw")
+        delegated = a.tokens.delegate(
+            token, delegate_to=a.name, scopes=("jobs:submit",)
+        )
+        honest = _outcome(
+            lambda: a.submit_job_with_token(
+                token.to_bytes(), "echo", {"value": "x"}, target_site="B"
+            )
+        )
+        reply = a.request(
+            b.name,
+            Op.JOB_SUBMIT,
+            {"task": "echo", "params": {"value": "ran on B"},
+             "resource": "site:A", "origin": "A"},
+            auth=delegated.to_bytes(),
+        )
+    finally:
+        grid.shutdown()
+    assert honest == "PermissionDenied"
+    assert (Op.name_of(reply.op), reply.body) == (
+        "JOB_REJECTED",
+        {"reason": "user 'u' may not 'submit' on 'site:B'"},
+    )
 
 
 # ---------------------------------------------------------------------------

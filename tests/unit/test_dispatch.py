@@ -430,10 +430,10 @@ class TestDispatchBatch:
     def test_single_inline_reply_in_batch_responds_singly(self, pipeline):
         # Two requests, only one yields a reply: no burst for a batch of 1.
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
-        pipeline.register(Op.BYE, lambda m, p: None)
+        pipeline.register(Op.HELLO, lambda m, p: None)
         singles, bursts = [], []
         pipeline.dispatch_batch(
-            [_message(), _message(op=Op.BYE)], "peer",
+            [_message(), _message(op=Op.HELLO)], "peer",
             singles.append, respond_many=bursts.append,
         )
         assert bursts == [] and len(singles) == 1

@@ -5,7 +5,6 @@ import pytest
 from repro.security.auth import (
     AccessControlList,
     AuthenticationError,
-    Credential,
     PermissionDenied,
     UserDirectory,
 )
@@ -397,25 +396,3 @@ class TestAcl:
         with pytest.raises(ValueError):
             acl.grant("user:", "site:A", "submit")
 
-
-class TestCredential:
-    def test_round_trip_and_verify(self, proxy_key):
-        cred = Credential.issue("alice", "proxy.siteA", 100.0, proxy_key)
-        restored = Credential.from_bytes(cred.to_bytes())
-        restored.verify(proxy_key.public, now=200.0)
-        assert restored.userid == "alice"
-
-    def test_expired_rejected(self, proxy_key):
-        cred = Credential.issue("alice", "proxy.siteA", 100.0, proxy_key)
-        with pytest.raises(AuthenticationError, match="expired"):
-            cred.verify(proxy_key.public, now=100.0 + 7200.0)
-
-    def test_future_rejected(self, proxy_key):
-        cred = Credential.issue("alice", "proxy.siteA", 1000.0, proxy_key)
-        with pytest.raises(AuthenticationError, match="future"):
-            cred.verify(proxy_key.public, now=100.0)
-
-    def test_forged_rejected(self, proxy_key, node_key):
-        cred = Credential.issue("alice", "proxy.siteA", 100.0, proxy_key)
-        with pytest.raises(AuthenticationError, match="signature"):
-            cred.verify(node_key.public, now=200.0)
