@@ -48,13 +48,13 @@ class GridRouter(Router):
 
     # -- Router interface -----------------------------------------------------
 
-    def send(self, envelope: Envelope) -> None:
+    def send(self, envelope: Envelope) -> int:
         if self.space.is_local(envelope.dest):
             # Fig. 3a: direct local delivery, no encryption, no proxy hop.
             with self._lock:
                 self.local_messages += 1
             self._endpoints[envelope.dest].deliver(envelope)
-            return
+            return envelope.wire_size()
         # Fig. 3b: hand the envelope to the virtual slave's forwarding path.
         slave = self.space.slave_for(envelope.dest)
         if slave is None:
@@ -72,6 +72,7 @@ class GridRouter(Router):
             tag=envelope.tag,
             payload_blob=payload_blob,
         )
+        return len(payload_blob)
 
     def endpoint(self, rank: int) -> Endpoint:
         try:

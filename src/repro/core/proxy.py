@@ -29,7 +29,7 @@ import dataclasses
 import itertools
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.control.failure import FailureDetector, PeerState
 from repro.control.retry import RetryError, RetryPolicy
@@ -52,7 +52,7 @@ from repro.core.routing import GridDirectory
 from repro.core.site import Site
 from repro.obs import ObsHub, racesan
 from repro.obs.trace import current_trace, use_trace
-from repro.core.tunnel import Tunnel, TunnelError
+from repro.core.tunnel import Tunnel, TunnelBusy, TunnelError
 from repro.core.virtual_slave import AppSpace
 from repro.security.auth import (
     AccessControlList,
@@ -1320,34 +1320,46 @@ class ProxyServer:
         down, the message fails over to the destination site's other
         proxies (every participating proxy holds the app's address space
         and delivers through the site-level router), so one proxy death
-        degrades only its own site.
+        degrades only its own site.  A full tunnel (:class:`TunnelBusy`)
+        is congestion, not a dead route: it reaches the caller, because
+        failing over would let this frame overtake the earlier ones still
+        queued on the live tunnel — MPI's non-overtaking order.
         """
         frame = Frame(
             kind=FrameKind.MPI,
             headers={"app": app_id, "src": source, "dst": dest, "tag": tag},
             payload=payload_blob,
         )
-        candidates = [peer_proxy]
-        try:
-            dest_site = self.app_space(app_id).rank_to_site.get(dest)
-            if dest_site is not None:
-                for alt in self.ranked_peers(
-                    self.directory.proxies_of_site(dest_site)
-                ):
-                    if alt not in candidates:
-                        candidates.append(alt)
-        except Exception:
-            pass  # directory gaps: fall back to the preferred peer only
         last_error: Optional[Exception] = None
-        for peer in candidates:
+        for peer in self._mpi_routes(app_id, dest, peer_proxy):
             try:
                 self.tunnel_to(peer).send(frame)
                 return
+            except TunnelBusy:
+                raise
             except (PeerUnavailable, TunnelError) as exc:
                 last_error = exc
         raise PeerUnavailable(
             f"no route for MPI app {app_id!r} rank {dest}: {last_error}"
         )
+
+    def _mpi_routes(
+        self, app_id: str, dest: int, preferred: str
+    ) -> Iterator[str]:
+        """``preferred``, then — only once it has failed — the destination
+        site's other proxies, healthiest first."""
+        yield preferred
+        try:
+            dest_site = self.app_space(app_id).rank_to_site.get(dest)
+            alternates = (
+                [] if dest_site is None
+                else self.ranked_peers(self.directory.proxies_of_site(dest_site))
+            )
+        except Exception:
+            return  # directory gaps: the preferred peer was the only route
+        for alt in alternates:
+            if alt != preferred:
+                yield alt
 
     def _on_mpi(self, tunnel: Tunnel, frame: Frame) -> None:
         self.last_heard[tunnel.peer_name] = self.clock()

@@ -93,9 +93,8 @@ class Communicator:
 
     def _post(self, payload: Any, dest: int, tag: int) -> None:
         envelope = Envelope(source=self.rank, dest=dest, tag=tag, payload=payload)
-        self._router.send(envelope)
+        self.bytes_sent += self._router.send(envelope)
         self.messages_sent += 1
-        self.bytes_sent += envelope.wire_size()
 
     def recv(
         self,

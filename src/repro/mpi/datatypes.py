@@ -39,8 +39,9 @@ class Envelope:
     def wire_size(self) -> int:
         """Bytes the payload occupies when serialised for a channel.
 
-        Used by the proxy and benchmarks for traffic accounting; local
-        delivery never serialises.
+        Traffic accounting for a same-site delivery, which hands the
+        object over without serialising it; a tunnel crossing counts the
+        blob it actually encodes instead.
         """
         return len(encode_value(self.payload))
 

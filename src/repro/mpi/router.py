@@ -141,8 +141,13 @@ class Router(abc.ABC):
     """Moves envelopes between ranks."""
 
     @abc.abstractmethod
-    def send(self, envelope: Envelope) -> None:
-        """Deliver (or forward) one envelope toward its destination rank."""
+    def send(self, envelope: Envelope) -> int:
+        """Deliver (or forward) one envelope toward its destination rank.
+
+        Returns the payload's serialised size (``Envelope.wire_size()``),
+        which the communicator counts as ``bytes_sent``; a router that
+        encodes the payload anyway returns that blob's length.
+        """
 
     @abc.abstractmethod
     def endpoint(self, rank: int) -> Endpoint:
@@ -163,7 +168,7 @@ class LocalRouter(Router):
         self._endpoints = [Endpoint(rank) for rank in range(size)]
         self.on_send: Optional[Callable[[Envelope], None]] = None
 
-    def send(self, envelope: Envelope) -> None:
+    def send(self, envelope: Envelope) -> int:
         if not 0 <= envelope.dest < self.size:
             raise RouterError(
                 f"destination rank {envelope.dest} outside world of {self.size}"
@@ -171,6 +176,7 @@ class LocalRouter(Router):
         if self.on_send is not None:
             self.on_send(envelope)
         self._endpoints[envelope.dest].deliver(envelope)
+        return envelope.wire_size()
 
     def endpoint(self, rank: int) -> Endpoint:
         if not 0 <= rank < self.size:

@@ -20,9 +20,10 @@ the shared process-wide reactor:
   :class:`~repro.transport.channel.Channel`; in-process and
   fault-injected channels therefore run on the loop unchanged.
 * :class:`ReactorTcpChannel` — a non-blocking TCP channel owned by a
-  loop: the loop reads and feeds the frame decoder, and outbound frames
-  go through a **bounded per-channel write queue** flushed with one
-  vectored ``sendmsg`` per backlog.  When a slow peer fills the queue,
+  loop: the loop reads and feeds the frame decoder; a sender writes its
+  own frames with one vectored ``sendmsg`` while nothing is queued, and
+  only the tail the kernel refuses waits in a **bounded per-channel
+  write queue** that the loop finishes.  When a slow peer fills the queue,
   ``send`` blocks up to ``send_timeout`` and then raises
   :class:`~repro.transport.errors.ChannelBusy` — bounded memory,
   deterministic backpressure.
@@ -30,6 +31,7 @@ the shared process-wide reactor:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
@@ -66,6 +68,8 @@ __all__ = [
 ]
 
 _RECV_CHUNK = 64 * 1024
+#: iovec entries per ``sendmsg`` (Linux ``IOV_MAX``)
+_IOV_MAX = 1024
 _EOF = object()
 #: frames delivered per drain pass before yielding to other channels
 _DRAIN_BATCH = 128
@@ -554,6 +558,15 @@ class Reactor:
 # ---------------------------------------------------------------------------
 
 
+def _advance(views: list, n: int) -> list:
+    """The iovec list ``views`` without its first ``n`` bytes."""
+    for i, view in enumerate(views):
+        if n < len(view):
+            return [memoryview(view)[n:], *views[i + 1:]]
+        n -= len(view)
+    return []
+
+
 @racesan.shared_state
 class ReactorTcpChannel(Channel):
     """A frame channel over one non-blocking TCP socket owned by a loop.
@@ -568,22 +581,20 @@ class ReactorTcpChannel(Channel):
     layered consumers (the record cipher) open each frame before the
     drain continues.  Cross-thread blocking ``recv`` always copies.
 
-    Outbound: frames are encoded to iovec views and appended to a bounded
-    write queue (``max_write_queue`` bytes).  The loop flushes the whole
-    backlog with one vectored ``sendmsg`` (group commit); EAGAIN arms
-    write interest.  An **adaptive coalescing window** sized from the
-    observed write-queue depth defers
-    a hot channel's flush by one loop pass so concurrent producers share
-    a syscall, and shrinks back to 1 when the queue runs shallow.  A full
-    queue blocks ``send`` up to ``send_timeout`` seconds, then raises
-    :class:`ChannelBusy`; on the loop thread itself ``send`` never blocks
-    — it raises immediately so a handler can't deadlock its own loop.
-    Backpressure is checked eagerly, *before* anything is queued: a
-    ``send_many`` burst that doesn't fit leaves no partial batch behind.
+    Outbound has **one write rule**: frames are encoded to iovec views,
+    and a sender — loop thread or not — that finds the write queue empty
+    writes them itself with one vectored ``sendmsg`` (a ``send_many``
+    burst shares the syscall).  Only the tail the kernel refuses is
+    queued, with write interest armed on the owning loop; senders that
+    arrive behind a tail append to it, and the loop finishes the tail —
+    it never makes a write a sender could have made.  The queue is
+    bounded (``max_write_queue`` bytes): a full queue blocks ``send`` up
+    to ``send_timeout`` seconds, then raises :class:`ChannelBusy`; on
+    the loop thread itself ``send`` never blocks — it raises immediately
+    so a handler can't deadlock its own loop.  Backpressure is checked
+    eagerly, *before* anything is queued: a ``send_many`` burst that
+    doesn't fit leaves no partial batch behind.
     """
-
-    #: upper bound on the adaptive coalescing window (frames)
-    MAX_COALESCE_WINDOW = 64
 
     def __init__(
         self,
@@ -615,11 +626,6 @@ class ReactorTcpChannel(Channel):
         # Process-level backlog gauge: the sum of every channel's pending
         # write bytes.  A rising value means peers are not keeping up.
         self._m_wq_gauge = get_global_registry().gauge("reactor.write_queue_bytes")
-        self._flush_scheduled = False
-        self._write_armed = False
-        # Adaptive coalescing state (touched on the owning loop only).
-        self._coalesce_window = 1
-        self._coalesce_deferred = False
         self._closed = threading.Event()
         self.reactor_loop.schedule(self._register_read)
 
@@ -788,148 +794,99 @@ class ReactorTcpChannel(Channel):
                 self._wq_cond.wait(timeout=remaining)
                 if self._closed.is_set():
                     raise ChannelClosed(f"{self.name}: send on closed channel")
+            # The write rule: an empty queue means no tail waits on the
+            # loop, so this sender writes its frames itself; behind a
+            # tail it only appends, and the loop's flush keeps the order.
+            before = self._wq_bytes
             for views, size in zip(frame_views, sizes):
                 self._wq.append((views, size))
-                self._wq_bytes += size
                 self.stats.on_send(size)
-            self._m_wq_gauge.add(need)
-            schedule = not self._flush_scheduled and not self._write_armed
-            if schedule:
-                self._flush_scheduled = True
-        if schedule:
-            # Inline flush only on the loop that owns this fd — selector
-            # mutation (write-interest arming) is loop-affine.
-            if self.reactor_loop.on_loop_thread():
-                self._flush_on_loop()
-            else:
-                self.reactor_loop.schedule(self._flush_on_loop)
-
-    def _flush_on_loop(self, closing: bool = False) -> None:
-        """Drain the write queue with vectored non-blocking writes.
-
-        Adaptive group commit: when producers have recently kept the
-        queue deeper than one frame, the first flush of a burst defers
-        itself by one loop pass (``schedule`` re-queues it behind the
-        work already pending on the loop), letting concurrent senders
-        pile on so the whole burst shares one ``sendmsg``.  The window
-        grows while flushes keep observing a backlog at or above it and
-        shrinks as soon as the queue runs shallow — an idle channel pays
-        zero added latency.  Deferral is skipped outright when the queue
-        is under memory pressure: with backpressure imminent, draining
-        beats batching; ``_close_on_loop``'s ``closing`` pass never defers.
-        """
-        with self._wq_cond:
-            self._flush_scheduled = False
-            depth = len(self._wq)
-            defer = (
-                depth
-                and not closing
-                and not self._coalesce_deferred
-                and depth < self._coalesce_window
-                and self._wq_bytes * 2 < self.max_write_queue
-                and not self._write_armed
+            self._wq_bytes += need
+            error = None if before else self._write_locked()
+            if self._wq_bytes != before:
+                self._m_wq_gauge.add(self._wq_bytes - before)
+            tail = not before and bool(self._wq)
+        if error is not None:
+            self.close()
+        elif tail:
+            # Selector mutation is loop-affine: the owning loop arms
+            # write interest and finishes what the kernel refused.
+            self.reactor_loop.schedule(
+                functools.partial(self._set_write_interest, True)
             )
-            if defer:
-                self._coalesce_deferred = True
-                self._flush_scheduled = True
-            backlog = list(self._wq)
-        if defer:
-            self.reactor_loop.schedule(self._flush_on_loop)
-            return
-        self._coalesce_deferred = False  # gridlint: disable=GL106,GL107 -- loop-confined: only _flush_on_loop (always on the owning loop thread) touches this; racesan checks the claim via the loop token
-        # Window adaptation, from the depth this flush actually observed.
-        if depth >= self._coalesce_window:
-            if self._coalesce_window < self.MAX_COALESCE_WINDOW:
-                self._coalesce_window *= 2  # gridlint: disable=GL106,GL107 -- loop-confined: adapted only by _flush_on_loop on the owning loop thread
-        elif depth <= 1 and self._coalesce_window > 1:
-            self._coalesce_window //= 2  # gridlint: disable=GL106,GL107 -- loop-confined: adapted only by _flush_on_loop on the owning loop thread
-        if not backlog or (self._closed.is_set() and not closing):
-            return
-        views = deque()
-        for frame_views, _ in backlog:
-            for view in frame_views:
-                if len(view):
-                    views.append(memoryview(view))
-        sent_total = 0
-        error: Optional[OSError] = None
+
+    def _write_locked(self) -> Optional[OSError]:
+        """Hand the queue to the kernel until it is empty or refused.
+
+        The only ``sendmsg`` on this socket.  Lock discipline: the caller
+        holds ``_wq_cond`` — an inline sender on any thread, or the owning
+        loop finishing a tail — so two writers never interleave the bytes
+        of their frames, and the queue is trimmed in the same critical
+        section that wrote it.  The socket is non-blocking, so the lock
+        is held across a copy into the kernel, never across a wait.
+        Returns the error that ended the stream, if one did.
+        """
+        wq = self._wq
         try:
-            while views:
-                chunk = list(itertools.islice(views, 1024))
-                sent = self._sock.sendmsg(chunk)
-                sent_total += sent
-                while sent > 0:
-                    head = views[0]
-                    if sent >= len(head):
-                        sent -= len(head)
-                        views.popleft()
-                    else:
-                        views[0] = head[sent:]
-                        sent = 0
+            while wq:
+                views: list = []
+                offered = 0
+                for frame_views, size in wq:
+                    if len(views) + len(frame_views) > _IOV_MAX:
+                        break
+                    views += frame_views
+                    offered += size
+                sent = self._sock.sendmsg(views)
+                self._wq_bytes -= sent
+                refused = sent < offered
+                while sent:
+                    frame_views, size = wq[0]
+                    if sent < size:
+                        wq[0] = (_advance(frame_views, sent), size - sent)
+                        break
+                    wq.popleft()
+                    sent -= size
+                if refused:
+                    break
         except (BlockingIOError, InterruptedError):
             pass
         except OSError as exc:
-            error = exc
-        # Trim fully-written frames off the queue; re-arm for the rest.
+            return exc
+        return None
+
+    def _flush_on_loop(self, closing: bool = False) -> None:
+        """Finish the tail the kernel refused a sender: the owning loop's
+        ``EVENT_WRITE`` handler, and ``_close_on_loop``'s one final pass."""
         with self._wq_cond:
+            if self._closed.is_set() and not closing:
+                return
             before = self._wq_bytes
-            remaining = sent_total
-            while self._wq and remaining >= self._wq[0][1]:
-                _, size = self._wq.popleft()
-                self._wq_bytes -= size
-                remaining -= size
-            if remaining and self._wq:
-                # Partial frame: replace head views with the unsent tail.
-                views_left, size = self._wq[0]
-                flat = deque()
-                for view in views_left:
-                    if len(view):
-                        flat.append(memoryview(view))
-                skip = remaining
-                while skip > 0 and flat:
-                    head = flat[0]
-                    if skip >= len(head):
-                        skip -= len(head)
-                        flat.popleft()
-                    else:
-                        flat[0] = head[skip:]
-                        skip = 0
-                self._wq[0] = (list(flat), size - remaining)
-                self._wq_bytes -= remaining
-            pending = bool(self._wq) and error is None
-            self._m_wq_gauge.add(self._wq_bytes - before)
-            self._wq_cond.notify_all()
+            error = self._write_locked()
+            if self._wq_bytes != before:
+                self._m_wq_gauge.add(self._wq_bytes - before)
+                self._wq_cond.notify_all()  # room for senders in backpressure
+            drained = not self._wq
         if error is not None:
             self.close()
-            return
-        self._set_write_interest(pending)
+        elif drained:
+            self._set_write_interest(False)
 
     def _set_write_interest(self, armed: bool) -> None:
-        # Loop-affine (only the owning loop thread calls this), but the
-        # flag itself is read by sender threads inside ``_enqueue``'s
-        # defer heuristic, so both the check and the publish go through
-        # ``_wq_cond`` — the gap between them is safe with one writer.
-        with self._wq_cond:
-            if armed == self._write_armed or self._closed.is_set():
-                return
+        # Owning loop only.  Armed after a sender queued a refused tail,
+        # dropped by the flush that drained it; a sender arriving between
+        # that drain and this call finds the queue empty and writes
+        # itself, so a dropped interest can strand nothing.
+        if self._closed.is_set():
+            return
         events = selectors.EVENT_READ | (selectors.EVENT_WRITE if armed else 0)
         try:
             self.reactor_loop.modify_fd(self._sock, events, self._on_io)
         except (KeyError, ValueError, OSError):
             if armed:
                 # The fd is no longer registered (read side hit EOF and
-                # unregistered it), so the queue can never drain — fail
+                # unregistered it), so the tail can never drain — fail
                 # pending senders now instead of letting them time out.
                 self.close()
-            return
-        with self._wq_cond:
-            self._write_armed = armed
-            # A sender that queued while the flag still read armed
-            # scheduled nothing: flush its frames, the fd no longer will.
-            stranded = not armed and bool(self._wq) and not self._flush_scheduled
-            if stranded:
-                self._flush_scheduled = True
-        if stranded:
-            self.reactor_loop.schedule(self._flush_on_loop)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -9,9 +9,15 @@ reactor serving path as it stood when it became the only I/O engine —
 so a refactor of that path is checked against the same answers.
 """
 
+import collections
+import threading
+
 from repro.core.grid import Grid
+from repro.core.multiplexer import GridRouter
 from repro.core.protocol import Op
+from repro.core.tunnel import TunnelBusy
 from repro.mpi.datatypes import SUM
+from repro.transport.frames import FrameKind, encode_value
 
 
 def _run(scenario):
@@ -104,6 +110,107 @@ def _failover_scenario(grid: Grid):
 
 def test_retry_failover():
     assert _run(_failover_scenario) == {"job": "via backup", "b_nodes": 2}
+
+
+# ---------------------------------------------------------------------------
+# Scenario 3b: MPI congestion is not a dead route
+# ---------------------------------------------------------------------------
+
+
+def _mpi_congestion_scenario(grid: Grid):
+    grid.add_site("A", nodes=1)
+    grid.add_site("B", nodes=1)
+    backup = grid.add_extra_proxy("B").name
+    grid.connect_all()
+    origin = grid.proxy_of("A")
+    primary = origin.tunnel_to(grid.directory.proxy_of_site("B"))
+    spare = origin.tunnel_to(backup)
+    primary_send, spare_send = primary.send, spare.send
+    spare_mpi_frames = []
+
+    def congested(frame):
+        if frame.kind is FrameKind.MPI:
+            raise TunnelBusy("write queue full")
+        return primary_send(frame)
+
+    def counted(frame):
+        if frame.kind is FrameKind.MPI:
+            spare_mpi_frames.append(frame)
+        return spare_send(frame)
+
+    primary.send, spare.send = congested, counted
+
+    def app(comm):
+        if comm.rank == 0:
+            try:
+                comm.send("behind a full tunnel", dest=1)
+            except Exception as exc:
+                return type(exc).__name__
+        return None
+
+    result = grid.run_mpi(app, nprocs=2, timeout=60.0)
+    return {"returns": result.returns, "spare_mpi_frames": len(spare_mpi_frames)}
+
+
+def test_mpi_congestion_reaches_the_caller_without_failover():
+    """Failing over on TunnelBusy would let this frame overtake earlier
+    ones still queued on the live tunnel (MPI's non-overtaking order)."""
+    assert _run(_mpi_congestion_scenario) == {
+        "returns": ["TunnelBusy", None],
+        "spare_mpi_frames": 0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Scenario 3c: the layer-4 floor, as counts
+# ---------------------------------------------------------------------------
+
+
+def test_collectives_cross_each_tunnel_at_the_floor(monkeypatch):
+    """Round-robin puts ranks {0,1}/{2,3}/{4,5} on A/B/C: each reduce or
+    bcast phase crosses sites − 1 = 2 times, so allreduce + bcast is 6
+    crossings per iteration out of 15 sends.  ``bytes_sent`` counts the
+    serialised payload of every send, local or tunneled."""
+    iterations = 5
+    encoded = collections.Counter()
+    encoded_lock = threading.Lock()
+    real_send = GridRouter.send
+
+    def observed_send(router, envelope):
+        with encoded_lock:
+            encoded[envelope.source] += len(encode_value(envelope.payload))
+        return real_send(router, envelope)
+
+    monkeypatch.setattr(GridRouter, "send", observed_send)
+
+    def scenario(grid: Grid):
+        for site in "ABC":
+            grid.add_site(site, nodes=2)
+        grid.connect_all()
+        payload = bytes(range(256)) * 64  # 16 KiB
+        spaces = []
+
+        def app(comm):
+            if comm.rank == 0:
+                spaces.extend(grid.proxy_of(s).app_space("floor") for s in "ABC")
+            for i in range(iterations):
+                comm.allreduce(comm.rank + i, SUM, timeout=30.0)
+                comm.bcast(payload if comm.rank == 0 else None, timeout=30.0)
+            return comm.messages_sent, comm.bytes_sent
+
+        result = grid.run_mpi(app, nprocs=6, app_id="floor", timeout=120.0)
+        assert not result.errors
+        return {
+            "forwarded": sum(space.totals()[0] for space in spaces),
+            "sends": sum(messages for messages, _ in result.returns),
+            "bytes_sent": [nbytes for _, nbytes in result.returns],
+        }
+
+    assert _run(scenario) == {
+        "forwarded": 6 * iterations,
+        "sends": 15 * iterations,
+        "bytes_sent": [encoded[rank] for rank in range(6)],
+    }
 
 
 # ---------------------------------------------------------------------------

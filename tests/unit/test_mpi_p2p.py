@@ -6,6 +6,7 @@ from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, MpiError
 from repro.mpi.launcher import mpirun, round_robin_placement
 from repro.mpi.router import Endpoint, LocalRouter, RouterError
 from repro.mpi.datatypes import Envelope
+from repro.transport.frames import encode_value
 
 
 class TestEndpoint:
@@ -204,8 +205,7 @@ class TestPointToPoint:
             return (comm.messages_sent, comm.bytes_sent)
 
         result = mpirun(app, 2, timeout=10.0)
-        assert result.returns[0][0] == 1
-        assert result.returns[0][1] > 0
+        assert result.returns[0] == (1, len(encode_value("payload")))
         assert result.returns[1] == (0, 0)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.transport.errors import ChannelBusy, ChannelClosed
 from repro.transport.faulty import FaultInjector, FaultPlan, FaultyChannel
-from repro.transport.frames import Frame, FrameKind
+from repro.transport.frames import Frame, FrameDecoder, FrameKind, encode_frame
 from repro.transport.inproc import channel_pair
 from repro.transport.reactor import (
     Reactor,
@@ -31,6 +31,12 @@ def reactor():
 
 def _frame(payload: bytes = b"x", kind=FrameKind.CONTROL) -> Frame:
     return Frame(kind=kind, payload=payload)
+
+
+def _queued(channel: ReactorTcpChannel) -> tuple:
+    """(frames, bytes) in a channel's write queue, read under its lock."""
+    with channel._wq_cond:
+        return len(channel._wq), channel._wq_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +282,7 @@ class TestBackpressure:
         raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
         server = listener.accept(timeout=5.0)
         assert isinstance(server, ReactorTcpChannel)
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
         server.max_write_queue = 64 * 1024
         server.send_timeout = 0.2
         payload = b"\x5a" * 4096
@@ -284,7 +291,7 @@ class TestBackpressure:
                 for _ in range(1000):
                     server.send(_frame(payload))
             # Bounded: the queue never exceeded its cap plus one frame.
-            assert server._wq_bytes <= server.max_write_queue + 5000
+            assert _queued(server)[1] <= server.max_write_queue + 5000
             assert not server.closed  # backpressure is not failure
         finally:
             server.close()
@@ -296,12 +303,15 @@ class TestBackpressure:
         raw = socket.create_connection((listener.host, listener.port))
         raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
         server = listener.accept(timeout=5.0)
+        # A bounded kernel buffer: the write queue fills, not the ~4 MB
+        # the kernel would otherwise absorb from inline writes.
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
         server.max_write_queue = 32 * 1024
         server.send_timeout = 10.0
         payload = b"\x5a" * 4096
         try:
             # Fill until a send would have to wait.
-            while server._wq_bytes + 5000 <= server.max_write_queue:
+            while _queued(server)[1] + 5000 <= server.max_write_queue:
                 server.send(_frame(payload))
 
             def drain():
@@ -325,10 +335,9 @@ class TestBackpressure:
             listener.close()
 
     def test_frame_queued_while_write_interest_drops_is_flushed(self, reactor):
-        """A sender that queues after the loop drained the queue but
-        before it published ``_write_armed = False`` schedules no flush
-        (the flag says the fd will call back).  The loop must pick that
-        frame up when it drops write interest, or it is stranded."""
+        """A frame sent while the loop is dropping write interest must
+        still reach the peer: nothing may strand it behind an interest
+        that will never fire again."""
         listener = ReactorTcpListener(reactor=reactor)
         raw = socket.create_connection((listener.host, listener.port))
         server = listener.accept(timeout=5.0)
@@ -387,10 +396,9 @@ class TestBackpressure:
                 server.send(_frame(payload))
             drainer.start()
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and server._wq:
+            while time.monotonic() < deadline and _queued(server)[0]:
                 time.sleep(0.01)
-            assert not server._wq
-            assert server._wq_bytes == 0
+            assert _queued(server) == (0, 0)
             server.send(_frame(b"still healthy"))  # no phantom ChannelBusy
         finally:
             stop.set()
@@ -411,7 +419,7 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# Batch delivery and adaptive write coalescing
+# Batch delivery, burst writes and the one write rule
 # ---------------------------------------------------------------------------
 
 
@@ -482,68 +490,6 @@ class TestBatchDelivery:
 
 
 class TestWriteCoalescing:
-    def _drained_pair(self, reactor):
-        """A server channel whose raw peer continuously drains."""
-        listener = ReactorTcpListener(reactor=reactor)
-        raw = socket.create_connection((listener.host, listener.port))
-        server = listener.accept(timeout=5.0)
-        stop = threading.Event()
-
-        def drain():
-            raw.settimeout(0.2)
-            while not stop.is_set():
-                try:
-                    if not raw.recv(65536):
-                        return
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-
-        drainer = threading.Thread(target=drain, daemon=True)
-        drainer.start()
-        return listener, raw, server, stop
-
-    def test_window_grows_under_burst_then_shrinks_when_idle(self, reactor):
-        listener, raw, server, stop = self._drained_pair(reactor)
-        try:
-            assert server._coalesce_window == 1
-            # Bursts keep each flush observing a deep queue: the window
-            # widens so concurrent producers share a sendmsg.
-            deadline = time.monotonic() + 5.0
-            while server._coalesce_window < 4 and time.monotonic() < deadline:
-                server.send_many([_frame(b"burst") for _ in range(16)])
-                time.sleep(0.005)
-            assert server._coalesce_window >= 4
-            # Shallow traffic shrinks it back: an idle channel must not
-            # keep paying the deferred-flush latency.
-            deadline = time.monotonic() + 5.0
-            while server._coalesce_window > 1 and time.monotonic() < deadline:
-                server.send(_frame(b"single"))
-                time.sleep(0.02)
-            assert server._coalesce_window == 1
-        finally:
-            stop.set()
-            server.close()
-            raw.close()
-            listener.close()
-
-    def test_window_never_exceeds_cap(self, reactor):
-        listener, raw, server, stop = self._drained_pair(reactor)
-        try:
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and server._coalesce_window < (
-                ReactorTcpChannel.MAX_COALESCE_WINDOW
-            ):
-                server.send_many([_frame(b"x") for _ in range(128)])
-                time.sleep(0.002)
-            assert server._coalesce_window <= ReactorTcpChannel.MAX_COALESCE_WINDOW
-        finally:
-            stop.set()
-            server.close()
-            raw.close()
-            listener.close()
-
     def test_send_many_burst_rejects_eagerly_without_partial_queue(self, reactor):
         """Satellite regression: under a full write queue a burst must
         raise ChannelBusy *before* queuing anything — a partial batch
@@ -552,6 +498,7 @@ class TestWriteCoalescing:
         raw = socket.create_connection((listener.host, listener.port))
         raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
         server = listener.accept(timeout=5.0)
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
         server.max_write_queue = 64 * 1024
         server.send_timeout = 0.2
         payload = b"\x5a" * 4096
@@ -560,16 +507,129 @@ class TestWriteCoalescing:
                 for _ in range(1000):
                     server.send(_frame(payload))
             time.sleep(0.3)  # let in-flight flushes settle against the full peer
-            before_len = len(server._wq)
-            before_bytes = server._wq_bytes
+            before = _queued(server)
             with pytest.raises(ChannelBusy):
                 server.send_many([_frame(payload) for _ in range(8)])
             # All-or-nothing: the rejected burst left no partial batch.
-            assert len(server._wq) == before_len
-            assert server._wq_bytes == before_bytes
+            assert _queued(server) == before
             assert not server.closed
         finally:
             server.close()
+            raw.close()
+            listener.close()
+
+
+def _read_frames(raw: socket.socket, count: int, timeout: float = 20.0) -> list:
+    """Decode ``count`` frames off a plain socket (the peer's view)."""
+    decoder = FrameDecoder()
+    frames: list = []
+    raw.settimeout(timeout)
+    while len(frames) < count:
+        chunk = raw.recv(65536)
+        assert chunk, f"peer closed after {len(frames)} of {count} frames"
+        decoder.feed(chunk)
+        frames.extend(decoder)
+    return frames
+
+
+class TestInlineWrite:
+    """The write rule: a sender that finds the queue empty writes itself;
+    only a refused tail waits for the owning loop, which finishes it."""
+
+    def test_idle_send_from_another_thread_schedules_nothing(self, reactor):
+        listener = ReactorTcpListener(reactor=reactor)
+        raw = socket.create_connection((listener.host, listener.port))
+        server = listener.accept(timeout=5.0)
+        loop = server.reactor_loop
+        scheduled = []
+        real_schedule = loop.schedule
+        try:
+            loop.schedule = lambda fn: (scheduled.append(fn), real_schedule(fn))
+            for i in range(50):
+                server.send(_frame(b"idle-%d" % i))
+            got = [f.payload for f in _read_frames(raw, 50)]
+            assert got == [b"idle-%d" % i for i in range(50)]
+            assert scheduled == []
+        finally:
+            loop.schedule = real_schedule
+            server.close()
+            raw.close()
+            listener.close()
+
+    def test_concurrent_senders_never_interleave_or_reorder(self, reactor):
+        """A small kernel buffer makes inline writes partial, so tails,
+        appends behind them and loop flushes all interleave in time —
+        but never on the wire."""
+        listener = ReactorTcpListener(reactor=reactor)
+        raw = socket.create_connection((listener.host, listener.port))
+        server = listener.accept(timeout=5.0)
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        senders, per_sender, filler = 4, 40, 12 * 1024
+        together = threading.Barrier(senders)
+        errors = []
+
+        def payload(t: int, i: int) -> bytes:
+            return b"%d:%d:" % (t, i) + bytes([(t * per_sender + i) % 256]) * filler
+
+        def sender(t: int) -> None:
+            try:
+                together.wait(timeout=10.0)
+                for i in range(per_sender):
+                    server.send(_frame(payload(t, i)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=sender, args=(t,)) for t in range(senders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt senders mid-write
+        try:
+            for w in workers:
+                w.start()
+            frames = _read_frames(raw, senders * per_sender)
+            for w in workers:
+                w.join(timeout=10.0)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+            raw.close()
+            listener.close()
+        assert not errors
+        seen = {t: [] for t in range(senders)}
+        for frame in frames:
+            t, i, _ = bytes(frame.payload).split(b":", 2)
+            assert frame.payload == payload(int(t), int(i))  # intact
+            seen[int(t)].append(int(i))
+        assert seen == {t: list(range(per_sender)) for t in range(senders)}
+
+    def test_close_after_partial_inline_write_gets_the_final_flush(self, reactor):
+        listener = ReactorTcpListener(reactor=reactor)
+        raw = socket.create_connection((listener.host, listener.port))
+        server = listener.accept(timeout=5.0)
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        # Hold the loop so only close() — not write interest — can
+        # finish the tail the kernel refused.
+        held, release = threading.Event(), threading.Event()
+        server.reactor_loop.schedule(lambda: (held.set(), release.wait(10.0)))
+        try:
+            assert held.wait(timeout=5.0)
+            frame = _frame(bytes(range(256)) * 4096)  # 1 MiB
+            wire = encode_frame(frame)
+            server.send(frame)
+            written = len(wire) - _queued(server)[1]
+            assert 0 < written < len(wire)  # inline, and partial
+            server.close()
+            raw.settimeout(10.0)
+            got = b""
+            while len(got) < written:
+                got += raw.recv(written - len(got))
+            release.set()
+            while chunk := raw.recv(65536):
+                got += chunk
+            assert len(got) > written  # the close flush wrote more of the tail
+            assert got == wire[: len(got)]
+        finally:
+            release.set()
             raw.close()
             listener.close()
 
