@@ -1,9 +1,9 @@
 """E9 — SSL-substitute microbenchmarks: handshake and record costs.
 
-Prices the security layer the paper builds on: full mutual-auth
-handshake (DH vs RSA key transport, two key sizes) and record-layer
-throughput versus plaintext copying.  These are the constants behind
-experiment E4's calibrated cost model.
+Prices the security layer the paper builds on: the full mutual-auth
+handshake (ephemeral DH over group 14, RSA-signed, two RSA key sizes)
+and the ``shake128`` record layer's throughput versus plaintext copying.
+These are the constants behind experiment E4's calibrated cost model.
 """
 
 import threading
@@ -24,7 +24,7 @@ from repro.transport.frames import Frame, FrameKind
 from repro.transport.inproc import channel_pair
 
 
-def run_handshake(ca, clock, key_a, cert_a, key_b, cert_b, mode):
+def run_handshake(ca, clock, key_a, cert_a, key_b, cert_b):
     raw_a, raw_b = channel_pair("bench")
     result = {}
 
@@ -33,7 +33,7 @@ def run_handshake(ca, clock, key_a, cert_a, key_b, cert_b, mode):
 
     thread = threading.Thread(target=server)
     thread.start()
-    secure = connect_secure(raw_a, key_a, cert_a, ca.public_key, clock, mode=mode)
+    secure = connect_secure(raw_a, key_a, cert_a, ca.public_key, clock)
     thread.join()
     return secure, result["b"]
 
@@ -47,23 +47,16 @@ def run_experiment() -> list[dict]:
         key_b = RsaKeyPair.generate(bits)
         cert_a = ca.issue("a", "proxy", key_a.public)
         cert_b = ca.issue("b", "proxy", key_b.public)
-        for mode in ["dh", "rsa"]:
-            start = time.perf_counter()
-            rounds = 3
-            for _ in range(rounds):
-                secure_a, secure_b = run_handshake(
-                    ca, clock, key_a, cert_a, key_b, cert_b, mode
-                )
-                secure_a.close()
-                secure_b.close()
-            elapsed = (time.perf_counter() - start) / rounds
-            rows.append(
-                {
-                    "key_bits": bits,
-                    "mode": mode,
-                    "handshake_ms": elapsed * 1000,
-                }
+        start = time.perf_counter()
+        rounds = 3
+        for _ in range(rounds):
+            secure_a, secure_b = run_handshake(
+                ca, clock, key_a, cert_a, key_b, cert_b
             )
+            secure_a.close()
+            secure_b.close()
+        elapsed = (time.perf_counter() - start) / rounds
+        rows.append({"key_bits": bits, "handshake_ms": elapsed * 1000})
     return rows
 
 
@@ -96,11 +89,8 @@ def record_throughput() -> list[dict]:
 def check_shape(handshake_rows: list[dict], record_rows: list[dict]) -> None:
     # Bigger keys cost more; encryption costs far more than copying —
     # the economics behind keeping intra-site traffic in cleartext.
-    by_mode = {}
-    for row in handshake_rows:
-        by_mode.setdefault(row["mode"], []).append(row["handshake_ms"])
-    for mode, costs in by_mode.items():
-        assert costs[-1] > costs[0], f"{mode}: larger keys should cost more"
+    costs = [row["handshake_ms"] for row in handshake_rows]
+    assert costs[-1] > costs[0], "larger keys should cost more"
     for row in record_rows:
         assert row["cipher_slowdown_x"] > 10.0
 
@@ -114,12 +104,12 @@ def test_e9_handshake_and_records(benchmark):
     check_shape(handshake_rows, record_rows)
     save_table(
         "e9_handshake",
-        "E9a: mutual-auth handshake cost by key size and exchange mode",
+        "E9a: mutual-auth handshake cost by RSA key size (DH group 14)",
         handshake_rows,
     )
     save_table(
         "e9_records",
-        "E9b: record-layer throughput vs plaintext copy",
+        "E9b: shake128 record-layer throughput vs plaintext copy",
         record_rows,
     )
 
@@ -150,9 +140,7 @@ def test_e9_secure_channel_frame_roundtrip(benchmark):
     key_b = RsaKeyPair.generate(512)
     cert_a = ca.issue("a", "proxy", key_a.public)
     cert_b = ca.issue("b", "proxy", key_b.public)
-    secure_a, secure_b = run_handshake(
-        ca, clock, key_a, cert_a, key_b, cert_b, "dh"
-    )
+    secure_a, secure_b = run_handshake(ca, clock, key_a, cert_a, key_b, cert_b)
     frame = Frame(kind=FrameKind.DATA, payload=b"\x42" * 1024)
 
     def round_trip():

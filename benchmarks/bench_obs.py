@@ -66,9 +66,8 @@ def _secure_tunnel_pair() -> tuple[Tunnel, Tunnel, ReactorTcpListener]:
     ck = derive_session_keys(master, "client")
     sk = derive_session_keys(master, "server")
     peer = PeerIdentity(_BenchPeer())
-    suite = "shake128"
-    a = SecureChannel(client_raw, RecordCipher(ck, suite), RecordCipher(sk, suite), peer)
-    b = SecureChannel(server_raw, RecordCipher(sk, suite), RecordCipher(ck, suite), peer)
+    a = SecureChannel(client_raw, RecordCipher(ck), RecordCipher(sk), peer)
+    b = SecureChannel(server_raw, RecordCipher(sk), RecordCipher(ck), peer)
     return Tunnel(a, "a"), Tunnel(b, "b"), listener
 
 

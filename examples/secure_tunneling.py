@@ -3,8 +3,9 @@
 Demonstrates the paper's layer 2 using the library's primitives directly:
 
 1. a grid-wide Certification Authority issues proxy certificates;
-2. two proxies run the SSL-like handshake (both DH and RSA key
-   transport) over a raw channel and derive a secure tunnel;
+2. two proxies run the SSL-like handshake (ephemeral DH, RSA-signed)
+   over a raw channel and derive a secure tunnel, then redial and
+   resume the session from a ticket without the DH exchange;
 3. tunneled traffic is confidential (headers included) and
    tamper-evident;
 4. a revoked certificate is refused at handshake time;
@@ -18,7 +19,11 @@ import time
 
 from repro.security.auth import UserDirectory
 from repro.security.ca import CertificationAuthority
-from repro.security.handshake import accept_secure, connect_secure
+from repro.security.handshake import (
+    SessionTicketKeeper,
+    accept_secure,
+    connect_secure,
+)
 from repro.security.rsa import RsaKeyPair
 from repro.security.tokens import TokenService
 from repro.transport.frames import Frame, FrameKind
@@ -27,23 +32,20 @@ from repro.transport.inproc import channel_pair
 KEY_BITS = 512  # small keys keep the demo snappy; see benchmarks for sweeps
 
 
-def handshake_pair(ca, clock, mode):
-    key_a = RsaKeyPair.generate(KEY_BITS)
-    key_b = RsaKeyPair.generate(KEY_BITS)
-    cert_a = ca.issue("proxy.siteA", "proxy", key_a.public)
-    cert_b = ca.issue("proxy.siteB", "proxy", key_b.public)
+def handshake_pair(ca, clock, identities, keeper, resumption=None):
+    (key_a, cert_a), (key_b, cert_b) = identities
     raw_a, raw_b = channel_pair("demo")
     result = {}
 
     def server():
         result["b"] = accept_secure(
-            raw_b, key_b, cert_b, ca.public_key, clock
+            raw_b, key_b, cert_b, ca.public_key, clock, ticket_keeper=keeper
         )
 
     thread = threading.Thread(target=server)
     thread.start()
     secure_a = connect_secure(
-        raw_a, key_a, cert_a, ca.public_key, clock, mode=mode
+        raw_a, key_a, cert_a, ca.public_key, clock, resumption=resumption
     )
     thread.join()
     return secure_a, result["b"], raw_b
@@ -56,14 +58,26 @@ def main() -> None:
     print(f"CA self-signed root: {ca.certificate.subject!r}, "
           f"fingerprint {ca.public_key.fingerprint()}")
 
-    for mode in ["dh", "rsa"]:
-        print(f"\n== handshake with {mode.upper()} key exchange ==")
+    identities = []
+    for subject in ["proxy.siteA", "proxy.siteB"]:
+        key = RsaKeyPair.generate(KEY_BITS)
+        identities.append((key, ca.issue(subject, "proxy", key.public)))
+    keeper = SessionTicketKeeper(clock)  # B's session-ticket key
+    resumption = None
+    for kind in ["full", "resumed"]:
+        print(f"\n== {kind} handshake ==")
         start = time.perf_counter()
-        secure_a, secure_b, raw_b = handshake_pair(ca, clock, mode)
+        secure_a, secure_b, raw_b = handshake_pair(
+            ca, clock, identities, keeper, resumption=resumption
+        )
         elapsed = time.perf_counter() - start
-        print(f"mutual authentication in {elapsed * 1000:.1f} ms; "
+        if secure_a.resumed != (kind == "resumed"):
+            raise SystemExit(f"expected a {kind} handshake")
+        print(f"mutual authentication in {elapsed * 1000:.1f} ms "
+              f"(resumed: {secure_a.resumed}); "
               f"A sees peer {secure_a.peer.subject!r}, "
               f"B sees peer {secure_b.peer.subject!r}")
+        resumption = secure_a.resumption_ticket  # rotated on every handshake
 
         secure_a.send(
             Frame(kind=FrameKind.CONTROL,

@@ -274,7 +274,6 @@ class ProxyServer:
     def connect_to_peer(
         self,
         raw: Optional[Channel] = None,
-        mode: str = "dh",
         *,
         dial: Optional[Callable[[], Channel]] = None,
         retry: Optional[RetryPolicy] = None,
@@ -288,7 +287,7 @@ class ProxyServer:
 
         ``peer`` is an optional *hint* naming who we expect to reach: if
         a resumption ticket from an earlier handshake with that peer is
-        cached, it is offered and the dial skips the RSA/DH key exchange
+        cached, it is offered and the dial skips the DH key exchange
         (the server falls back to a full handshake if it declines).  The
         tunnel still authenticates the peer — a hint can never pick the
         wrong certificate, only waste one ticket offer.
@@ -304,7 +303,6 @@ class ProxyServer:
                 self.certificate,
                 self.trust_anchor,
                 self.clock,
-                mode=mode,
                 retry=retry,
                 resumption=resumption,
             )
@@ -316,7 +314,6 @@ class ProxyServer:
                 self.certificate,
                 self.trust_anchor,
                 self.clock,
-                mode=mode,
                 resumption=resumption,
             )
         self._install_tunnel(tunnel)

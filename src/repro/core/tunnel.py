@@ -101,7 +101,6 @@ class Tunnel:
         certificate: Certificate,
         trust_anchor: RsaPublicKey,
         clock: Callable[[], float],
-        mode: str = "dh",
         resumption: Optional[ResumptionTicket] = None,
     ) -> "Tunnel":
         """Dial-side tunnel establishment (handshake as client).
@@ -117,7 +116,6 @@ class Tunnel:
                 certificate,
                 trust_anchor,
                 clock,
-                mode=mode,
                 expected_peer_role="proxy",
                 resumption=resumption,
             )
@@ -135,7 +133,6 @@ class Tunnel:
         certificate: Certificate,
         trust_anchor: RsaPublicKey,
         clock: Callable[[], float],
-        mode: str = "dh",
         retry: Optional[RetryPolicy] = None,
         resumption: Optional[ResumptionTicket] = None,
     ) -> "Tunnel":
@@ -167,7 +164,7 @@ class Tunnel:
                 raise TunnelError(f"dial failed: {exc}") from exc
             return cls.establish_client(
                 raw, local_name, keypair, certificate, trust_anchor, clock,
-                mode=mode, resumption=resumption,
+                resumption=resumption,
             )
 
         try:
@@ -387,12 +384,12 @@ class Tunnel:
 
     @property
     def cipher_suite(self) -> str:
-        """The record-cipher suite negotiated for this tunnel."""
-        return self._secure.suite
+        """The record-cipher suite: every tunnel runs ``shake128``."""
+        return "shake128"
 
     @property
     def resumed(self) -> bool:
-        """True when the handshake was a ticket resumption (no DH/RSA)."""
+        """True when the handshake was a ticket resumption (no DH exchange)."""
         return getattr(self._secure, "resumed", False)
 
     @property

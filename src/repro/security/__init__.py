@@ -10,13 +10,15 @@ The paper used OpenSSL [8]; offline reproduction substitutes a from-scratch
 implementation with the same structure (see DESIGN.md §2):
 
 * :mod:`repro.security.numbers` — modular arithmetic and prime generation;
-* :mod:`repro.security.rsa` — RSA keypairs, signatures, key transport;
-* :mod:`repro.security.dh` — finite-field Diffie–Hellman;
+* :mod:`repro.security.rsa` — RSA keypairs and signatures;
+* :mod:`repro.security.dh` — finite-field Diffie–Hellman (RFC 3526
+  group 14), the handshake's only key exchange;
 * :mod:`repro.security.cipher` — authenticated symmetric records
-  (SHA-256-CTR keystream + HMAC-SHA-256, encrypt-then-MAC);
+  (SHAKE-128 keystream + HMAC-SHA-256, encrypt-then-MAC);
 * :mod:`repro.security.certs` / :mod:`repro.security.ca` — certificates
   and the grid CA;
-* :mod:`repro.security.handshake` — the SSL-like channel handshake;
+* :mod:`repro.security.handshake` — the SSL-like channel handshake, one
+  configuration with nothing negotiated;
 * :mod:`repro.security.auth` — users, passwords, groups, permissions;
 * :mod:`repro.security.tokens` — bearer tokens: the paper's foreseen
   "single authentication per session, with the access rights stored

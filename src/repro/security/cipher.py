@@ -1,31 +1,29 @@
 """Authenticated symmetric records: the tunnel's bulk cipher.
 
 Once the handshake agrees on session keys, every tunneled frame body is
-protected by :class:`RecordCipher`: a counter-mode keystream for
+protected by :class:`RecordCipher`: a SHAKE-128 keystream for
 confidentiality and HMAC-SHA-256 over (sequence number, ciphertext) for
 integrity, composed encrypt-then-MAC.  Sequence numbers are bound into
 both keystream and MAC, so replayed, reordered or truncated records are
 rejected — the properties SSL gave the paper.
 
-Record layout (identical for every suite)::
+Record layout::
 
     seq      8 bytes   big-endian record sequence number
     mac     32 bytes   HMAC-SHA-256 tag
     body     n bytes   ciphertext
 
-Two keystream suites share that layout (the handshake negotiates one,
-exactly as it negotiates the key-exchange mode):
+The keystream is ``SHAKE128(key || seq)``, SHAKE-128 used as an
+extendable-output function: the whole record keystream is one C call.
+It is the only suite, so nothing is negotiated.  It was chosen over
+SHA-256 in counter mode (one hash per 32 bytes) because it is an order
+of magnitude cheaper per byte from the standard library alone; an AES
+suite would need a third-party dependency.  The same construction seals
+session tickets (:func:`keystream_xor`).
 
-* ``"sha256ctr"`` — the original SHA-256 counter mode,
-  ``KS_i = H(key || seq || i)``.  Byte-for-byte compatible with
-  pre-fast-path peers, and the default when the peer negotiates nothing.
-* ``"shake128"`` — SHAKE-128 as an extendable-output function,
-  ``KS = SHAKE128(key || seq)``; the whole record keystream is one C
-  call instead of one hash per 32 bytes, an order of magnitude faster.
-
-Both run the fast data path: whole-buffer big-integer XOR and a
-pre-keyed HMAC template cloned per record (two hash updates instead of a
-full key schedule).  ``benchmarks/e2e`` reports the measured cost per
+The data path XORs the whole buffer as one big integer and clones a
+pre-keyed HMAC template per record (two hash updates instead of a full
+key schedule).  ``benchmarks/e2e`` reports the measured cost per
 workload as the ``security.cipher.*`` metrics.
 """
 
@@ -40,22 +38,17 @@ from dataclasses import dataclass
 from repro.transport.frames import MAX_FRAME_WIRE_SIZE
 
 __all__ = [
-    "CIPHER_SUITES",
     "CipherError",
     "MAX_RECORD_BODY",
     "RecordCipher",
     "SessionKeys",
     "derive_session_keys",
+    "keystream_xor",
 ]
 
 _SEQ = struct.Struct("!Q")
 _MAC_LEN = 32
 _HEADER_LEN = _SEQ.size + _MAC_LEN
-_BLOCK = 32  # SHA-256 output size drives the sha256ctr keystream block
-
-#: Keystream suites, best first.  ``sha256ctr`` must stay last: it is the
-#: wire-compatible fallback every peer supports.
-CIPHER_SUITES = ("shake128", "sha256ctr")
 
 #: Largest ciphertext a well-formed peer can produce: a record body is an
 #: encoded frame, bounded by the frame wire format.  Anything larger is
@@ -103,54 +96,33 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     )
 
 
+def keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with ``SHAKE128(key || nonce)``; seal and open alike.
+
+    The record construction for one-off buffers such as session tickets,
+    where there is no per-direction key to pre-hash.
+    """
+    return _xor_bytes(data, hashlib.shake_128(key + nonce).digest(len(data)))
+
+
 class RecordCipher:
     """One direction of an established secure channel.
 
     The sender and receiver each hold a RecordCipher built from the same
-    :class:`SessionKeys` and suite; ``seal`` increments the send sequence,
-    ``open`` enforces strictly increasing receive sequence (replay
-    protection).
+    :class:`SessionKeys`; ``seal`` increments the send sequence, ``open``
+    enforces strictly increasing receive sequence (replay protection).
     """
 
-    def __init__(self, keys: SessionKeys, suite: str = "sha256ctr"):
-        if suite not in CIPHER_SUITES:
-            raise CipherError(f"unknown cipher suite: {suite!r}")
+    def __init__(self, keys: SessionKeys):
         self.keys = keys
-        self.suite = suite
         self._send_seq = 0
         self._recv_seq = -1
         # Pre-keyed templates: cloning skips the HMAC key schedule (two
         # SHA-256 inits + key XORs) and the keystream prefix hash per record.
         self._mac_template = hmac.new(keys.mac_key, digestmod=hashlib.sha256)
-        if suite == "shake128":
-            self._ks_base = hashlib.shake_128(keys.encrypt_key)
-            self._keystream = self._keystream_shake128
-        else:
-            self._ks_base = hashlib.sha256(keys.encrypt_key)
-            self._keystream = self._keystream_sha256ctr
+        self._ks_base = hashlib.shake_128(keys.encrypt_key)
 
-    def _keystream_sha256ctr(self, seq: int, nbytes: int) -> bytes:
-        """SHA-256 in counter mode: KS_i = H(key || seq || i).
-
-        The per-block hash input shares the (key || seq) prefix, so a
-        partially-updated hash object is cloned per block instead of
-        re-hashing the prefix; output is identical to hashing the full
-        concatenation, i.e. byte-compatible with the seed implementation.
-        """
-        if nbytes <= 0:
-            return b""
-        base = self._ks_base.copy()
-        base.update(_SEQ.pack(seq))
-        blocks = []
-        append = blocks.append
-        for counter in range((nbytes + _BLOCK - 1) // _BLOCK):
-            h = base.copy()
-            h.update(counter.to_bytes(8, "big"))
-            append(h.digest())
-        stream = b"".join(blocks)
-        return stream if len(stream) == nbytes else stream[:nbytes]
-
-    def _keystream_shake128(self, seq: int, nbytes: int) -> bytes:
+    def _keystream(self, seq: int, nbytes: int) -> bytes:
         """SHAKE-128 as an XOF: the whole keystream in one squeeze."""
         if nbytes <= 0:
             return b""
@@ -198,6 +170,6 @@ class RecordCipher:
 
 
 def random_master_secret() -> bytes:
-    """Fresh 32-byte master secret (used by tests and the RSA key-transport
-    handshake variant, where the client generates the secret)."""
+    """Fresh 32-byte master secret, for tests and benchmarks that build a
+    :class:`RecordCipher` pair without running a handshake."""
     return secrets.token_bytes(32)

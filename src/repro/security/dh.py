@@ -1,12 +1,11 @@
 """Finite-field Diffie–Hellman key agreement.
 
-Used by the SSL-like handshake to derive the tunnel's session keys with
-forward secrecy (the alternative offered by the handshake is RSA key
-transport; see :mod:`repro.security.handshake`).
+The SSL-like handshake's only key exchange: it derives every tunnel's
+session keys with forward secrecy (see :mod:`repro.security.handshake`).
 
-The default group is the 2048-bit MODP group 14 from RFC 3526 — a
-well-known safe prime, so there is no parameter-generation cost and no
-possibility of a weak modulus sneaking in.
+The group is fixed: the 2048-bit MODP group 14 from RFC 3526 — a
+well-known safe prime, so there is no parameter-generation cost, no
+parameter to agree on, and no possibility of a weak modulus sneaking in.
 """
 
 from __future__ import annotations
@@ -43,19 +42,17 @@ class DiffieHellman:
     True
     """
 
-    def __init__(self, prime: int = MODP_2048, generator: int = MODP_GENERATOR):
-        if prime < 5:
-            raise DhError(f"modulus too small: {prime}")
-        self.prime = prime
-        self.generator = generator
+    prime = MODP_2048
+
+    def __init__(self) -> None:
         # 256-bit exponents give ~128-bit security in a 2048-bit group.
         self._exponent = secrets.randbits(256) | 1
-        self.public = pow(generator, self._exponent, prime)
+        self.public = pow(MODP_GENERATOR, self._exponent, MODP_2048)
 
     def shared_secret(self, peer_public: int) -> bytes:
         """Derive the 32-byte shared secret from the peer's public value."""
-        if not 2 <= peer_public <= self.prime - 2:
+        if not 2 <= peer_public <= MODP_2048 - 2:
             raise DhError("peer public value out of range")
-        shared = pow(peer_public, self._exponent, self.prime)
-        raw = shared.to_bytes((self.prime.bit_length() + 7) // 8, "big")
+        shared = pow(peer_public, self._exponent, MODP_2048)
+        raw = shared.to_bytes((MODP_2048.bit_length() + 7) // 8, "big")
         return hashlib.sha256(raw).digest()

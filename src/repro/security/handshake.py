@@ -2,43 +2,40 @@
 
 The paper tunnels inter-site traffic over SSL with mutual host
 authentication via CA-issued certificates.  This module reproduces that
-structure over any :class:`~repro.transport.channel.Channel`:
+structure over any :class:`~repro.transport.channel.Channel`, in exactly
+one configuration — nothing is negotiated:
 
 ==========  =======================================================
 Message     Content
 ==========  =======================================================
-HELLO  →    client random, offered key-exchange modes
-HELLO  ←    server random, chosen mode, server certificate,
+HELLO  →    client random
+HELLO  ←    server random, server certificate,
             server DH public + signature over (randoms, DH public)
-KEYEX  →    client certificate, client key-exchange payload
-            (DH public, or pre-master secret encrypted to the
-            server's RSA key), signature over the transcript
+KEYEX  →    client certificate, client DH public,
+            signature over the transcript
 FINISH ←    HMAC over the transcript under the server write key
 FINISH →    HMAC over the transcript under the client write key
 ==========  =======================================================
 
-Two key-exchange modes, selectable per connection:
+The key exchange is ephemeral Diffie–Hellman over RFC 3526 group 14
+(forward secret); RSA only signs.  After FINISH verification both ends
+hold directional :class:`~repro.security.cipher.RecordCipher` pairs,
+wrapped in a :class:`SecureChannel` that seals *entire frames* (headers
+included) so tunnel observers see only record lengths — matching the
+paper's "traffic tunneling" design where the proxy encrypts whole flows,
+not payloads.
 
-* ``"dh"``  — ephemeral Diffie–Hellman, forward secret (default);
-* ``"rsa"`` — RSA key transport: client picks the pre-master secret and
-  encrypts it to the server's certified key (cheaper for the client).
-
-After FINISH verification both ends hold directional
-:class:`~repro.security.cipher.RecordCipher` pairs, wrapped in a
-:class:`SecureChannel` that seals *entire frames* (headers included) so
-tunnel observers see only record lengths — matching the paper's "traffic
-tunneling" design where the proxy encrypts whole flows, not payloads.
-
-**Session resumption** (TLS-session-ticket style, DESIGN.md §14.2): a
+**Session resumption** (TLS-session-ticket style, DESIGN.md §14): a
 server holding a :class:`SessionTicketKeeper` seals ``{master secret,
-peer certificate, suite}`` into an opaque ticket issued inside its
-FINISH.  A later dial presents the ticket in HELLO *alongside* the full
-offer; if the server redeems it, both ends derive fresh keys from the
-cached master plus the new randoms and exchange FINISH MACs — no DH, no
-RSA, two messages fewer.  Any rejection (expired, tampered, unknown STEK
-after a restart) falls back to the full handshake transparently, because
-the full offer already rode the same HELLO.  Each resumption rotates in
-a fresh ticket sealing the *new* master, so secrets ratchet forward.
+peer certificate}`` into an opaque ticket issued inside its FINISH.  A
+later dial presents the ticket in HELLO; if the server redeems it, both
+ends derive fresh keys from the cached master plus the new randoms and
+exchange FINISH MACs — no DH, two messages fewer.  Any rejection
+(expired ticket or certificate, tampered, unknown STEK after a restart)
+falls back to the full handshake transparently, because a full HELLO
+is the same message with the ticket ignored.  Each resumption rotates
+in a fresh ticket sealing the *new* master, so secrets ratchet forward;
+neither side resumes on a certificate that has since expired.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from typing import Callable, Optional
 
 from repro.obs.racesan import shared_state
 from repro.security.certs import Certificate, CertificateError
-from repro.security.cipher import CIPHER_SUITES, RecordCipher, derive_session_keys
+from repro.security.cipher import RecordCipher, derive_session_keys, keystream_xor
 from repro.security.dh import DiffieHellman
 from repro.security.rsa import RsaKeyPair, RsaPublicKey
 from repro.transport.channel import Channel
@@ -74,22 +71,6 @@ __all__ = [
     "accept_secure",
     "connect_secure",
 ]
-
-_MODES = ("dh", "rsa")
-_LEGACY_SUITE = "sha256ctr"  # what a pre-fast-path peer speaks
-
-
-def _choose_suite(offered) -> str:
-    """Pick the best mutually-supported record suite, like TLS does.
-
-    A peer that offers nothing (any pre-fast-path build) gets the
-    original SHA-256 counter-mode suite, whose records are byte-for-byte
-    what that peer produces and expects.
-    """
-    for suite in CIPHER_SUITES:
-        if suite in offered:
-            return suite
-    return _LEGACY_SUITE
 
 
 class HandshakeError(Exception):
@@ -149,9 +130,9 @@ class SecureChannel(Channel):
     def send_many(self, frames) -> None:
         """Seal a burst of frames and hand the records down as one batch.
 
-        Each frame still becomes its own record (the wire format is
-        unchanged, so a pre-fast-path peer interoperates); the win is that
-        the inner transport writes all carriers with one vectored syscall.
+        Each frame still becomes its own record (the wire format is the
+        same as :meth:`send`); the win is that the inner transport writes
+        all carriers with one vectored syscall.
         """
         carriers = []
         sizes = []
@@ -201,34 +182,10 @@ class SecureChannel(Channel):
     def closed(self) -> bool:
         return self._inner.closed
 
-    @property
-    def suite(self) -> str:
-        """The record-cipher suite the handshake negotiated."""
-        return self._send_cipher.suite
-
 
 # ---------------------------------------------------------------------------
 # Session resumption tickets
 # ---------------------------------------------------------------------------
-
-
-def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """Counter-mode SHA-256 stream XOR (seal/open are the same op).
-
-    Tickets transit the *plaintext* handshake frames, and they contain
-    the master secret — they must be confidential, not just
-    authenticated.  Handshake-rate traffic only; the record path keeps
-    its vectorized suites.
-    """
-    blocks = []
-    for counter in range((len(data) + 31) // 32):
-        blocks.append(
-            hashlib.sha256(
-                key + nonce + counter.to_bytes(8, "big")
-            ).digest()
-        )
-    stream = b"".join(blocks)[: len(data)]
-    return bytes(a ^ b for a, b in zip(data, stream))
 
 
 class ResumptionTicket:
@@ -236,38 +193,29 @@ class ResumptionTicket:
 
     ``blob`` is opaque (sealed to the server's STEK); the rest is the
     client's half of the cached session: the master secret to derive
-    fresh keys from, the negotiated suite, and the server certificate
-    the original handshake authenticated (resumption re-uses, never
-    re-proves, that identity).
+    fresh keys from, and the server certificate the original handshake
+    authenticated (resumption re-uses, never re-proves, that identity).
     """
 
-    __slots__ = ("blob", "master", "suite", "peer_cert")
+    __slots__ = ("blob", "master", "peer_cert")
 
-    def __init__(
-        self,
-        blob: bytes,
-        master: bytes,
-        suite: str,
-        peer_cert: Certificate,
-    ) -> None:
+    def __init__(self, blob: bytes, master: bytes, peer_cert: Certificate) -> None:
         self.blob = blob
         self.master = master
-        self.suite = suite
         self.peer_cert = peer_cert
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ResumptionTicket(peer={self.peer_cert.subject!r}, "
-            f"suite={self.suite!r}, {len(self.blob)}B)"
-        )
+        return f"ResumptionTicket(peer={self.peer_cert.subject!r}, {len(self.blob)}B)"
 
 
 @shared_state
 class SessionTicketKeeper:
     """Server-side session-ticket encryption key (a STEK) plus policy.
 
-    ``seal`` wraps ``{master, peer cert, suite, issued_at}`` into an
-    opaque, authenticated, encrypted blob; ``redeem`` opens one and
+    ``seal`` wraps ``{master, peer cert, issued_at}`` into an opaque,
+    authenticated blob, encrypted with the record layer's SHAKE-128
+    keystream (tickets carry the master secret across the cleartext
+    handshake, so they must be confidential); ``redeem`` opens one and
     returns the state, or ``None`` for anything expired, tampered, or
     sealed under a different key (e.g. before a server restart) — the
     caller then simply runs the full handshake.  Stateless on the server
@@ -292,17 +240,10 @@ class SessionTicketKeeper:
         self.redeemed = 0
         self.rejected = 0
 
-    def seal(self, master: bytes, peer_cert: bytes, suite: str) -> bytes:
-        state = encode_value(
-            {
-                "master": master,
-                "cert": peer_cert,
-                "suite": suite,
-                "iat": self.clock(),
-            }
-        )
+    def seal(self, master: bytes, peer_cert: bytes) -> bytes:
+        state = encode_value({"master": master, "cert": peer_cert, "iat": self.clock()})
         nonce = secrets.token_bytes(16)
-        sealed = _keystream_xor(self._key, nonce, state)
+        sealed = keystream_xor(self._key, nonce, state)
         mac = hmac.new(
             self._key, b"ticket|" + nonce + sealed, hashlib.sha256
         ).digest()
@@ -319,7 +260,7 @@ class SessionTicketKeeper:
             ).digest()
             if not hmac.compare_digest(mac, expected):
                 raise ValueError("ticket MAC mismatch")
-            state = decode_value(_keystream_xor(self._key, nonce, sealed))
+            state = decode_value(keystream_xor(self._key, nonce, sealed))
             if not isinstance(state, dict):
                 raise ValueError("ticket state is not a dict")
             if self.clock() - float(state["iat"]) > self.lifetime:
@@ -407,7 +348,6 @@ def connect_secure(
     certificate: Certificate,
     trust_anchor: RsaPublicKey,
     clock: Callable[[], float],
-    mode: str = "dh",
     expected_peer_role: Optional[str] = None,
     timeout: float = 30.0,
     resumption: Optional[ResumptionTicket] = None,
@@ -416,9 +356,11 @@ def connect_secure(
 
     ``resumption`` offers a ticket from an earlier handshake with this
     server; acceptance skips the asymmetric exchange, rejection falls
-    back to the full handshake on the same connection.  Every failure —
-    protocol violation, malformed field, peer disconnect — surfaces as
-    :class:`HandshakeError`: handshake input is untrusted by definition.
+    back to the full handshake on the same connection.  A ticket whose
+    cached server certificate has expired is not offered.  Every
+    failure — protocol violation, malformed field, peer disconnect —
+    surfaces as :class:`HandshakeError`: handshake input is untrusted by
+    definition.
     """
     try:
         return _connect_secure(
@@ -427,7 +369,6 @@ def connect_secure(
             certificate,
             trust_anchor,
             clock,
-            mode,
             expected_peer_role,
             timeout,
             resumption,
@@ -444,25 +385,16 @@ def _connect_secure(
     certificate: Certificate,
     trust_anchor: RsaPublicKey,
     clock: Callable[[], float],
-    mode: str,
     expected_peer_role: Optional[str],
     timeout: float,
-    resumption: Optional[ResumptionTicket] = None,
+    resumption: Optional[ResumptionTicket],
 ) -> SecureChannel:
-    if mode not in _MODES:
-        raise HandshakeError(f"unknown key-exchange mode: {mode!r}")
+    if resumption is not None and not resumption.peer_cert.is_valid_at(clock()):
+        resumption = None
     client_random = secrets.token_bytes(32)
-    hello_body: dict = {
-        "random": client_random,
-        "modes": list(_MODES),
-        "preferred": mode,
-        # Record-suite offer; pre-fast-path servers ignore this key
-        # and reply without "cipher", selecting the legacy suite.
-        "ciphers": list(CIPHER_SUITES),
-    }
+    hello_body: dict = {"random": client_random}
     if resumption is not None:
-        # The ticket rides *alongside* the full offer, so a server that
-        # rejects it (or predates tickets) continues the full handshake
+        # A server that rejects the ticket continues the full handshake
         # without a second round trip.
         hello_body["ticket"] = resumption.blob
     channel.send(_hs_frame("hello", hello_body))
@@ -474,48 +406,30 @@ def _connect_secure(
             timeout,
         )
     server_random = server_hello["random"]
-    chosen = server_hello["mode"]
-    if chosen not in _MODES:
-        raise HandshakeError(f"server chose unknown mode: {chosen!r}")
-    suite = server_hello.get("cipher", _LEGACY_SUITE)
-    if suite not in CIPHER_SUITES:
-        raise HandshakeError(f"server chose unknown cipher suite: {suite!r}")
     server_cert = _validate_peer_cert(
         server_hello["certificate"], trust_anchor, clock(), expected_peer_role
     )
+    server_dh_public = server_hello["dh_public"]
+    signed_blob = _transcript_digest(
+        client_random, server_random, encode_value(server_dh_public)
+    )
+    if not server_cert.public_key.verify(signed_blob, server_hello["signature"]):
+        raise HandshakeError("server key-exchange signature invalid")
+    dh = DiffieHellman()
+    pre_master = dh.shared_secret(server_dh_public)
 
-    if chosen == "dh":
-        server_dh_public = server_hello["dh_public"]
-        signed_blob = _transcript_digest(
-            client_random, server_random, encode_value(server_dh_public)
-        )
-        if not server_cert.public_key.verify(signed_blob, server_hello["signature"]):
-            raise HandshakeError("server key-exchange signature invalid")
-        dh = DiffieHellman()
-        pre_master = dh.shared_secret(server_dh_public)
-        key_exchange: dict = {"dh_public": dh.public}
-    else:  # rsa key transport
-        pre_master = secrets.token_bytes(32)
-        key_exchange = {
-            "encrypted_pre_master": server_cert.public_key.encrypt(pre_master)
-        }
-
-    # Cover the negotiated suite with the signature and FINISH MACs so
-    # an active attacker cannot tamper the cleartext "cipher" field to
-    # downgrade or desync the record layer.
     transcript = _transcript_digest(
         client_random,
         server_random,
         certificate.to_bytes(),
-        encode_value(key_exchange),
-        suite.encode(),
+        encode_value(dh.public),
     )
     channel.send(
         _hs_frame(
             "keyex",
             {
                 "certificate": certificate.to_bytes(),
-                "exchange": key_exchange,
+                "dh_public": dh.public,
                 "signature": keypair.sign(transcript),
             },
         )
@@ -539,16 +453,14 @@ def _connect_secure(
 
     secure = SecureChannel(
         inner=channel,
-        send_cipher=RecordCipher(client_keys, suite=suite),
-        recv_cipher=RecordCipher(server_keys, suite=suite),
+        send_cipher=RecordCipher(client_keys),
+        recv_cipher=RecordCipher(server_keys),
         peer=PeerIdentity(server_cert),
         name=f"secure:{certificate.subject}->{server_cert.subject}",
     )
     ticket_blob = finish.get("ticket")
     if isinstance(ticket_blob, bytes):
-        secure.resumption_ticket = ResumptionTicket(
-            ticket_blob, master, suite, server_cert
-        )
+        secure.resumption_ticket = ResumptionTicket(ticket_blob, master, server_cert)
     return secure
 
 
@@ -565,20 +477,16 @@ def _finish_resumed_client(
     Authentication here is possession of the cached master on both
     sides: the server proved it by opening the ticket (sealed under its
     STEK), the client by its FINISH MAC — both chains of custody start
-    at the original, certificate-authenticated handshake.
+    at the original, certificate-authenticated handshake.  The server
+    random rides the resumed hello in the clear; the FINISH MACs cover
+    the value each side *uses*, so tampering desyncs the transcripts.
     """
     server_random = server_hello["random"]
-    suite = server_hello.get("cipher", resumption.suite)
-    if suite not in CIPHER_SUITES:
-        raise HandshakeError(f"server chose unknown cipher suite: {suite!r}")
     master = _resumed_master(resumption.master, client_random, server_random)
     client_keys = derive_session_keys(master, "client")
     server_keys = derive_session_keys(master, "server")
-    # The suite rides the resumed hello in the clear; covering the value
-    # each side *uses* with the FINISH MACs means any tampering (or a
-    # downgrade) desyncs the transcripts and fails the handshake.
     transcript = _transcript_digest(
-        b"resume", client_random, server_random, resumption.blob, suite.encode()
+        b"resume", client_random, server_random, resumption.blob
     )
     finish = _expect(channel, "finish", timeout)
     expected_mac = hmac.new(
@@ -594,8 +502,8 @@ def _finish_resumed_client(
     )
     secure = SecureChannel(
         inner=channel,
-        send_cipher=RecordCipher(client_keys, suite=suite),
-        recv_cipher=RecordCipher(server_keys, suite=suite),
+        send_cipher=RecordCipher(client_keys),
+        recv_cipher=RecordCipher(server_keys),
         peer=PeerIdentity(resumption.peer_cert),
         name=(
             f"secure:{certificate.subject}->{resumption.peer_cert.subject}"
@@ -606,7 +514,7 @@ def _finish_resumed_client(
     if isinstance(new_blob, bytes):
         # Single-use rotation: the fresh ticket seals the *new* master.
         secure.resumption_ticket = ResumptionTicket(
-            new_blob, master, suite, resumption.peer_cert
+            new_blob, master, resumption.peer_cert
         )
     return secure
 
@@ -672,33 +580,26 @@ def _accept_secure(
             )
             if resumed is not None:
                 return resumed
-            # Disqualified after redemption (role/suite/revocation):
+            # Disqualified after redemption (role/expiry/revocation):
             # nothing was sent yet, so the full handshake proceeds.
-    offered = hello.get("modes", [])
-    preferred = hello.get("preferred", "dh")
-    mode = preferred if preferred in _MODES and preferred in offered else "dh"
-    offered_suites = hello.get("ciphers", ())
-    if not isinstance(offered_suites, (list, tuple)):
-        raise HandshakeError("malformed cipher-suite offer")
-    suite = _choose_suite(offered_suites)
 
     server_random = secrets.token_bytes(32)
-    response: dict = {
-        "random": server_random,
-        "mode": mode,
-        "certificate": certificate.to_bytes(),
-        # Pre-fast-path clients ignore this key; they always speak the
-        # legacy suite, which _choose_suite selected for them above.
-        "cipher": suite,
-    }
-    dh: Optional[DiffieHellman] = None
-    if mode == "dh":
-        dh = DiffieHellman()
-        response["dh_public"] = dh.public
-        response["signature"] = keypair.sign(
-            _transcript_digest(client_random, server_random, encode_value(dh.public))
+    dh = DiffieHellman()
+    channel.send(
+        _hs_frame(
+            "hello",
+            {
+                "random": server_random,
+                "certificate": certificate.to_bytes(),
+                "dh_public": dh.public,
+                "signature": keypair.sign(
+                    _transcript_digest(
+                        client_random, server_random, encode_value(dh.public)
+                    )
+                ),
+            },
         )
-    channel.send(_hs_frame("hello", response))
+    )
 
     keyex = _expect(channel, "keyex", timeout)
     client_cert = _validate_peer_cert(
@@ -708,27 +609,16 @@ def _accept_secure(
         raise HandshakeError(
             f"peer certificate rejected: revoked ({client_cert.subject!r})"
         )
-    exchange = keyex["exchange"]
+    client_dh_public = keyex["dh_public"]
     transcript = _transcript_digest(
         client_random,
         server_random,
         keyex["certificate"],
-        encode_value(exchange),
-        suite.encode(),
+        encode_value(client_dh_public),
     )
     if not client_cert.public_key.verify(transcript, keyex["signature"]):
         raise HandshakeError("client transcript signature invalid")
-
-    if mode == "dh":
-        assert dh is not None
-        pre_master = dh.shared_secret(exchange["dh_public"])
-    else:
-        try:
-            pre_master = keypair.decrypt(exchange["encrypted_pre_master"])
-        except Exception as exc:
-            raise HandshakeError(f"pre-master decryption failed: {exc}") from exc
-        if len(pre_master) != 32:
-            raise HandshakeError("pre-master secret has wrong length")
+    pre_master = dh.shared_secret(client_dh_public)
 
     master = _master_secret(pre_master, client_random, server_random)
     client_keys = derive_session_keys(master, "client")
@@ -738,11 +628,8 @@ def _accept_secure(
         "mac": hmac.new(server_keys.mac_key, transcript, hashlib.sha256).digest()
     }
     if ticket_keeper is not None:
-        # Issue the resumption ticket for this peer's next dial.  Old
-        # clients ignore the extra key.
-        finish_body["ticket"] = ticket_keeper.seal(
-            master, keyex["certificate"], suite
-        )
+        # Issue the resumption ticket for this peer's next dial.
+        finish_body["ticket"] = ticket_keeper.seal(master, keyex["certificate"])
     channel.send(_hs_frame("finish", finish_body))
     finish = _expect(channel, "finish", timeout)
     expected_mac = hmac.new(client_keys.mac_key, transcript, hashlib.sha256).digest()
@@ -751,8 +638,8 @@ def _accept_secure(
 
     return SecureChannel(
         inner=channel,
-        send_cipher=RecordCipher(server_keys, suite=suite),
-        recv_cipher=RecordCipher(client_keys, suite=suite),
+        send_cipher=RecordCipher(server_keys),
+        recv_cipher=RecordCipher(client_keys),
         peer=PeerIdentity(client_cert),
         name=f"secure:{certificate.subject}->{client_cert.subject}",
     )
@@ -772,18 +659,21 @@ def _accept_resumed(
     """Serve a redeemed ticket; ``None`` (before any send) → full path.
 
     The stored certificate was CA-validated at the original handshake;
-    within the ticket lifetime we re-check only what can have changed
-    out-of-band — expected role and explicit revocation.
+    within the ticket lifetime we re-check what can have changed since —
+    expected role, the certificate's validity window and explicit
+    revocation.  An expired certificate thus meets the full handshake,
+    which refuses it.
     """
     try:
         client_cert = Certificate.from_bytes(state["cert"])
-        suite = state["suite"]
         cached_master = state["master"]
     except Exception:
         return None
-    if suite not in CIPHER_SUITES or not isinstance(cached_master, bytes):
+    if not isinstance(cached_master, bytes):
         return None
     if expected_peer_role is not None and client_cert.role != expected_peer_role:
+        return None
+    if not client_cert.is_valid_at(ticket_keeper.clock()):
         return None
     if revocation_check is not None and revocation_check(client_cert):
         return None
@@ -792,14 +682,9 @@ def _accept_resumed(
     master = _resumed_master(cached_master, client_random, server_random)
     client_keys = derive_session_keys(master, "client")
     server_keys = derive_session_keys(master, "server")
-    channel.send(
-        _hs_frame(
-            "hello",
-            {"resumed": True, "random": server_random, "cipher": suite},
-        )
-    )
+    channel.send(_hs_frame("hello", {"resumed": True, "random": server_random}))
     transcript = _transcript_digest(
-        b"resume", client_random, server_random, ticket_blob, suite.encode()
+        b"resume", client_random, server_random, ticket_blob
     )
     channel.send(
         _hs_frame(
@@ -809,9 +694,7 @@ def _accept_resumed(
                     server_keys.mac_key, transcript, hashlib.sha256
                 ).digest(),
                 # Rotate: the next dial resumes from the new master.
-                "ticket": ticket_keeper.seal(
-                    master, state["cert"], suite
-                ),
+                "ticket": ticket_keeper.seal(master, state["cert"]),
             },
         )
     )
@@ -823,8 +706,8 @@ def _accept_resumed(
         raise HandshakeError("client resumed-FINISH verification failed")
     secure = SecureChannel(
         inner=channel,
-        send_cipher=RecordCipher(server_keys, suite=suite),
-        recv_cipher=RecordCipher(client_keys, suite=suite),
+        send_cipher=RecordCipher(server_keys),
+        recv_cipher=RecordCipher(client_keys),
         peer=PeerIdentity(client_cert),
         name=f"secure:{certificate.subject}->{client_cert.subject}",
     )

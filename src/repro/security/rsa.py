@@ -1,10 +1,10 @@
-"""RSA key pairs, signatures and key transport.
+"""RSA key pairs and signatures.
 
 Substitutes for the asymmetric half of OpenSSL in the paper's security
-layer.  Signatures use the classic "hash, pad, modexp" construction
-(PKCS#1 v1.5 style padding over SHA-256); encryption uses simple random
-padding sufficient for transporting symmetric session keys during the
-handshake.
+layer.  RSA only signs here: CA certificates, the handshake transcripts
+and login by signature.  Session keys come from Diffie–Hellman, never
+from RSA key transport.  Signatures use the classic "hash, pad, modexp"
+construction (PKCS#1 v1.5 style padding over SHA-256).
 
 The implementation favours clarity over side-channel resistance — this is
 a research reproduction, **not** production cryptography.
@@ -13,7 +13,6 @@ a research reproduction, **not** production cryptography.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 
 from repro.security.numbers import generate_prime, modinv
@@ -25,17 +24,16 @@ __all__ = ["RsaError", "RsaKeyPair", "RsaPublicKey", "DEFAULT_KEY_BITS"]
 DEFAULT_KEY_BITS = 1024
 
 _PUBLIC_EXPONENT = 65537
-_SIG_MARKER = b"\x01"  # domain separation: signature padding
-_ENC_MARKER = b"\x02"  # domain separation: encryption padding
+_SIG_MARKER = b"\x01"  # PKCS#1 v1.5 signature block type
 
 
 class RsaError(Exception):
-    """Raised for malformed keys, oversized plaintexts, bad ciphertexts."""
+    """Raised for malformed keys and keys too small to sign with."""
 
 
 @dataclass(frozen=True)
 class RsaPublicKey:
-    """The public half (n, e): verify signatures, encrypt session keys."""
+    """The public half (n, e): verify signatures."""
 
     n: int
     e: int
@@ -79,7 +77,7 @@ class RsaPublicKey:
             raise RsaError("non-positive key components")
         return cls(n=n, e=e)
 
-    # -- verification / encryption ------------------------------------------
+    # -- verification ---------------------------------------------------------
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Check a signature produced by the matching private key."""
@@ -92,24 +90,10 @@ class RsaPublicKey:
         expected = int.from_bytes(_pad_digest(message, self.byte_length), "big")
         return recovered == expected
 
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt a short secret (e.g. a session key) to this key."""
-        k = self.byte_length
-        limit = k - 11  # 3 fixed bytes + >= 8 random pad bytes
-        if len(plaintext) > limit:
-            raise RsaError(f"plaintext too long: {len(plaintext)} > {limit}")
-        pad_len = k - len(plaintext) - 3
-        padding = bytes(
-            secrets.randbelow(255) + 1 for _ in range(pad_len)
-        )  # nonzero pad bytes
-        block = b"\x00" + _ENC_MARKER + padding + b"\x00" + plaintext
-        m = int.from_bytes(block, "big")
-        return pow(m, self.e, self.n).to_bytes(k, "big")
-
 
 @dataclass(frozen=True)
 class RsaKeyPair:
-    """A full RSA key: sign and decrypt.  Create with :meth:`generate`."""
+    """A full RSA key: sign.  Create with :meth:`generate`."""
 
     n: int
     e: int
@@ -144,24 +128,6 @@ class RsaKeyPair:
         padded = _pad_digest(message, self.byte_length)
         m = int.from_bytes(padded, "big")
         return pow(m, self.d, self.n).to_bytes(self.byte_length, "big")
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Recover a secret encrypted to our public key."""
-        if len(ciphertext) != self.byte_length:
-            raise RsaError("ciphertext length mismatch")
-        c = int.from_bytes(ciphertext, "big")
-        if c >= self.n:
-            raise RsaError("ciphertext out of range")
-        block = pow(c, self.d, self.n).to_bytes(self.byte_length, "big")
-        if block[0:1] != b"\x00" or block[1:2] != _ENC_MARKER:
-            raise RsaError("decryption failed: bad padding header")
-        try:
-            separator = block.index(b"\x00", 2)
-        except ValueError:
-            raise RsaError("decryption failed: no padding terminator") from None
-        if separator < 10:  # fewer than 8 pad bytes
-            raise RsaError("decryption failed: short padding")
-        return block[separator + 1 :]
 
 
 def _pad_digest(message: bytes, k: int) -> bytes:

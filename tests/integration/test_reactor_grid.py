@@ -142,15 +142,14 @@ class _FakePeer:
 
 def _secure_pair(maxsize: int, send_timeout: float):
     """Secure channel pair over a bounded in-process buffer, skipping the
-    RSA handshake (both ends derive from one master secret)."""
+    handshake (both ends derive from one master secret)."""
     raw_a, raw_b = channel_pair("busy", maxsize=maxsize, send_timeout=send_timeout)
     master = random_master_secret()
     ck = derive_session_keys(master, "client")
     sk = derive_session_keys(master, "server")
     peer = PeerIdentity(_FakePeer())
-    suite = "shake128"
-    a = SecureChannel(raw_a, RecordCipher(ck, suite), RecordCipher(sk, suite), peer)
-    b = SecureChannel(raw_b, RecordCipher(sk, suite), RecordCipher(ck, suite), peer)
+    a = SecureChannel(raw_a, RecordCipher(ck), RecordCipher(sk), peer)
+    b = SecureChannel(raw_b, RecordCipher(sk), RecordCipher(ck), peer)
     return a, b
 
 

@@ -79,8 +79,8 @@ hostile_values = st.recursive(
     max_leaves=10,
 )
 hostile_bodies = st.dictionaries(
-    st.sampled_from(["random", "modes", "preferred", "certificate",
-                     "exchange", "signature", "mac", "junk"]),
+    st.sampled_from(["random", "ticket", "resumed", "certificate",
+                     "dh_public", "signature", "mac", "junk"]),
     hostile_values,
     max_size=6,
 )
@@ -143,7 +143,7 @@ def test_valid_hello_then_garbage_keyex(server_identity):
                 kind=FrameKind.HANDSHAKE,
                 headers={"step": "hello"},
                 payload=encode_value(
-                    {"random": b"\x00" * 32, "modes": ["dh"], "preferred": "dh"}
+                    {"random": b"\x00" * 32}
                 ),
             )
         )
@@ -153,7 +153,7 @@ def test_valid_hello_then_garbage_keyex(server_identity):
                 kind=FrameKind.HANDSHAKE,
                 headers={"step": "keyex"},
                 payload=encode_value(
-                    {"certificate": b"forged", "exchange": {}, "signature": b"x"}
+                    {"certificate": b"forged", "dh_public": 2, "signature": b"x"}
                 ),
             )
         )
@@ -169,7 +169,7 @@ def test_valid_hello_then_silence_times_out(server_identity):
                 kind=FrameKind.HANDSHAKE,
                 headers={"step": "hello"},
                 payload=encode_value(
-                    {"random": b"\x00" * 32, "modes": ["dh"], "preferred": "dh"}
+                    {"random": b"\x00" * 32}
                 ),
             )
         )

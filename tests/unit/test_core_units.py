@@ -142,37 +142,11 @@ class TestTunnel:
         a.close()
         b.close()
 
-    def test_negotiates_fast_cipher_suite(self, pki):
-        # Two post-fast-path peers agree on the best suite in CIPHER_SUITES.
+    def test_cipher_suite_is_shake128(self, pki):
+        # One record suite, nothing negotiated.
         a, b = make_tunnel_pair(pki)
         assert a.cipher_suite == "shake128"
         assert b.cipher_suite == "shake128"
-        a.close()
-        b.close()
-
-    def test_legacy_peer_falls_back_to_compatible_suite(self, pki, monkeypatch):
-        # A pre-fast-path client sends no "ciphers" offer; the server must
-        # select the seed-compatible suite and still interoperate.
-        from repro.security import handshake as hs
-
-        original = hs._hs_frame
-
-        def strip_offer(step, body):
-            if step == "hello":
-                body = {k: v for k, v in body.items() if k != "ciphers"}
-            return original(step, body)
-
-        monkeypatch.setattr(hs, "_hs_frame", strip_offer)
-        a, b = make_tunnel_pair(pki)
-        assert a.cipher_suite == "sha256ctr"
-        assert b.cipher_suite == "sha256ctr"
-        got = threading.Event()
-        seen = []
-        b.on_frame(FrameKind.CONTROL, lambda f: (seen.append(f), got.set()))
-        b.start()
-        a.send(Frame(kind=FrameKind.CONTROL, headers={"legacy": True}))
-        assert got.wait(timeout=5.0)
-        assert seen[0].headers == {"legacy": True}
         a.close()
         b.close()
 

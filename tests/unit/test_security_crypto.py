@@ -3,15 +3,15 @@
 import pytest
 
 from repro.security.cipher import (
-    CIPHER_SUITES,
     MAX_RECORD_BODY,
     CipherError,
     RecordCipher,
     SessionKeys,
     derive_session_keys,
+    keystream_xor,
     random_master_secret,
 )
-from repro.security.dh import DhError, DiffieHellman
+from repro.security.dh import MODP_2048, DhError, DiffieHellman
 from repro.security.numbers import generate_prime, is_probable_prime, modinv
 from repro.security.rsa import RsaError, RsaKeyPair, RsaPublicKey
 
@@ -89,25 +89,6 @@ class TestRsa:
     def test_wrong_length_signature_rejected(self, keypair):
         assert not keypair.public.verify(b"msg", b"short")
 
-    def test_encrypt_decrypt_round_trip(self, keypair):
-        secret = b"0123456789abcdef0123456789abcdef"  # 32-byte session key
-        assert keypair.decrypt(keypair.public.encrypt(secret)) == secret
-
-    def test_encryption_is_randomised(self, keypair):
-        secret = b"session-key"
-        assert keypair.public.encrypt(secret) != keypair.public.encrypt(secret)
-
-    def test_plaintext_too_long_rejected(self, keypair):
-        too_long = b"\x00" * (keypair.byte_length - 5)
-        with pytest.raises(RsaError):
-            keypair.public.encrypt(too_long)
-
-    def test_tampered_ciphertext_rejected(self, keypair):
-        blob = bytearray(keypair.public.encrypt(b"secret"))
-        blob[-1] ^= 0x01
-        with pytest.raises(RsaError):
-            keypair.decrypt(bytes(blob))
-
     def test_public_key_serialisation(self, keypair):
         blob = keypair.public.to_bytes()
         restored = RsaPublicKey.from_bytes(blob)
@@ -148,9 +129,9 @@ class TestDiffieHellman:
             with pytest.raises(DhError):
                 alice.shared_secret(bad)
 
-    def test_small_modulus_rejected(self):
-        with pytest.raises(DhError):
-            DiffieHellman(prime=4)
+    def test_group_is_fixed_to_rfc3526_group_14(self):
+        assert DiffieHellman().prime == MODP_2048
+        assert MODP_2048.bit_length() == 2048
 
 
 class TestRecordCipher:
@@ -247,78 +228,73 @@ class TestRecordCipher:
         assert len(sender.seal(b"")) == RecordCipher.overhead()
         assert len(sender.seal(b"xyz")) == RecordCipher.overhead() + 3
 
+    def test_keystream_xor_is_the_record_keystream(self):
+        # Tickets and records share one construction: SHAKE128(key || nonce).
+        keys = derive_session_keys(random_master_secret(), "client")
+        plaintext = b"one keystream construction" * 3
+        record = RecordCipher(keys).seal(plaintext)
+        seq = record[:8]
+        assert keystream_xor(keys.encrypt_key, seq, plaintext) == record[40:]
+        assert keystream_xor(keys.encrypt_key, seq, record[40:]) == plaintext
+        assert keystream_xor(keys.encrypt_key, seq, b"") == b""
 
-# Sizes around the 32-byte keystream block boundary, where chunked
-# generation and truncation bugs hide, plus larger multi-chunk bodies.
+
+# Empty, odd, 32-byte-boundary and large bodies: where keystream
+# truncation and big-integer XOR length bugs hide.
 EDGE_SIZES = [0, 1, 31, 32, 33, 63, 64, 65, 1000, 4096, 65537]
 
 
-class TestRecordCipherSuites:
-    """Every negotiable suite must provide the same record contract."""
+class TestRecordCipherEdges:
+    """The record contract at the edges of the keystream and the layout."""
 
     @staticmethod
-    def make_pair(suite):
+    def make_pair():
         keys = derive_session_keys(random_master_secret(), "client")
-        return RecordCipher(keys, suite=suite), RecordCipher(keys, suite=suite)
+        return RecordCipher(keys), RecordCipher(keys)
 
-    def test_unknown_suite_rejected(self):
-        keys = derive_session_keys(random_master_secret(), "client")
-        with pytest.raises(CipherError, match="unknown cipher suite"):
-            RecordCipher(keys, suite="rot13")
-
-    def test_legacy_suite_is_the_default(self):
-        keys = derive_session_keys(random_master_secret(), "client")
-        assert RecordCipher(keys).suite == "sha256ctr"
-
-    @pytest.mark.parametrize("suite", CIPHER_SUITES)
     @pytest.mark.parametrize("size", EDGE_SIZES)
-    def test_round_trip_at_block_boundaries(self, suite, size):
-        sender, receiver = self.make_pair(suite)
+    def test_round_trip_at_block_boundaries(self, size):
+        sender, receiver = self.make_pair()
         plaintext = bytes(i & 0xFF for i in range(size))
         record = sender.seal(plaintext)
         assert len(record) == RecordCipher.overhead() + size
         assert receiver.open(record) == plaintext
 
-    @pytest.mark.parametrize("suite", CIPHER_SUITES)
-    def test_suites_share_wire_layout(self, suite):
-        sender, _ = self.make_pair(suite)
+    def test_wire_layout(self):
+        sender, _ = self.make_pair()
         record = sender.seal(b"payload")
         assert record[:8] == (0).to_bytes(8, "big")
         assert len(record) == RecordCipher.overhead() + len(b"payload")
 
-    @pytest.mark.parametrize("suite", CIPHER_SUITES)
     @pytest.mark.parametrize(
         "offset",
         [0, 7, 8, 39, 40, -1],
         ids=["seq-first", "seq-last", "mac-first", "mac-last", "body-first", "body-last"],
     )
-    def test_any_flipped_bit_rejected(self, suite, offset):
-        sender, receiver = self.make_pair(suite)
+    def test_any_flipped_bit_rejected(self, offset):
+        sender, receiver = self.make_pair()
         record = bytearray(sender.seal(b"integrity matters"))
         record[offset] ^= 0x01
         with pytest.raises(CipherError):
             receiver.open(bytes(record))
 
-    @pytest.mark.parametrize("suite", CIPHER_SUITES)
-    def test_sequence_gap_accepted(self, suite):
+    def test_sequence_gap_accepted(self):
         # A receiver must tolerate dropped records: sequence numbers only
         # need to increase, not be contiguous.
-        sender, receiver = self.make_pair(suite)
+        sender, receiver = self.make_pair()
         records = [sender.seal(str(i).encode()) for i in range(5)]
         assert receiver.open(records[0]) == b"0"
         assert receiver.open(records[4]) == b"4"
 
-    @pytest.mark.parametrize("suite", CIPHER_SUITES)
-    def test_replay_rejected(self, suite):
-        sender, receiver = self.make_pair(suite)
+    def test_replay_rejected(self):
+        sender, receiver = self.make_pair()
         record = sender.seal(b"once only")
         receiver.open(record)
         with pytest.raises(CipherError, match="replayed"):
             receiver.open(record)
 
-    @pytest.mark.parametrize("suite", CIPHER_SUITES)
-    def test_oversized_body_rejected_before_mac(self, suite):
-        sender, receiver = self.make_pair(suite)
+    def test_oversized_body_rejected_before_mac(self):
+        sender, receiver = self.make_pair()
         bogus = bytes(40) + b"\x00" * (MAX_RECORD_BODY + 1)
         with pytest.raises(CipherError, match="too large"):
             receiver.open(bogus)

@@ -120,7 +120,7 @@ class TestCertificates:
             ca.issue("x", "proxy", proxy_key.public, lifetime=0)
 
 
-def run_handshake(ca, clock, client_key, server_key, mode="dh", **server_kwargs):
+def run_handshake(ca, clock, client_key, server_key, **server_kwargs):
     """Drive both handshake ends over an in-process pair; returns channels."""
     import threading
 
@@ -136,17 +136,14 @@ def run_handshake(ca, clock, client_key, server_key, mode="dh", **server_kwargs)
 
     thread = threading.Thread(target=server)
     thread.start()
-    client = connect_secure(
-        a, client_key, client_cert, ca.public_key, clock, mode=mode
-    )
+    client = connect_secure(a, client_key, client_cert, ca.public_key, clock)
     thread.join(timeout=10.0)
     return client, result["server"]
 
 
 class TestHandshake:
-    @pytest.mark.parametrize("mode", ["dh", "rsa"])
-    def test_secure_round_trip(self, ca, clock, proxy_key, node_key, mode):
-        client, server = run_handshake(ca, clock, proxy_key, node_key, mode=mode)
+    def test_secure_round_trip(self, ca, clock, proxy_key, node_key):
+        client, server = run_handshake(ca, clock, proxy_key, node_key)
         client.send(Frame(kind=FrameKind.CONTROL, headers={"op": "PING"}))
         frame = server.recv(timeout=5.0)
         assert frame.headers == {"op": "PING"}
@@ -258,12 +255,6 @@ class TestHandshake:
             connect_secure(a, proxy_key, client_cert, ca.public_key, clock)
         thread.join(timeout=10.0)
         assert any("revoked" in e for e in errors)
-
-    def test_unknown_mode_rejected(self, ca, clock, proxy_key):
-        cert = ca.issue("c", "proxy", proxy_key.public)
-        a, _ = channel_pair("hs")
-        with pytest.raises(HandshakeError, match="mode"):
-            connect_secure(a, proxy_key, cert, ca.public_key, clock, mode="quantum")
 
 
 class TestUserDirectory:

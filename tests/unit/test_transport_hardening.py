@@ -1,8 +1,7 @@
 """Hardening tests for the data-plane fast path under hostile sockets.
 
 The loop's vectored flush, the write queue's group commit and the
-cipher-suite negotiation all have to survive what real kernels do on a
-bad day: ``sendmsg`` returning partway through a buffer, writes trickling
+secure handshake all have to survive what real kernels do on a bad day: ``sendmsg`` returning partway through a buffer, writes trickling
 out a few bytes at a time, and message boundaries landing anywhere in
 the TCP stream.
 """
@@ -13,13 +12,7 @@ import time
 import pytest
 
 from repro.security.ca import CertificationAuthority
-from repro.security.cipher import CIPHER_SUITES
-from repro.security.handshake import (
-    _LEGACY_SUITE,
-    _choose_suite,
-    accept_secure,
-    connect_secure,
-)
+from repro.security.handshake import accept_secure, connect_secure
 from repro.security.rsa import RsaKeyPair
 from repro.transport.errors import ChannelClosed
 from repro.transport.frames import (
@@ -133,13 +126,13 @@ def test_send_on_dead_peer_raises_channel_closed():
 
 
 # ---------------------------------------------------------------------------
-# Cipher-suite negotiation with hellos split across reads
+# Handshakes with hellos split across reads
 # ---------------------------------------------------------------------------
 
 
-def test_hello_survives_any_split_and_keeps_cipher_offer():
-    """Reassembling the client hello from any two TCP segments preserves
-    the suite offer — negotiation never silently downgrades."""
+def test_hello_survives_any_split():
+    """Reassembling a hello from any two TCP segments preserves its
+    step header and body byte for byte."""
     hello = Frame(
         kind=FrameKind.HANDSHAKE,
         headers={"step": "hello"},
@@ -157,18 +150,10 @@ def test_hello_survives_any_split_and_keeps_cipher_offer():
         assert frame.payload == hello.payload
 
 
-def test_choose_suite_prefers_best_common():
-    assert _choose_suite(list(CIPHER_SUITES)) == CIPHER_SUITES[0]
-    assert _choose_suite(list(reversed(CIPHER_SUITES))) == CIPHER_SUITES[0]
-    assert _choose_suite([]) == _LEGACY_SUITE
-    assert _choose_suite(["no-such-suite"]) == _LEGACY_SUITE
-    assert _choose_suite([_LEGACY_SUITE]) == _LEGACY_SUITE
-
-
-def test_negotiation_over_trickling_sockets_picks_best_suite():
+def test_handshake_over_trickling_sockets():
     """Full handshake with both directions trickling 16 bytes per write:
-    the hellos arrive in dozens of fragments and the negotiated suite is
-    still the best common one on both ends."""
+    the hellos arrive in dozens of fragments and both ends still derive
+    the same keys."""
     clock = time.time
     ca = CertificationAuthority(key_bits=512, clock=clock)
     client_keys = RsaKeyPair.generate(512)
@@ -203,11 +188,11 @@ def test_negotiation_over_trickling_sockets_picks_best_suite():
         )
         thread.join(timeout=30.0)
         server = result["server"]
-        assert client.suite == CIPHER_SUITES[0]
-        assert server.suite == CIPHER_SUITES[0]
-        # The negotiated records actually flow over the trickle.
+        # Records sealed under the derived keys flow both ways over the trickle.
         client.send(Frame(kind=FrameKind.DATA, payload=b"after-split"))
         assert server.recv(timeout=10.0).payload == b"after-split"
+        server.send(Frame(kind=FrameKind.DATA, payload=b"and-back"))
+        assert client.recv(timeout=10.0).payload == b"and-back"
     finally:
         client_channel.close()
         server_channel.close()
