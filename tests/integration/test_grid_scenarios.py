@@ -12,7 +12,9 @@ so a refactor of that path is checked against the same answers.
 import collections
 import threading
 
-from repro.core.grid import Grid
+import pytest
+
+from repro.core.grid import Grid, GridError
 from repro.core.multiplexer import GridRouter
 from repro.core.protocol import Op
 from repro.core.tunnel import TunnelBusy
@@ -110,6 +112,42 @@ def _failover_scenario(grid: Grid):
 
 def test_retry_failover():
     assert _run(_failover_scenario) == {"job": "via backup", "b_nodes": 2}
+
+
+@pytest.mark.parametrize("query", ["global_status", "global_observability"])
+def test_compiled_query_fails_over_then_degrades(query, monkeypatch):
+    """Both compile-on-demand queries ask a site's proxies in health
+    order: a dead primary hands the site to its backup, and a site with
+    no live proxy is ``None`` (partial) or a ``GridError`` naming it."""
+    grid = Grid()
+    try:
+        grid.add_site("A", nodes=1)
+        grid.add_site("B", nodes=2)
+        backup = grid.add_extra_proxy("B").name
+        grid.add_site("C", nodes=1)
+        grid.connect_all()
+        origin = grid.proxy_of("A")
+        answered = []
+        ask = origin.request
+
+        def recording(peer, op, *args, **kwargs):
+            reply = ask(peer, op, *args, **kwargs)
+            answered.append(peer)
+            return reply
+
+        monkeypatch.setattr(origin, "request", recording)
+        grid.proxies["proxy.B"].shutdown()
+        grid.proxies["proxy.C"].shutdown()
+        compile_view = getattr(grid, query)
+        view = compile_view(via_site="A", allow_partial=True)
+        assert answered == [backup]
+        assert (sorted(view), view["B"] is None, view["C"]) == (
+            ["A", "B", "C"], False, None,
+        )
+        with pytest.raises(GridError, match="site 'C'"):
+            compile_view(via_site="A", allow_partial=False)
+    finally:
+        grid.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +552,6 @@ def test_remote_login_refresh_revoke_over_the_wire():
 def test_refused_revocation_is_not_reported_as_done():
     """B's guard denies A's AUTH_REVOKE (an operator killed A's leaked
     service token at B): the wrapper raises, nothing was revoked."""
-    import pytest
 
     from repro.security.auth import AuthenticationError
 
