@@ -3,8 +3,7 @@
 A1 — monitoring cache TTL: the distributed monitor's query savings come
      from per-site caching; sweep the TTL to show the traffic/staleness
      trade-off the paper's "not always necessary to check" argument buys.
-A2 — DFS chunk size and replication factor: storage overhead and
-     failure tolerance of the filing-system extension.
+(A2 swept the in-process DFS, deleted because it reached no proxy.)
 A3 — collective algorithm: the binomial-tree broadcast against a naive
      linear broadcast (root sends to everyone), in rounds and messages —
      why minimpi uses trees.
@@ -19,7 +18,6 @@ import pytest
 
 from benchmarks.common import save_table
 from repro.control.monitor import GlobalStatusCompiler
-from repro.dfs.filesystem import GridFileSystem
 from repro.security.cipher import RecordCipher
 from repro.simulation.randomness import RandomStream
 from repro.workloads.generators import synthetic_status
@@ -77,44 +75,6 @@ def check_ttl(rows: list[dict]) -> None:
     assert queries == sorted(queries, reverse=True)
     assert staleness == sorted(staleness)
     assert rows[0]["max_staleness_s"] == 0.0  # ttl 0: always fresh
-
-
-# ---------------------------------------------------------------------------
-# A2: DFS chunking and replication
-# ---------------------------------------------------------------------------
-
-
-def ablation_dfs() -> list[dict]:
-    # Random payload: a repeating pattern would dedup inside the
-    # content-addressed stores and understate the storage factor.
-    payload = RandomStream(3, "a2-payload").bytes(128 * 1024)
-    rows = []
-    for chunk_kib, replication in [(4, 2), (16, 2), (64, 2), (16, 1), (16, 3)]:
-        fs = GridFileSystem(replication=replication, chunk_size=chunk_kib * 1024)
-        for i in range(3):
-            fs.add_site(f"s{i}", capacity=1 << 24)
-        entry = fs.write("/blob", payload)
-        stored = sum(fs.store_of(s).used for s in fs.sites())
-        survives = replication >= 2
-        rows.append(
-            {
-                "chunk_KiB": chunk_kib,
-                "replication": replication,
-                "chunks": entry.chunk_count,
-                "bytes_stored": stored,
-                "storage_factor_x": stored / len(payload),
-                "survives_site_loss": survives,
-            }
-        )
-    return rows
-
-
-def check_dfs(rows: list[dict]) -> None:
-    for row in rows:
-        assert row["chunks"] == math.ceil(128 * 1024 / (row["chunk_KiB"] * 1024))
-        assert row["storage_factor_x"] == pytest.approx(row["replication"])
-    # Replication factor 1 cannot survive a site loss.
-    assert not [r for r in rows if r["replication"] == 1][0]["survives_site_loss"]
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +163,6 @@ def test_a1_monitoring_ttl(benchmark):
     rows = benchmark.pedantic(ablation_ttl, rounds=1, iterations=1)
     check_ttl(rows)
     save_table("a1_ttl", "A1: monitoring cache TTL — traffic vs staleness", rows)
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_a2_dfs_parameters(benchmark):
-    rows = benchmark.pedantic(ablation_dfs, rounds=1, iterations=1)
-    check_dfs(rows)
-    save_table("a2_dfs", "A2: DFS chunk size and replication factor", rows)
 
 
 @pytest.mark.benchmark(group="ablations")

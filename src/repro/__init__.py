@@ -34,7 +34,6 @@ Packages
 :mod:`repro.workloads`      seeded synthetic workload generators
 :mod:`repro.ui`             command line + web access interface
 :mod:`repro.threads`        distributed threads (paper future work)
-:mod:`repro.dfs`            distributed filing system (paper future work)
 ==========================  ==================================================
 """
 

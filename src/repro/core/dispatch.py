@@ -23,7 +23,7 @@ safe to run:
    cache of verified blobs — the guard keeps none of its own — and never
    asymmetric crypto; gridlint GL105 enforces that budget).
 3. **lookup** — the handler registry maps op → handler; ops registered
-   ``blocking=True`` (job execution, DFS ops, any extension handler) are
+   ``blocking=True`` (job execution, any extension handler) are
    bounced to a **sized worker pool** so the event loop never stalls.
 4. **respond** — the handler's reply (or the ERROR built from its
    exception) goes back through the caller-supplied ``respond`` sink;

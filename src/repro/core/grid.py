@@ -34,7 +34,7 @@ from repro.core.proxy import ProxyServer
 from repro.core.routing import GridDirectory
 from repro.core.site import Site, TaskRegistry
 from repro.mpi.communicator import Communicator
-from repro.mpi.launcher import MpiJobResult
+from repro.mpi.launcher import MpiJobResult, launch_ranks
 from repro.security.auth import AccessControlList, UserDirectory
 from repro.security.ca import CertificationAuthority
 from repro.security.rsa import RsaKeyPair
@@ -270,30 +270,6 @@ class Grid:
         except Exception as exc:
             raise GridError(f"unknown site: {site!r}") from exc
 
-    def create_filesystem(
-        self, replication: int = 2, chunk_size: int = 256 * 1024,
-        capacity_per_site: int = 1 << 30,
-    ):
-        """A grid file system with one chunk store per current site.
-
-        The DFS extension (paper future work) replicates chunks across
-        *sites*, so any single site failure leaves files readable; reads
-        from a site prefer its own replica.
-        """
-        from repro.dfs.filesystem import GridFileSystem
-
-        if len(self.sites) < replication:
-            raise GridError(
-                f"replication {replication} needs at least that many sites, "
-                f"grid has {len(self.sites)}"
-            )
-        fs = GridFileSystem(
-            replication=replication, chunk_size=chunk_size, clock=self.clock
-        )
-        for site in sorted(self.sites):
-            fs.add_site(site, capacity=capacity_per_site)
-        return fs
-
     def secure_node_channel(self, site: str, node: str):
         """Explicit secure channel from a station to its own proxy.
 
@@ -427,34 +403,10 @@ class Grid:
         failure confinement, surfaced at the API ("losing one proxy
         costs the grid that site's capacity, not the whole grid").
         """
-        if not self.sites:
-            return {}
-        origin_name = via_site or sorted(self.sites)[0]
-        origin = self.proxy_of(origin_name)
-        status: dict[str, Optional[list[dict]]] = {
-            origin.site.name: origin.local_status()
-        }
-        for site in self.directory.sites():
-            if site == origin.site.name:
-                continue
-            # Any proxy of the site can answer for it; the origin's
-            # failure detector orders candidates (dead peers last).
-            last_error = None
-            for peer in origin.ranked_peers(self.directory.proxies_of_site(site)):
-                try:
-                    status[site] = origin.query_peer_status(peer)
-                    break
-                except Exception as exc:
-                    last_error = exc
-            else:
-                if allow_partial:
-                    status[site] = None
-                    continue
-                raise GridError(
-                    f"no proxy of site {site!r} answered the status query: "
-                    f"{last_error}"
-                )
-        return status
+        return self._compile(
+            "status", via_site, allow_partial,
+            ProxyServer.local_status, ProxyServer.query_peer_status,
+        )
 
     def global_observability(
         self,
@@ -475,39 +427,51 @@ class Grid:
         unreachable site to ``None``: a telemetry query should not fail
         because the grid is in exactly the state worth looking at.
         """
+        body = {"trace": trace_id, "max_spans": max_spans}
+        body = {key: value for key, value in body.items() if value is not None}
+        return self._compile(
+            "telemetry", via_site, allow_partial,
+            lambda origin: origin.observability(trace_id=trace_id, max_spans=max_spans),
+            lambda origin, peer: origin.request(peer, Op.OBS_DUMP, dict(body)).body.get("obs"),
+        )
+
+    def _compile(
+        self,
+        what: str,
+        via_site: Optional[str],
+        allow_partial: bool,
+        local: Callable[[ProxyServer], Any],
+        ask: Callable[[ProxyServer, str], Any],
+    ) -> dict[str, Any]:
+        """One answer per site, compiled on demand at the origin proxy.
+
+        The origin answers for its own site with ``local(origin)``.  Any
+        proxy of another site can answer for it: ``ask(origin, peer)``
+        tries them in the order of the origin's failure detector (dead
+        peers last).  A site no proxy answers for is ``None`` with
+        ``allow_partial``, else a :class:`GridError` naming it.
+        """
         if not self.sites:
             return {}
-        origin_name = via_site or sorted(self.sites)[0]
-        origin = self.proxy_of(origin_name)
-        body = {}
-        if trace_id is not None:
-            body["trace"] = trace_id
-        if max_spans is not None:
-            body["max_spans"] = max_spans
-        view: dict[str, Optional[dict]] = {
-            origin.site.name: origin.observability(
-                trace_id=trace_id, max_spans=max_spans
-            )
-        }
+        origin = self.proxy_of(via_site or sorted(self.sites)[0])
+        view = {origin.site.name: local(origin)}
         for site in self.directory.sites():
             if site == origin.site.name:
                 continue
             last_error = None
             for peer in origin.ranked_peers(self.directory.proxies_of_site(site)):
                 try:
-                    reply = origin.request(peer, Op.OBS_DUMP, dict(body))
-                    view[site] = reply.body.get("obs")
+                    view[site] = ask(origin, peer)
                     break
                 except Exception as exc:
                     last_error = exc
             else:
-                if allow_partial:
-                    view[site] = None
-                    continue
-                raise GridError(
-                    f"no proxy of site {site!r} answered the telemetry "
-                    f"query: {last_error}"
-                )
+                if not allow_partial:
+                    raise GridError(
+                        f"no proxy of site {site!r} answered the {what} "
+                        f"query: {last_error}"
+                    )
+                view[site] = None
         return view
 
     # ------------------------------------------------------------------
@@ -583,44 +547,14 @@ class Grid:
         app_id = app_id or f"mpi-{next(_app_ids)}"
         origin = self.proxy_of(rank_to_site[0])
         origin.start_app(app_id, rank_to_site, rank_to_node, announce=True)
-        routers = {
-            site: self.proxy_of(site).router_for(app_id)
-            for site in set(rank_to_site.values())
-        }
-
-        returns: list[Any] = [None] * nprocs
-        errors: dict[int, BaseException] = {}
-        errors_lock = threading.Lock()
-
-        def run_rank(rank: int) -> None:
-            comm = Communicator(rank, nprocs, routers[rank_to_site[rank]])
-            try:
-                returns[rank] = app(comm, *args)
-            except BaseException as exc:
-                with errors_lock:
-                    errors[rank] = exc
-
-        threads = [
-            threading.Thread(  # gridlint: disable=GL102 -- colocated MPI ranks run arbitrary blocking app code; one thread per rank, joined below
-                target=run_rank, args=(rank,), name=f"{app_id}-rank-{rank}"
-            )
-            for rank in range(nprocs)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=timeout)
-            hung = [t for t in threads if t.is_alive()]
-            if hung:
-                raise TimeoutError(
-                    f"{len(hung)} rank(s) of {app_id!r} did not finish "
-                    f"within {timeout}s"
-                )
-        finally:
-            origin.end_app(app_id, announce=True)
-        placement = [rank_to_node[rank] for rank in range(nprocs)]
-        return MpiJobResult(returns=returns, errors=errors, placement=placement)
+        result = launch_ranks(
+            app, nprocs,
+            lambda rank: self.proxy_of(rank_to_site[rank]).router_for(app_id),
+            timeout, args, app_id,
+            lambda hung: origin.end_app(app_id, announce=True),
+        )
+        result.placement = [rank_to_node[rank] for rank in range(nprocs)]
+        return result
 
     # ------------------------------------------------------------------
     # Workload management

@@ -15,7 +15,10 @@ the paper's claims:
   method to distribute the processes among the nodes"
   (:mod:`repro.mpi.launcher`).
 
-Ranks run as Python threads.  All communication goes through a
+Ranks run as Python threads, started in one place
+(:func:`~repro.mpi.launcher.launch_ranks`) for ``mpirun`` and for
+``Grid.run_mpi`` alike; a run's ``timeout`` is one deadline for all of
+its ranks.  All communication goes through a
 :class:`~repro.mpi.router.Router`, the seam where the proxy interposes:
 a local router delivers directly (Fig. 3a); the proxy's multiplexer
 substitutes virtual-slave routing for inter-site ranks (Fig. 3b) without

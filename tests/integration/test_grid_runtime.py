@@ -6,11 +6,15 @@ submission validated at both ends, distributed status collection, and MPI
 applications multiplexed through virtual slaves.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.core.grid import Grid, GridError
 from repro.core.proxy import ProxyError
 from repro.mpi.datatypes import MAX, SUM
+from repro.mpi.launcher import mpirun
 from repro.security.auth import AuthenticationError, PermissionDenied
 
 
@@ -266,3 +270,44 @@ class TestMpiOverGrid:
     def test_unknown_policy_rejected(self, grid):
         with pytest.raises(GridError):
             grid.place_ranks(2, policy="quantum")
+
+
+def _hung(comm):
+    # Every rank waits for a message nobody sends.
+    comm.recv(source=comm.rank, tag=0)
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        lambda grid, app, n, timeout: mpirun(app, n, timeout=timeout),
+        lambda grid, app, n, timeout: grid.run_mpi(app, n, timeout=timeout),
+    ],
+    ids=["mpirun", "Grid.run_mpi"],
+)
+def test_mpi_timeout_is_one_deadline_for_all_ranks(grid, launch):
+    """``timeout`` bounds the whole run, not each rank's join in turn."""
+    before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(TimeoutError, match="did not finish"):
+        launch(grid, _hung, 6, 0.5)
+    assert time.monotonic() - started < 1.5
+    # The hung ranks were released, and the grid runs the next app.
+    assert not [t for t in set(threading.enumerate()) - before if "-rank-" in t.name]
+    assert grid.run_mpi(lambda comm: comm.rank, 2, timeout=30.0).returns == [0, 1]
+
+
+def test_refused_start_tears_down_only_the_spaces_it_created(grid):
+    """C already runs an app under the same id: the start is refused
+    there, and the spaces A and B made for this start go with it."""
+    c = grid.proxy_of("C")
+    c.start_app("app-x", {0: "C"}, {0: "C.n0"}, announce=False)
+    with pytest.raises(ProxyError, match="already started"):
+        grid.run_mpi(lambda comm: comm.rank, 6, timeout=30.0, app_id="app-x")
+    for site in ["A", "B"]:
+        with pytest.raises(ProxyError, match="no app"):
+            grid.proxy_of(site).app_space("app-x")
+    assert c.app_space("app-x").rank_to_site == {0: "C"}
+    c.end_app("app-x")
+    result = grid.run_mpi(lambda comm: comm.rank, 6, timeout=30.0, app_id="app-x")
+    assert result.returns == [0, 1, 2, 3, 4, 5]

@@ -1,4 +1,4 @@
-"""Property-based tests: simulator, network routing, schedulers, DFS, security."""
+"""Property-based tests: simulator, network routing, schedulers, security."""
 
 import networkx as nx
 import pytest
@@ -11,7 +11,6 @@ from repro.control.scheduler import (
     NodeView,
     RoundRobinScheduler,
 )
-from repro.dfs.filesystem import GridFileSystem
 from repro.security.cipher import (
     CipherError,
     RecordCipher,
@@ -235,36 +234,6 @@ def test_round_robin_is_fair_in_counts(works):
         counts[node] = counts.get(node, 0) + 1
     values = [counts.get(f"n{i}", 0) for i in range(4)]
     assert max(values) - min(values) <= 1
-
-
-# ---------------------------------------------------------------------------
-# DFS
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.binary(max_size=4096),
-    st.integers(min_value=1, max_value=512),
-    st.integers(min_value=1, max_value=3),
-)
-def test_dfs_round_trip_any_payload_and_chunking(data, chunk_size, replication):
-    fs = GridFileSystem(replication=replication, chunk_size=chunk_size)
-    for i in range(max(replication, 2)):
-        fs.add_site(f"s{i}", capacity=1 << 22)
-    fs.write("/f", data)
-    assert fs.read("/f") == data
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.binary(min_size=1, max_size=2048), st.integers(min_value=0, max_value=2))
-def test_dfs_survives_any_single_site_failure(data, victim):
-    fs = GridFileSystem(replication=2, chunk_size=64)
-    for i in range(3):
-        fs.add_site(f"s{i}", capacity=1 << 22)
-    fs.write("/f", data)
-    fs.store_of(f"s{victim}").fail()
-    assert fs.read("/f") == data
 
 
 # ---------------------------------------------------------------------------
