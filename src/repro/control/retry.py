@@ -131,7 +131,8 @@ class RetryPolicy:
             if self.jitter == 0.0 or nominal == 0.0:
                 yield nominal
             else:
-                yield nominal * (1.0 + rng.uniform(-self.jitter, self.jitter))
+                # not nominal·(1 + u), which can round outside nominal ± jitter·nominal
+                yield nominal + nominal * rng.uniform(-self.jitter, self.jitter)
 
     # -- execution ---------------------------------------------------------
 

@@ -268,43 +268,42 @@ class DispatchPipeline:
     def _run_handler(
         self, handler: Handler, message: ControlMessage, peer: str, respond: Respond
     ) -> None:
+        # Obs on: a per-op latency histogram for every message, and for a
+        # sampled one (it carries a trace header) a child span whose context
+        # nested requests inherit; an unsampled handler's start new roots.
         obs = self.obs
-        if obs is None or not obs_enabled():
-            try:
-                reply = handler.fn(message, peer)
-            except Exception as exc:  # any handler fault becomes an ERROR reply
-                reply = message.reply(Op.ERROR, {"error": str(exc)})
-            if reply is not None:
-                self._respond(reply, respond)
-            return
-        # Instrumented path: a per-hop span (child of the sender's span,
-        # when the message carries a trace header) plus a per-op latency
-        # histogram.  The span's context is installed thread-locally so
-        # nested requests the handler makes link into the same trace.
-        cached = self._op_instruments.get(message.op)
-        if cached is None:
-            op_name = Op.name_of(message.op)
-            cached = (
-                f"handle.{op_name}",
-                obs.metrics.histogram(  # gridlint: disable=GL301 -- per-op cache: lookup paid once per op code, then served from _op_instruments
-                    f"dispatch.latency_s.{op_name}"
-                ),
-            )
-            self._op_instruments[message.op] = cached
-        span_name, histogram = cached
-        parent = TraceContext.from_wire(message.trace)
-        span = obs.spans.start(span_name, parent=parent, tags={"peer": peer})
-        start = time.perf_counter()
-        previous = swap_trace(span.context)
+        histogram = span = previous = None
+        start = 0.0
+        if obs is not None and obs_enabled():
+            cached = self._op_instruments.get(message.op)
+            if cached is None:
+                op_name = Op.name_of(message.op)
+                cached = (
+                    f"handle.{op_name}",
+                    obs.metrics.histogram(  # gridlint: disable=GL301 -- per-op cache: lookup paid once per op code, then served from _op_instruments
+                        f"dispatch.latency_s.{op_name}"
+                    ),
+                )
+                self._op_instruments[message.op] = cached
+            span_name, histogram = cached
+            parent = TraceContext.from_wire(message.trace)
+            if parent is not None:
+                span = obs.spans.start(span_name, parent=parent, tags={"peer": peer})
+                previous = swap_trace(span.context)
+            start = time.perf_counter()
         try:
             reply = handler.fn(message, peer)
         except Exception as exc:  # any handler fault becomes an ERROR reply
             reply = message.reply(Op.ERROR, {"error": str(exc)})
-            span.tags["error"] = str(exc)
+            if span is not None:
+                span.tags["error"] = str(exc)
         finally:
-            swap_trace(previous)
-        histogram.observe(time.perf_counter() - start)
-        span.finish()
+            if span is not None:
+                swap_trace(previous)
+        if histogram is not None:
+            histogram.observe(time.perf_counter() - start)
+        if span is not None:
+            span.finish()
         if reply is not None:
             self._respond(reply, respond)
 
@@ -447,13 +446,14 @@ class TokenAuthGuard:
                 self._m_ok.inc()
             message.auth_claims = token  # type: ignore[attr-defined]
             return None
-        # Cache miss: the full verify, under a span + latency histogram.
+        # Cache miss: the full verify, timed, and under a span if sampled.
         obs = self.obs
         span = None
-        if obs is not None and obs_enabled():
+        parent = TraceContext.from_wire(message.trace)
+        if obs is not None and parent is not None and obs_enabled():
             span = obs.spans.start(
                 "request.auth",
-                parent=TraceContext.from_wire(message.trace),
+                parent=parent,
                 tags={"peer": peer, "op": Op.name_of(message.op)},
             )
         start = time.perf_counter()

@@ -16,6 +16,7 @@ expanded to deal with a new situation."  This module implements that:
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -245,18 +246,33 @@ class ControlMessage:
         return f"ControlMessage({Op.name_of(self.op)}, id={self.message_id}, {kind})"
 
 
+class _ReplyWaiter(queue.SimpleQueue):
+    """Event's ``set``/``wait(timeout) -> bool``, waiting in C (Event's Condition is Python)."""
+
+    __slots__ = ()
+
+    def set(self) -> None:
+        self.put(True)
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        try:
+            return bool(self.get(timeout=timeout))
+        except queue.Empty:
+            return False
+
+
 class RequestTracker:
     """Correlates replies with outstanding requests on one control link."""
 
     def __init__(self):
-        self._waiting: dict[int, threading.Event] = {}
+        self._waiting: dict[int, _ReplyWaiter] = {}
         self._replies: dict[int, ControlMessage] = {}
         self._lock = threading.Lock()
 
     def expect(self, request: ControlMessage) -> int:
         """Register interest in the reply to ``request``."""
         with self._lock:
-            self._waiting[request.message_id] = threading.Event()
+            self._waiting[request.message_id] = _ReplyWaiter()
         return request.message_id
 
     def fulfil(self, reply: ControlMessage) -> bool:
@@ -264,20 +280,20 @@ class RequestTracker:
         if reply.reply_to is None:
             return False
         with self._lock:
-            event = self._waiting.get(reply.reply_to)
-            if event is None:
+            waiter = self._waiting.get(reply.reply_to)
+            if waiter is None:
                 return False
             self._replies[reply.reply_to] = reply
-            event.set()
+            waiter.set()
             return True
 
     def wait(self, message_id: int, timeout: float = 30.0) -> ControlMessage:
         """Block until the reply arrives."""
         with self._lock:
-            event = self._waiting.get(message_id)
-        if event is None:
+            waiter = self._waiting.get(message_id)
+        if waiter is None:
             raise ProtocolError(f"no outstanding request {message_id}")
-        event.wait(timeout=timeout)
+        waiter.wait(timeout=timeout)
         with self._lock:
             self._waiting.pop(message_id, None)
             # Looked up even after a timeout: a reply that raced it is kept.
@@ -295,8 +311,8 @@ class RequestTracker:
     def cancel(self, message_id: int, reason: str = "link down") -> None:
         """Wake one waiter with an ERROR reply."""
         with self._lock:
-            event = self._waiting.get(message_id)
-            if event is None or message_id in self._replies:
+            waiter = self._waiting.get(message_id)
+            if waiter is None or message_id in self._replies:
                 return
             # "cancelled" marks this as a locally-synthesised reply (the
             # link died), distinguishable from a peer-reported ERROR so
@@ -306,7 +322,7 @@ class RequestTracker:
                 body={"error": reason, "cancelled": True},
                 reply_to=message_id,
             )
-            event.set()
+            waiter.set()
 
     def cancel_all(self, reason: str = "link down") -> None:
         """Wake all waiters with an ERROR reply (total shutdown)."""

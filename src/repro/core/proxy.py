@@ -29,6 +29,7 @@ import dataclasses
 import itertools
 import threading
 import time
+from collections import defaultdict
 from typing import Any, Callable, Iterator, Optional
 
 from repro.control.failure import FailureDetector, PeerState
@@ -51,7 +52,8 @@ from repro.core.protocol import (
 from repro.core.routing import GridDirectory
 from repro.core.site import Site
 from repro.obs import ObsHub, racesan
-from repro.obs.trace import current_trace, use_trace
+from repro.obs.metrics import enabled as obs_enabled
+from repro.obs.trace import current_trace, head_sample, use_trace
 from repro.core.tunnel import Tunnel, TunnelBusy, TunnelError
 from repro.core.virtual_slave import AppSpace
 from repro.security.auth import (
@@ -168,6 +170,8 @@ class ProxyServer:
         self._m_req_retries = _m.counter("request.retries")
         self._m_req_timeouts = _m.counter("request.timeouts")
         self._m_req_unavailable = _m.counter("request.peer_unavailable")
+        #: per-op count of the trace roots :meth:`request` head-samples
+        self._trace_roots: defaultdict[int, Iterator[int]] = defaultdict(itertools.count)
         #: token control plane: this proxy's replica of the grid's token
         #: service (shared key, own revocation list converging by gossip)
         self.tokens = tokens
@@ -447,14 +451,19 @@ class ProxyServer:
         proxy has a token service, guarded infrastructure ops are
         stamped with the proxy's own service token automatically.
 
-        Every request runs inside a span: the span's context is stamped
-        on the outgoing message, so the peer's handler span becomes its
-        child and a cross-site round trip reads as one trace.
+        A head-sampled request (the ambient trace's decision, or per op
+        at this proxy outside any trace) runs inside a span whose context
+        is stamped on the outgoing message, so the peer's handler span
+        becomes its child; an unsampled one records no span, no header.
         """
         self._m_req_sent.inc()
+        ctx = current_trace()
+        sampled = head_sample(self._trace_roots[op]) if ctx is None else ctx.sampled
+        if not (sampled and obs_enabled()):
+            return self._request_with_retry(peer_proxy, op, body, timeout, retry, auth)
         span = self.obs.spans.start(
             f"request.{Op.name_of(op)}",
-            parent=current_trace(),
+            parent=ctx,
             tags={"peer": peer_proxy},
         )
         try:
@@ -524,7 +533,7 @@ class ProxyServer:
         if auth is not None:
             message.auth = auth
         ctx = current_trace()
-        if ctx is not None:
+        if ctx is not None and ctx.sampled and obs_enabled():
             message.trace = ctx.to_wire()
         self._tracker.expect(message)
         with self._inflight_lock:

@@ -13,10 +13,13 @@ asking each proxy for its spans over ``OBS_DUMP``.
 Propagation uses a thread-local "current trace": the dispatch pipeline
 installs the inbound context around the handler (:func:`use_trace`), so
 any nested request the handler makes links into the same trace.
+Traces are head-sampled at their root (:func:`head_sample`); every hop
+follows, and an unsampled request records no span and sends no header.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import secrets
 import threading
@@ -30,10 +33,12 @@ from typing import Any, Callable, Iterator, Optional
 from repro.obs.metrics import enabled
 
 __all__ = [
+    "SAMPLE_EVERY",
     "Span",
     "SpanRecorder",
     "TraceContext",
     "current_trace",
+    "head_sample",
     "mint_trace",
     "swap_trace",
     "use_trace",
@@ -60,6 +65,7 @@ class TraceContext:
 
     trace_id: str
     span_id: str
+    sampled: bool = True  # never sent: only a sampled request has a header
 
     def to_wire(self) -> dict[str, str]:
         """The expandable-header form carried in control messages."""
@@ -83,9 +89,23 @@ class TraceContext:
         return cls(trace_id=trace_id, span_id=span_id)
 
 
+#: One trace root in this many is recorded (the first always is).
+SAMPLE_EVERY = 64
+
+_roots = itertools.count()
+
+
+def head_sample(roots: Iterator[int]) -> bool:
+    """Whether to record the next root counted by ``roots`` (an
+    :func:`itertools.count`, atomic under the GIL): the first, then one
+    in :data:`SAMPLE_EVERY`; none with obs disabled."""
+    return enabled() and next(roots) % SAMPLE_EVERY == 0
+
+
 def mint_trace() -> TraceContext:
-    """A fresh root context (new trace, new root span id)."""
-    return TraceContext(trace_id=_new_id(8), span_id=_new_id(4))
+    """A fresh root context (new trace, new root span id), head-sampled
+    over a process-wide count of roots; every hop follows the decision."""
+    return TraceContext(_new_id(8), _new_id(4), head_sample(_roots))
 
 
 _tls = threading.local()
@@ -191,10 +211,10 @@ class Span:
 class SpanRecorder:
     """Bounded store of finished spans at one proxy.
 
-    ``capacity`` bounds memory: the recorder keeps the most recent spans
-    and counts what it dropped, so a chatty grid degrades to *recent*
-    visibility instead of unbounded growth.  Only finished spans are
-    kept — a span abandoned mid-flight never surfaces half-recorded.
+    Callers open spans only for head-sampled traces, and ``capacity``
+    bounds memory: past it the recorder keeps the most recent spans and
+    counts what it dropped.  Only finished spans are kept — a span
+    abandoned mid-flight never surfaces half-recorded.
     """
 
     def __init__(

@@ -18,9 +18,10 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import hmac
+import re
 import secrets
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.security.rsa import RsaPublicKey
 
@@ -160,6 +161,9 @@ class UserDirectory:
         return {g for g, members in self._groups.items() if userid in members}
 
 
+_Rule = tuple[Callable[[str], Optional[re.Match[str]]], str]
+
+
 class AccessControlList:
     """Deny-by-default permissions for users and groups.
 
@@ -167,22 +171,23 @@ class AccessControlList:
     are ``"user:alice"`` or ``"group:physics"``, resource patterns are
     fnmatch globs over resource names (``"site:*"``, ``"mpi:run"``).
     Explicit deny rules override grants, so a compromised group membership
-    cannot resurrect a banned user.
+    cannot resurrect a banned user.  Rules are indexed by principal, so a
+    check reads only the rules of the user and their groups.
     """
 
     def __init__(self, directory: UserDirectory) -> None:
         self._directory = directory
-        self._grants: list[tuple[str, str, str]] = []
-        self._denies: list[tuple[str, str, str]] = []
+        self._grants: dict[str, list[_Rule]] = {}
+        self._denies: dict[str, list[_Rule]] = {}
 
     def grant(self, principal: str, resource_pattern: str, action: str) -> None:
-        self._grants.append(self._validated(principal, resource_pattern, action))
+        self._add(self._grants, principal, resource_pattern, action)
 
     def deny(self, principal: str, resource_pattern: str, action: str) -> None:
-        self._denies.append(self._validated(principal, resource_pattern, action))
+        self._add(self._denies, principal, resource_pattern, action)
 
     @staticmethod
-    def _validated(principal: str, pattern: str, action: str) -> tuple[str, str, str]:
+    def _add(rules: dict[str, list[_Rule]], principal: str, pattern: str, action: str) -> None:
         kind, _, name = principal.partition(":")
         if kind not in ("user", "group") or not name:
             raise ValueError(
@@ -190,7 +195,8 @@ class AccessControlList:
             )
         if not pattern or not action:
             raise ValueError("empty resource pattern or action")
-        return principal, pattern, action
+        matcher = re.compile(fnmatch.translate(pattern)).match
+        rules.setdefault(principal, []).append((matcher, action))
 
     def _principals_for(self, userid: str) -> set[str]:
         principals = {f"user:{userid}"}
@@ -200,12 +206,11 @@ class AccessControlList:
     def is_allowed(self, userid: str, resource: str, action: str) -> bool:
         principals = self._principals_for(userid)
 
-        def matches(rules: list[tuple[str, str, str]]) -> bool:
+        def matches(rules: dict[str, list[_Rule]]) -> bool:
             return any(
-                principal in principals
-                and fnmatch.fnmatchcase(resource, pattern)
-                and (rule_action == action or rule_action == "*")
-                for principal, pattern, rule_action in rules
+                (rule_action == action or rule_action == "*") and matcher(resource)
+                for principal in principals
+                for matcher, rule_action in rules.get(principal, ())
             )
 
         if matches(self._denies):

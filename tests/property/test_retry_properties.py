@@ -59,6 +59,19 @@ def test_jittered_delays_stay_in_band(policy, seed):
         assert jittered >= 0.0
 
 
+def test_tiny_jitter_does_not_round_out_of_band():
+    """A jitter near one ulp: ``nominal * (1 + u)`` rounded past
+    ``nominal + jitter * nominal`` on this seed."""
+    policy = RetryPolicy(
+        max_attempts=4, base_delay=0.21875, multiplier=1.0, max_delay=1.0,
+        jitter=4.165923104751504e-16,
+    )
+    rng = random.Random(11)
+    for nominal, jittered in zip(policy.nominal_delays(), policy.delays(rng=rng)):
+        band = policy.jitter * nominal
+        assert nominal - band <= jittered <= nominal + band
+
+
 @settings(max_examples=100, deadline=None)
 @given(policies, st.integers(min_value=0, max_value=2**32))
 def test_jitter_replays_from_seed(policy, seed):

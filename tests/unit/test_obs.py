@@ -9,6 +9,7 @@ format: a peer from this commit and any later one must interoperate).
 """
 
 import binascii
+import sys
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro.obs import (
     set_enabled,
     use_trace,
 )
+from repro.obs.trace import SAMPLE_EVERY
 from repro.transport.frames import decode_frame, encode_frame
 
 
@@ -287,3 +289,118 @@ class TestObsDumpAcceptance:
         from repro.transport.frames import decode_value, encode_value
 
         assert decode_value(encode_value(dump)) == dump
+
+
+class TestHeadSampling:
+    """The root decides once whether a trace is recorded; every hop
+    follows, and "trace header present" is the sampling bit on the wire."""
+
+    @pytest.fixture
+    def pair(self):
+        with Grid() as grid:
+            grid.add_site("A", nodes=1)
+            grid.add_site("B", nodes=1)
+            grid.connect_all()
+            a, b = grid.proxy_of("A"), grid.proxy_of("B")
+            frames = []
+            for proxy in (a, b):
+                # Every inbound control frame, request or reply, is decoded
+                # here: record what actually crossed the wire.
+                def decode(frame, _decode=proxy.pipeline.decode):
+                    message = _decode(frame)
+                    if message is not None and message.op in (Op.PING, Op.PONG):
+                        frames.append(frame)
+                    return message
+
+                proxy.pipeline.decode = decode
+            yield a, b, frames
+
+    @staticmethod
+    def _ping_spans(proxy):
+        return [
+            s for s in proxy.obs.spans.records()
+            if s["name"] in ("request.PING", "handle.PING")
+        ]
+
+    def test_mint_trace_samples_one_root_in_sample_every(self):
+        for skew in (0, 1, 17, SAMPLE_EVERY - 1):
+            for _ in range(skew):
+                mint_trace()
+            minted = [mint_trace() for _ in range(2 * SAMPLE_EVERY)]
+            assert sum(ctx.sampled for ctx in minted) == 2
+
+    def test_concurrent_minting_samples_exactly_one_in_sample_every(self):
+        """The shared root counter loses no update across threads."""
+        threads, per_thread = 4, 4 * SAMPLE_EVERY
+        sampled = [0] * threads
+
+        def mint(index):
+            sampled[index] = sum(mint_trace().sampled for _ in range(per_thread))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=mint, args=(i,)) for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(sampled) == threads * per_thread // SAMPLE_EVERY
+
+    def test_parsed_and_hand_built_contexts_are_sampled(self):
+        assert TraceContext("t", "s").sampled
+        assert TraceContext.from_wire({"tid": "t", "sid": "s"}).sampled
+
+    def test_disabled_layer_samples_nothing(self, pair):
+        a, b, frames = pair
+        set_enabled(False)
+        try:
+            assert not any(mint_trace().sampled for _ in range(2 * SAMPLE_EVERY))
+            assert a.request(b.name, Op.PING).op == Op.PONG
+        finally:
+            set_enabled(True)
+        assert [f.headers.get("trace") for f in frames] == [None, None]
+
+    def test_unsampled_request_sends_no_header_and_records_no_span(self, pair):
+        a, b, frames = pair
+        latency = b.obs.metrics.histogram("dispatch.latency_s.PING")
+        before = latency.count
+        with use_trace(TraceContext("00ff00ff00ff00ff", "ab12ab12", sampled=False)):
+            assert a.request(b.name, Op.PING).op == Op.PONG
+        assert len(frames) == 2
+        assert all("trace" not in frame.headers for frame in frames)
+        assert self._ping_spans(a) == [] and self._ping_spans(b) == []
+        assert latency.count == before + 1  # metrics stay on
+
+    def test_hand_built_context_is_recorded_at_both_hops(self, pair):
+        a, b, frames = pair
+        with use_trace(TraceContext("00ff00ff00ff00ff", "ab12ab12")):
+            assert a.request(b.name, Op.PING).op == Op.PONG
+        assert all("trace" in frame.headers for frame in frames)
+        (request,) = self._ping_spans(a)
+        (handler,) = self._ping_spans(b)
+        assert request["trace_id"] == handler["trace_id"] == "00ff00ff00ff00ff"
+        assert request["parent_id"] == "ab12ab12"
+        assert handler["parent_id"] == request["span_id"]
+
+    def test_first_untraced_request_of_each_op_is_a_sampled_root(self, pair):
+        a, b, frames = pair
+        for _ in range(SAMPLE_EVERY):
+            a.request(b.name, Op.PING)
+        traced = [f for f in frames if "trace" in f.headers]
+        assert len(traced) == 2  # the first PING and its PONG
+        assert [s["name"] for s in self._ping_spans(a)] == ["request.PING"]
+        assert [s["name"] for s in self._ping_spans(b)] == ["handle.PING"]
+
+    def test_unsampled_load_drops_no_span(self, pair):
+        a, b, _ = pair
+        for _ in range(5000):
+            with use_trace(TraceContext("t", "s", sampled=False)):
+                a.request(b.name, Op.PING)
+        assert a.obs.spans.dropped == 0 and b.obs.spans.dropped == 0
+        assert self._ping_spans(a) == [] and self._ping_spans(b) == []
