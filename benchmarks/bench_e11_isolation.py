@@ -40,8 +40,9 @@ def run_external(crashes: int) -> dict:
         result = grid.run_mpi(crashing_app, nprocs=6, timeout=120.0)
         survivors = sum(1 for r in result.returns if r == "ok")
         # Post-crash: every grid service must still work.
-        job_ok = grid.submit_job(
-            "alice", "pw", "echo", {"value": 1}, origin_site="A", target_site="B"
+        token = grid.login("alice", "pw", via_site="A")
+        job_ok = grid.submit_job_with_token(
+            token, "echo", {"value": 1}, origin_site="A", target_site="B"
         ) == 1
         status_ok = len(grid.global_status()) == 2
         mpi_ok = grid.run_mpi(lambda c: c.size, nprocs=4, timeout=120.0).ok

@@ -4,9 +4,9 @@ Walks the architecture end to end in under a minute:
 
 1. create two sites, each with nodes behind a border proxy;
 2. interconnect the sites (CA-issued certificates, SSL-like tunnel);
-3. register a user and permissions;
-4. submit a job locally and across the tunnel (authenticated and
-   authorised at both proxies);
+3. register a user and permissions, and log in once for a token;
+4. submit jobs under that token, locally and across the tunnel
+   (authorised at both proxies);
 5. compile the grid-wide status from the per-site collections.
 
 Run:  python examples/quickstart.py
@@ -30,16 +30,19 @@ def main() -> None:
     grid.grant("user:alice", "site:*", "submit")
     print("alice may submit to any site")
 
+    print("\n== one login at the origin proxy buys a token ==")
+    token = grid.login("alice", "correct-horse", via_site="riverside")
+    print(f"token: {len(token)} bytes, reused for every job below")
+
     print("\n== local job (stays inside the site, no encryption) ==")
-    result = grid.submit_job(
-        "alice", "correct-horse", "sum_range", {"n": 1000}, origin_site="riverside"
+    result = grid.submit_job_with_token(
+        token, "sum_range", {"n": 1000}, origin_site="riverside"
     )
     print(f"sum(range(1000)) = {result}")
 
     print("\n== remote job (crosses the secure tunnel) ==")
-    result = grid.submit_job(
-        "alice",
-        "correct-horse",
+    result = grid.submit_job_with_token(
+        token,
         "echo",
         {"value": "hello from hilltop"},
         origin_site="riverside",
@@ -49,7 +52,7 @@ def main() -> None:
 
     print("\n== a wrong password is rejected at the origin proxy ==")
     try:
-        grid.submit_job("alice", "wrong", "noop", origin_site="riverside")
+        grid.login("alice", "wrong", via_site="riverside")
     except Exception as exc:
         print(f"rejected: {exc}")
 

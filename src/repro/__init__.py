@@ -14,7 +14,8 @@ Quick tour
 >>> grid.connect_all()                      # CA certs + secure tunnels
 >>> grid.add_user("alice", "pw")
 >>> grid.grant("user:alice", "site:*", "submit")
->>> grid.submit_job("alice", "pw", "echo", {"value": 42}, target_site="B")
+>>> token = grid.login("alice", "pw")       # one password check per session
+>>> grid.submit_job_with_token(token, "echo", {"value": 42}, target_site="B")
 42
 >>> from repro.mpi.datatypes import SUM
 >>> grid.run_mpi(lambda c: c.allreduce(1, SUM), nprocs=4).returns

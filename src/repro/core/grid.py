@@ -131,32 +131,13 @@ class Grid:
         for index, speed in enumerate(speeds):
             site.add_node(f"{name}.n{index}", cpu_speed=speed, tasks=tasks)
 
-        proxy_name = f"proxy.{name}"
-        keypair = RsaKeyPair.generate(self.key_bits)
-        certificate = self.ca.issue(proxy_name, "proxy", keypair.public)
-        address = self._make_address(proxy_name)
-        self.directory.register_site(name, proxy_name, address)
-        for node_name in site.node_names():
-            self.directory.register_node(node_name, name)
+        def register(proxy_name: str, address: str) -> None:
+            self.directory.register_site(name, proxy_name, address)
+            for node_name in site.node_names():
+                self.directory.register_node(node_name, name)
 
-        proxy = ProxyServer(
-            name=proxy_name,
-            site=site,
-            keypair=keypair,
-            certificate=certificate,
-            trust_anchor=self.ca.public_key,
-            clock=self.clock,
-            directory=self.directory,
-            tokens=TokenService(
-                self.users, self.clock, key=self._token_key, issuer=proxy_name
-            ),
-            users=self.users,
-            acl=self.acl,
-        )
-        proxy.ledger = self.ledger
-        self._start_listening(proxy, address)
+        self._new_proxy(f"proxy.{name}", site, register)
         self.sites[name] = site
-        self.proxies[proxy_name] = proxy
         return site
 
     def add_extra_proxy(self, site_name: str) -> ProxyServer:
@@ -172,11 +153,26 @@ class Grid:
             raise GridError(f"unknown site: {site_name!r}")
         site = self.sites[site_name]
         index = len(self.directory.proxies_of_site(site_name))
-        proxy_name = f"proxy.{site_name}.{index}"
+        return self._new_proxy(
+            f"proxy.{site_name}.{index}",
+            site,
+            lambda proxy_name, address: self.directory.register_extra_proxy(
+                site_name, proxy_name, address
+            ),
+        )
+
+    def _new_proxy(
+        self,
+        proxy_name: str,
+        site: Site,
+        register: Callable[[str, str], None],
+    ) -> ProxyServer:
+        """Key, certify, register (via ``register(name, address)``) and
+        start one proxy for ``site``."""
         keypair = RsaKeyPair.generate(self.key_bits)
         certificate = self.ca.issue(proxy_name, "proxy", keypair.public)
         address = self._make_address(proxy_name)
-        self.directory.register_extra_proxy(site_name, proxy_name, address)
+        register(proxy_name, address)
         proxy = ProxyServer(
             name=proxy_name,
             site=site,
@@ -336,6 +332,10 @@ class Grid:
         proxy.send_heartbeats()
         return proxy.tokens.epoch
 
+    # ------------------------------------------------------------------
+    # Jobs
+    # ------------------------------------------------------------------
+
     def submit_job_with_token(
         self,
         token_blob: bytes,
@@ -345,40 +345,13 @@ class Grid:
         target_site: Optional[str] = None,
         timeout: float = 60.0,
     ) -> Any:
-        """Token-plane job submission from ``origin_site``'s proxy."""
+        """Submit a job from ``origin_site``'s proxy under a :meth:`login`
+        token; the token and the ACL are checked at both ends."""
         if not self.sites:
             raise GridError("grid has no sites")
         origin = origin_site or sorted(self.sites)[0]
         return self.proxy_of(origin).submit_job_with_token(
             token_blob,
-            task,
-            params=params,
-            target_site=target_site,
-            timeout=timeout,
-        )
-
-    # ------------------------------------------------------------------
-    # Jobs
-    # ------------------------------------------------------------------
-
-    def submit_job(
-        self,
-        userid: str,
-        password: str,
-        task: str,
-        params: Optional[dict] = None,
-        origin_site: Optional[str] = None,
-        target_site: Optional[str] = None,
-        timeout: float = 60.0,
-    ) -> Any:
-        """Submit a job from ``origin_site``'s proxy, optionally to another
-        site; authentication and permissions are checked at both ends."""
-        if not self.sites:
-            raise GridError("grid has no sites")
-        origin = origin_site or sorted(self.sites)[0]
-        return self.proxy_of(origin).submit_job(
-            userid,
-            password,
             task,
             params=params,
             target_site=target_site,

@@ -106,6 +106,13 @@ DEFAULT_REQUEST_RETRY = RetryPolicy(
     retryable=(RequestTimeout, TunnelError),
 )
 
+#: Failure-detector thresholds (seconds of silence) for every peer.
+SUSPECT_AFTER = 3.0
+DEAD_AFTER = 10.0
+
+#: Size of each proxy's pool for blocking control-plane handlers.
+DISPATCH_WORKERS = 4
+
 #: Guarded ops the request path stamps with this proxy's *service* token
 #: automatically.  JOB_SUBMIT is excluded: it carries end-user identity,
 #: so callers must supply the user's (delegated) token explicitly — a
@@ -126,12 +133,8 @@ class ProxyServer:
         clock: Callable[[], float],
         directory: GridDirectory,
         tokens: TokenService,
-        users: Optional[UserDirectory] = None,
-        acl: Optional[AccessControlList] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        suspect_after: float = 3.0,
-        dead_after: float = 10.0,
-        dispatch_workers: int = 4,
+        users: UserDirectory,
+        acl: AccessControlList,
     ):
         self.name = name
         self.site = site
@@ -141,8 +144,8 @@ class ProxyServer:
         self.trust_anchor = trust_anchor
         self.clock = clock
         self.directory = directory
-        self.users = users or UserDirectory()
-        self.acl = acl or AccessControlList(self.users)
+        self.users = users
+        self.acl = acl
         self._tunnels: dict[str, Tunnel] = {}
         self._tunnel_lock = threading.Lock()
         self._tracker = RequestTracker()
@@ -157,8 +160,6 @@ class ProxyServer:
         self._spaces: dict[str, AppSpace] = {}
         self._space_lock = threading.Lock()
         self._closing = threading.Event()
-        #: peers we have heard a heartbeat/frame from, with timestamps
-        self.last_heard: dict[str, float] = {}
         #: pluggable hooks (the failure detector and tests subscribe here)
         self.on_peer_lost: list[Callable[[str], None]] = []
         #: this proxy's observability hub — its own site's telemetry
@@ -189,7 +190,7 @@ class ProxyServer:
         #: the layered control-plane pipeline: decode → authorize →
         #: handler lookup → respond, blocking handlers on a sized pool
         self.pipeline = DispatchPipeline(
-            name=f"{name}-dispatch", workers=dispatch_workers, obs=self.obs
+            name=f"{name}-dispatch", workers=DISPATCH_WORKERS, obs=self.obs
         )
         self._register_handlers()
         #: extension op handlers: op code -> fn(message, peer) -> reply |
@@ -202,12 +203,10 @@ class ProxyServer:
         #: /JOB_STATUS/JOB_DONE ops
         self.wms = None
         self._wms_claim_ids = itertools.count(1)
-        #: retry policy for idempotent control requests (None disables)
-        self.retry_policy = retry_policy or DEFAULT_REQUEST_RETRY
         #: peer health, fed by inbound traffic and tunnel-close events;
         #: failover paths order candidate peers by this detector's verdict
         self.health = FailureDetector(
-            clock=clock, suspect_after=suspect_after, dead_after=dead_after
+            clock=clock, suspect_after=SUSPECT_AFTER, dead_after=DEAD_AFTER
         )
         # Failure-detector transitions are rare and load-bearing: count
         # every one, so a flapping peer is visible in the OBS_DUMP view.
@@ -351,7 +350,6 @@ class ProxyServer:
             self._resumption[tunnel.peer_name] = ticket
         with self._tunnel_lock:
             self._tunnels[tunnel.peer_name] = tunnel
-        self.last_heard[tunnel.peer_name] = self.clock()
         self.health.watch(tunnel.peer_name)
         tunnel.start()
 
@@ -441,8 +439,8 @@ class ProxyServer:
         """Send a control request to a peer and wait for the reply.
 
         Idempotent ops (see :data:`~repro.core.protocol.IDEMPOTENT_OPS`)
-        are retried under the proxy's retry policy on per-attempt
-        timeouts and tunnel send failures; ``timeout`` is the *total*
+        are retried under ``retry`` (default :data:`DEFAULT_REQUEST_RETRY`)
+        on per-attempt timeouts and tunnel send failures; ``timeout`` is the *total*
         deadline budget across attempts.  Everything else runs exactly
         once — a duplicated JOB_SUBMIT would execute twice.
 
@@ -486,9 +484,8 @@ class ProxyServer:
         retry: Optional[RetryPolicy],
         auth: Optional[bytes] = None,
     ) -> ControlMessage:
-        policy = retry if retry is not None else self.retry_policy
-        idempotent = op in IDEMPOTENT_OPS
-        if policy is None or not idempotent or policy.max_attempts <= 1:
+        policy = retry if retry is not None else DEFAULT_REQUEST_RETRY
+        if op not in IDEMPOTENT_OPS or policy.max_attempts <= 1:
             return self._request_once(peer_proxy, op, body, timeout, auth)
         # Each attempt gets an equal slice of the budget so a swallowed
         # request leaves room for its retries within ``timeout``.
@@ -578,7 +575,6 @@ class ProxyServer:
         message = self.pipeline.decode(frame)
         if message is None:
             return  # corrupt control traffic is discarded
-        self.last_heard[tunnel.peer_name] = self.clock()
         self.health.heard_from(tunnel.peer_name)
         if message.is_reply():
             self._tracker.fulfil(message)
@@ -610,7 +606,6 @@ class ProxyServer:
                 requests.append(message)
         if not requests and not fulfilled:
             return
-        self.last_heard[tunnel.peer_name] = self.clock()
         self.health.heard_from(tunnel.peer_name)
         if not requests:
             return
@@ -976,27 +971,6 @@ class ProxyServer:
         if not candidates:
             raise ProxyError(f"site {self.site.name!r} has no alive nodes")
         return min(candidates, key=lambda n: (n.running_tasks, n.name)).name
-
-    def submit_job(
-        self,
-        userid: str,
-        password: str,
-        task: str,
-        params: Optional[dict] = None,
-        target_site: Optional[str] = None,
-        timeout: float = 60.0,
-    ) -> Any:
-        """Full job path: authenticate, authorise at origin, run or forward.
-
-        The password buys one login at this (the origin) proxy, and the
-        job travels under the resulting bearer token via
-        :meth:`submit_job_with_token`: ACL at the origin, token and ACL
-        again at the destination, exactly as the paper specifies.
-        """
-        token = self.tokens.login(userid, password)
-        return self.submit_job_with_token(
-            token.to_bytes(), task, params, target_site, timeout
-        )
 
     def submit_job_with_token(
         self,
@@ -1380,7 +1354,6 @@ class ProxyServer:
                 yield alt
 
     def _on_mpi(self, tunnel: Tunnel, frame: Frame) -> None:
-        self.last_heard[tunnel.peer_name] = self.clock()
         self.health.heard_from(tunnel.peer_name)
         try:
             app_id = frame.headers["app"]
@@ -1549,7 +1522,6 @@ class ProxyServer:
         self.health.check()
 
     def _on_heartbeat(self, tunnel: Tunnel, frame: Frame) -> None:
-        self.last_heard[tunnel.peer_name] = self.clock()
         self.health.heard_from(tunnel.peer_name)
         repoch = frame.headers.get("repoch")
         if isinstance(repoch, int) and repoch > self.tokens.epoch:

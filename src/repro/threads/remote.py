@@ -3,8 +3,10 @@
 A :class:`GridThread` looks like :class:`threading.Thread` — ``start``,
 ``join``, ``is_alive``, plus ``result()`` — but its body is a registered
 task executed on a grid node chosen by the scheduler, possibly at a
-remote site.  All placement, authentication and permission checking ride
-the existing proxy path; nothing new crosses the wire.
+remote site.  It runs under the caller's token blob from one
+:meth:`Grid.login` — one authentication per session, not per task — and
+placement and permission checking ride the existing proxy path; nothing
+new crosses the wire.
 
 :class:`GridExecutor` adds the convenience layer: submit many tasks, map
 over parameter lists, gather results — a minimal
@@ -18,7 +20,10 @@ from typing import Any, Optional, Sequence
 
 from repro.core.grid import Grid
 
-__all__ = ["GridExecutor", "GridThread", "GridThreadError"]
+__all__ = ["MAP_IN_FLIGHT", "GridExecutor", "GridThread", "GridThreadError"]
+
+#: Most tasks one :meth:`GridExecutor.map` keeps running at once.
+MAP_IN_FLIGHT = 8
 
 
 class GridThreadError(Exception):
@@ -26,13 +31,12 @@ class GridThreadError(Exception):
 
 
 class GridThread:
-    """One unit of work running somewhere on the grid."""
+    """One unit of work running somewhere on the grid, under ``token``."""
 
     def __init__(
         self,
         grid: Grid,
-        userid: str,
-        password: str,
+        token: bytes,
         task: str,
         params: Optional[dict] = None,
         target_site: Optional[str] = None,
@@ -40,8 +44,7 @@ class GridThread:
         timeout: float = 60.0,
     ):
         self.grid = grid
-        self.userid = userid
-        self.password = password
+        self.token = token
         self.task = task
         self.params = params or {}
         self.target_site = target_site
@@ -58,9 +61,8 @@ class GridThread:
 
         def body() -> None:
             try:
-                self._result = self.grid.submit_job(
-                    self.userid,
-                    self.password,
+                self._result = self.grid.submit_job_with_token(
+                    self.token,
                     self.task,
                     params=self.params,
                     origin_site=self.origin_site,
@@ -97,19 +99,24 @@ class GridThread:
 
 
 class GridExecutor:
-    """Submit-many / map interface over grid threads."""
+    """Submit-many / map interface over grid threads.
+
+    Every task runs under ``token``, the blob one :meth:`Grid.login`
+    returned.  The executor never logs in and never refreshes: a task
+    submitted after the token expired (or was revoked) fails, and
+    ``result()`` raises that token error.  Log in again, or refresh the
+    token (``ProxyServer.auth_refresh``), and build a new executor.
+    """
 
     def __init__(
         self,
         grid: Grid,
-        userid: str,
-        password: str,
+        token: bytes,
         origin_site: Optional[str] = None,
         timeout: float = 60.0,
     ):
         self.grid = grid
-        self.userid = userid
-        self.password = password
+        self.token = token
         self.origin_site = origin_site
         self.timeout = timeout
         self._threads: list[GridThread] = []
@@ -122,8 +129,7 @@ class GridExecutor:
     ) -> GridThread:
         thread = GridThread(
             self.grid,
-            self.userid,
-            self.password,
+            self.token,
             task,
             params=params,
             target_site=target_site,
@@ -142,17 +148,20 @@ class GridExecutor:
         """Run ``task`` once per parameter dict; returns ordered results.
 
         With ``spread_sites`` the invocations round-robin across the
-        grid's sites (distributed threads in the literal sense).
+        grid's sites (distributed threads in the literal sense).  At most
+        :data:`MAP_IN_FLIGHT` run at once: task ``i`` starts only after
+        task ``i - MAP_IN_FLIGHT`` has finished.
         """
         sites = sorted(self.grid.sites) if spread_sites else [None]
-        threads = [
-            self.submit(
-                task,
-                params=params,
-                target_site=sites[index % len(sites)] if spread_sites else None,
+        threads: list[GridThread] = []
+        for index, params in enumerate(param_list):
+            if index >= MAP_IN_FLIGHT:
+                threads[index - MAP_IN_FLIGHT].join(timeout=self.timeout)
+            threads.append(
+                self.submit(
+                    task, params=params, target_site=sites[index % len(sites)]
+                )
             )
-            for index, params in enumerate(param_list)
-        ]
         for thread in threads:
             thread.join(timeout=self.timeout)
         return [thread.result() for thread in threads]

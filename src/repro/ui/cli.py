@@ -83,9 +83,9 @@ def _cmd_obs(grid: Grid, args) -> int:
 
 
 def _cmd_submit(grid: Grid, args) -> int:
-    result = grid.submit_job(
-        args.user,
-        args.password,
+    token = grid.login(args.user, args.password, via_site=args.origin)
+    result = grid.submit_job_with_token(
+        token,
         args.task,
         params=json.loads(args.params),
         origin_site=args.origin,

@@ -67,8 +67,8 @@ def test_grid_builds_despite_handshake_disconnects(chaos_seed):
         except (GridError, TunnelError, ProxyError) as exc:
             pytest.fail(f"redial should have absorbed the faults: {exc}")
         try:
-            result = grid.submit_job(
-                "alice", "pw", "echo", {"value": chaos_seed},
+            result = grid.submit_job_with_token(
+                grid.login("alice", "pw", via_site="A"), "echo", {"value": chaos_seed},
                 origin_site="A", target_site="B",
             )
             assert result == chaos_seed
@@ -154,8 +154,8 @@ def test_midstream_proxy_kill_degrades_one_site_only():
 
         def slow_job_to_c():
             try:
-                grid.submit_job(
-                    "alice", "pw", "sleep", {"duration": 5.0},
+                grid.submit_job_with_token(
+                    grid.login("alice", "pw", via_site="A"), "sleep", {"duration": 5.0},
                     origin_site="A", target_site="C", timeout=10.0,
                 )
             except ProxyError as exc:
@@ -174,8 +174,8 @@ def test_midstream_proxy_kill_degrades_one_site_only():
         assert isinstance(in_flight["error"], ProxyError)
 
         # Surviving sites keep completing work.
-        assert grid.submit_job(
-            "alice", "pw", "echo", {"value": "B lives"},
+        assert grid.submit_job_with_token(
+            grid.login("alice", "pw", via_site="A"), "echo", {"value": "B lives"},
             origin_site="A", target_site="B",
         ) == "B lives"
 
@@ -186,9 +186,9 @@ def test_midstream_proxy_kill_degrades_one_site_only():
 
         # New work for the dead site fails cleanly.
         with pytest.raises(ProxyError):
-            grid.submit_job(
-                "alice", "pw", "noop", origin_site="A", target_site="C",
-                timeout=5.0,
+            grid.submit_job_with_token(
+                grid.login("alice", "pw", via_site="A"), "noop",
+                origin_site="A", target_site="C", timeout=5.0,
             )
 
         # MPI routes around the unreachable site: C's stations are

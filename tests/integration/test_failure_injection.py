@@ -35,8 +35,9 @@ class TestProxyFailure:
     def test_surviving_sites_keep_working(self, grid):
         grid.proxy_of("C").shutdown()
         # A <-> B remains fully functional.
-        result = grid.submit_job(
-            "alice", "pw", "echo", {"value": 1}, origin_site="A", target_site="B"
+        result = grid.submit_job_with_token(
+            grid.login("alice", "pw", via_site="A"), "echo", {"value": 1},
+            origin_site="A", target_site="B",
         )
         assert result == 1
 
@@ -103,8 +104,8 @@ class TestNodeFailure:
     def test_job_routed_around_dead_node(self, grid):
         grid.sites["B"].nodes["B.n0"].fail()
         for _ in range(3):
-            result = grid.submit_job(
-                "alice", "pw", "echo", {"value": "x"},
+            result = grid.submit_job_with_token(
+                grid.login("alice", "pw", via_site="A"), "echo", {"value": "x"},
                 origin_site="A", target_site="B",
             )
             assert result == "x"
@@ -113,16 +114,18 @@ class TestNodeFailure:
         for node in grid.sites["B"].nodes.values():
             node.fail()
         with pytest.raises(ProxyError, match="rejected"):
-            grid.submit_job(
-                "alice", "pw", "noop", origin_site="A", target_site="B"
+            grid.submit_job_with_token(
+                grid.login("alice", "pw", via_site="A"), "noop",
+                origin_site="A", target_site="B",
             )
 
     def test_node_recovery_restores_capacity(self, grid):
         for node in grid.sites["B"].nodes.values():
             node.fail()
         grid.sites["B"].nodes["B.n1"].recover()
-        result = grid.submit_job(
-            "alice", "pw", "echo", {"value": 5}, origin_site="A", target_site="B"
+        result = grid.submit_job_with_token(
+            grid.login("alice", "pw", via_site="A"), "echo", {"value": 5},
+            origin_site="A", target_site="B",
         )
         assert result == 5
 

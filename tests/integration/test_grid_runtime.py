@@ -63,55 +63,72 @@ class TestTopology:
 
 class TestJobs:
     def test_local_job(self, grid):
-        assert grid.submit_job("alice", "pw", "echo", {"value": 1}, origin_site="A") == 1
+        token = grid.login("alice", "pw", via_site="A")
+        assert grid.submit_job_with_token(
+            token, "echo", {"value": 1}, origin_site="A"
+        ) == 1
 
     def test_remote_job_crosses_tunnel(self, grid):
-        result = grid.submit_job(
-            "alice", "pw", "sum_range", {"n": 100}, origin_site="A", target_site="B"
+        token = grid.login("alice", "pw", via_site="A")
+        result = grid.submit_job_with_token(
+            token, "sum_range", {"n": 100}, origin_site="A", target_site="B"
         )
         assert result == sum(range(100))
 
     def test_wrong_password_rejected_at_origin(self, grid):
         with pytest.raises(AuthenticationError):
-            grid.submit_job("alice", "nope", "noop", origin_site="A")
+            grid.login("alice", "nope", via_site="A")
 
     def test_unknown_user_rejected(self, grid):
         with pytest.raises(AuthenticationError):
-            grid.submit_job("mallory", "pw", "noop", origin_site="A")
+            grid.login("mallory", "pw", via_site="A")
 
     def test_no_permission_rejected_at_origin(self, grid):
         grid.add_user("bob", "pw")  # no grants
+        token = grid.login("bob", "pw", via_site="A")
         with pytest.raises(PermissionDenied):
-            grid.submit_job("bob", "pw", "noop", origin_site="A", target_site="B")
+            grid.submit_job_with_token(
+                token, "noop", origin_site="A", target_site="B"
+            )
 
     def test_site_scoped_permission(self, grid):
         grid.add_user("carol", "pw")
         grid.grant("user:carol", "site:A", "submit")
-        assert grid.submit_job("carol", "pw", "echo", {"value": 5}, origin_site="A") == 5
+        token = grid.login("carol", "pw", via_site="A")
+        assert grid.submit_job_with_token(
+            token, "echo", {"value": 5}, origin_site="A"
+        ) == 5
         with pytest.raises(PermissionDenied):
-            grid.submit_job("carol", "pw", "noop", origin_site="A", target_site="B")
+            grid.submit_job_with_token(
+                token, "noop", origin_site="A", target_site="B"
+            )
 
     def test_group_permission_end_to_end(self, grid):
         grid.add_user("dave", "pw")
         grid.users.create_group("physics")
         grid.users.add_to_group("physics", "dave")
         grid.grant("group:physics", "site:B", "submit")
-        result = grid.submit_job(
-            "dave", "pw", "echo", {"value": "ok"}, origin_site="A", target_site="B"
+        token = grid.login("dave", "pw", via_site="A")
+        result = grid.submit_job_with_token(
+            token, "echo", {"value": "ok"}, origin_site="A", target_site="B"
         )
         assert result == "ok"
 
     def test_unknown_task_rejected_remotely(self, grid):
+        token = grid.login("alice", "pw", via_site="A")
         with pytest.raises(ProxyError, match="rejected"):
-            grid.submit_job(
-                "alice", "pw", "not_a_task", origin_site="A", target_site="B"
+            grid.submit_job_with_token(
+                token, "not_a_task", origin_site="A", target_site="B"
             )
 
     def test_job_to_site_with_all_nodes_dead(self, grid):
         for node in grid.sites["C"].nodes.values():
             node.fail()
+        token = grid.login("alice", "pw", via_site="A")
         with pytest.raises(ProxyError):
-            grid.submit_job("alice", "pw", "noop", origin_site="A", target_site="C")
+            grid.submit_job_with_token(
+                token, "noop", origin_site="A", target_site="C"
+            )
 
 
 class TestMonitoring:

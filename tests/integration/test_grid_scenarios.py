@@ -102,8 +102,8 @@ def _failover_scenario(grid: Grid):
     grid.add_user("alice", "pw")
     grid.grant("user:alice", "site:*", "submit")
     grid.proxies["proxy.B"].shutdown()
-    result = grid.submit_job(
-        "alice", "pw", "echo", {"value": "via backup"},
+    result = grid.submit_job_with_token(
+        grid.login("alice", "pw", via_site="A"), "echo", {"value": "via backup"},
         origin_site="A", target_site="B", timeout=60.0,
     )
     status = grid.global_status(via_site="A")
@@ -266,8 +266,8 @@ def _tunnel_echo_scenario(grid: Grid):
     peer = grid.directory.proxy_of_site("B")
     pong = origin.request(peer, Op.PING, timeout=30.0)
     payload = {"n": 7, "text": "café", "nested": {"ok": True}}
-    echoed = grid.submit_job(
-        "alice", "pw", "echo", {"value": payload},
+    echoed = grid.submit_job_with_token(
+        grid.login("alice", "pw", via_site="A"), "echo", {"value": payload},
         origin_site="A", target_site="B", timeout=60.0,
     )
     return {
@@ -592,8 +592,8 @@ def test_default_grid_refuses_guarded_ops_without_a_token():
         return {
             "bare": bare,
             "unstamped_submit": Op.name_of(unstamped.op),
-            "submit_job": grid.submit_job(
-                "alice", "pw", "echo", {"value": "ok"},
+            "submit_job": grid.submit_job_with_token(
+                grid.login("alice", "pw", via_site="A"), "echo", {"value": "ok"},
                 origin_site="A", target_site="B",
             ),
             "wms_submit": a.wms_submit(b.name, JobSpec(job_id="j0")),

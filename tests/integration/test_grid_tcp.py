@@ -29,8 +29,9 @@ def test_tunnels_over_tcp(tcp_grid):
 
 
 def test_remote_job_over_tcp(tcp_grid):
-    result = tcp_grid.submit_job(
-        "alice", "pw", "sum_range", {"n": 50}, origin_site="A", target_site="B"
+    token = tcp_grid.login("alice", "pw", via_site="A")
+    result = tcp_grid.submit_job_with_token(
+        token, "sum_range", {"n": 50}, origin_site="A", target_site="B"
     )
     assert result == sum(range(50))
 

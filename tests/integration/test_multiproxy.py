@@ -43,8 +43,8 @@ def test_extra_proxy_shares_the_site(grid):
 def test_job_failover_to_surviving_proxy(grid):
     grid.proxies["proxy.B"].shutdown()
     time.sleep(0.1)
-    result = grid.submit_job(
-        "alice", "pw", "echo", {"value": "via backup"},
+    result = grid.submit_job_with_token(
+        grid.login("alice", "pw", via_site="A"), "echo", {"value": "via backup"},
         origin_site="A", target_site="B",
     )
     assert result == "via backup"
@@ -62,8 +62,9 @@ def test_both_proxies_down_fails_cleanly(grid):
     grid.proxies["proxy.B.1"].shutdown()
     time.sleep(0.2)
     with pytest.raises(ProxyError, match="no proxy of site"):
-        grid.submit_job(
-            "alice", "pw", "noop", origin_site="A", target_site="B"
+        grid.submit_job_with_token(
+            grid.login("alice", "pw", via_site="A"), "noop",
+            origin_site="A", target_site="B",
         )
 
 
@@ -73,8 +74,9 @@ def test_policy_rejection_is_not_retried(grid):
     grid.grant("user:bob", "site:A", "submit")  # B not granted
     from repro.security.auth import PermissionDenied
 
+    token = grid.login("bob", "pw", via_site="A")
     with pytest.raises(PermissionDenied):
-        grid.submit_job("bob", "pw", "noop", origin_site="A", target_site="B")
+        grid.submit_job_with_token(token, "noop", origin_site="A", target_site="B")
 
 
 def test_extra_proxy_on_unknown_site_rejected(grid):

@@ -6,7 +6,13 @@ import urllib.request
 import pytest
 
 from repro.core.grid import Grid
-from repro.threads.remote import GridExecutor, GridThread, GridThreadError
+from repro.security.tokens import TokenError
+from repro.threads.remote import (
+    MAP_IN_FLIGHT,
+    GridExecutor,
+    GridThread,
+    GridThreadError,
+)
 from repro.ui.cli import build_demo_grid, main
 from repro.ui.web import GridWebServer
 
@@ -114,46 +120,86 @@ class TestWebInterface:
             assert err.value.code == 404
 
 
+@pytest.fixture()
+def token(grid):
+    return grid.login("alice", "pw", via_site="A")
+
+
 class TestGridThreads:
-    def test_single_thread_remote_result(self, grid):
+    def test_single_thread_remote_result(self, grid, token):
         thread = GridThread(
-            grid, "alice", "pw", "sum_range", {"n": 10}, target_site="B"
+            grid, token, "sum_range", {"n": 10}, target_site="B"
         ).start()
         thread.join(timeout=30.0)
         assert thread.result() == 45
 
     def test_thread_error_propagates_on_result(self, grid):
-        thread = GridThread(grid, "alice", "wrong-pw", "noop").start()
+        thread = GridThread(grid, b"not a token", "noop").start()
         thread.join(timeout=30.0)
-        with pytest.raises(Exception):
+        with pytest.raises(TokenError):
             thread.result()
 
-    def test_double_start_rejected(self, grid):
-        thread = GridThread(grid, "alice", "pw", "noop").start()
+    def test_double_start_rejected(self, grid, token):
+        thread = GridThread(grid, token, "noop").start()
         with pytest.raises(GridThreadError):
             thread.start()
         thread.join(timeout=30.0)
 
-    def test_result_before_finish_rejected(self, grid):
-        thread = GridThread(grid, "alice", "pw", "noop")
+    def test_result_before_finish_rejected(self, grid, token):
+        thread = GridThread(grid, token, "noop")
         with pytest.raises(GridThreadError):
             thread.join()
         thread.start()
         thread.join(timeout=30.0)
         thread.result()
 
-    def test_executor_map_spreads_sites(self, grid):
-        executor = GridExecutor(grid, "alice", "pw", origin_site="A")
+    def test_executor_map_spreads_sites(self, grid, token):
+        executor = GridExecutor(grid, token, origin_site="A")
         results = executor.map(
             "sum_range", [{"n": n} for n in [5, 10, 15, 20]]
         )
         assert results == [10, 45, 105, 190]
         executor.shutdown()
 
-    def test_executor_submit_individual(self, grid):
-        executor = GridExecutor(grid, "alice", "pw")
+    def test_executor_submit_individual(self, grid, token):
+        executor = GridExecutor(grid, token)
         a = executor.submit("echo", {"value": "x"}, target_site="A")
         b = executor.submit("echo", {"value": "y"}, target_site="B")
         a.join(timeout=30.0)
         b.join(timeout=30.0)
         assert (a.result(), b.result()) == ("x", "y")
+
+    def test_executor_map_logs_in_zero_times(self, grid, monkeypatch):
+        """One login per session: the map reuses the caller's token."""
+        checks = []
+        authenticate = grid.users.authenticate_password
+
+        def counting(userid, password):
+            checks.append(userid)
+            return authenticate(userid, password)
+
+        monkeypatch.setattr(grid.users, "authenticate_password", counting)
+        token = grid.login("alice", "pw", via_site="A")
+        assert checks == ["alice"]
+        executor = GridExecutor(grid, token, origin_site="A")
+        results = executor.map("echo", [{"value": i} for i in range(200)])
+        assert results == list(range(200))
+        assert checks == ["alice"]
+
+    def test_executor_map_bounds_tasks_in_flight(self, grid, token, monkeypatch):
+        executor = GridExecutor(grid, token, origin_site="A")
+        submit = executor.submit
+        alive_at_submit = []
+
+        def recording(*args, **kwargs):
+            thread = submit(*args, **kwargs)
+            alive_at_submit.append(
+                sum(t.is_alive() for t in executor._threads)
+            )
+            return thread
+
+        monkeypatch.setattr(executor, "submit", recording)
+        results = executor.map("sleep", [{"duration": 0.02}] * 64)
+        assert results == [None] * 64
+        assert len(alive_at_submit) == 64
+        assert max(alive_at_submit) <= MAP_IN_FLIGHT

@@ -102,9 +102,10 @@ class TestGridIntegration:
         grid.add_user("alice", "pw")
         grid.grant("user:alice", "site:*", "submit")
         try:
-            grid.submit_job("alice", "pw", "noop", origin_site="A")
-            grid.submit_job(
-                "alice", "pw", "sum_range", {"n": 1000},
+            token = grid.login("alice", "pw", via_site="A")
+            grid.submit_job_with_token(token, "noop", origin_site="A")
+            grid.submit_job_with_token(
+                token, "sum_range", {"n": 1000},
                 origin_site="A", target_site="B",
             )
             records = grid.ledger.records()

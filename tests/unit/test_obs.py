@@ -256,8 +256,8 @@ class TestObsDumpAcceptance:
             grid.connect_all()
             grid.add_user("alice", "pw")
             grid.grant("user:alice", "site:*", "submit")
-            assert grid.submit_job(
-                "alice", "pw", "echo", {"value": 5},
+            assert grid.submit_job_with_token(
+                grid.login("alice", "pw", via_site="A"), "echo", {"value": 5},
                 origin_site="A", target_site="B",
             ) == 5
             a = grid.proxy_of("A")
