@@ -280,24 +280,21 @@ class MemoryJournal:
 class FileJournal:
     """Append-only JSON-lines journal with crash-recovery replay.
 
-    Every event is written and flushed before the operation that caused
-    it is acknowledged, so an acknowledged transition is never lost to a
-    process crash.  ``fsync=True`` additionally forces the OS buffer to
-    disk per event — the full durability posture, at ~10× the cost; the
-    default survives process death, which is the failure mode the test
-    suites exercise.
+    Every event is written and flushed to the OS before the operation
+    that caused it is acknowledged, so an acknowledged transition
+    survives process death — the failure mode the test suites exercise.
+    It does not survive power loss: nothing forces the OS buffer to
+    disk, because appends run on the shared event loop, where a disk
+    sync per event would stall every tunnel.
     """
 
-    def __init__(self, path: str, fsync: bool = False):
+    def __init__(self, path: str):
         self.path = path
-        self.fsync = fsync
         self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, event: dict[str, Any]) -> None:
         self._fh.write(json.dumps(event, sort_keys=True) + "\n")
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         self._fh.close()
@@ -345,10 +342,11 @@ class WorkloadManager:
     it with the JOB_QSUBMIT/JOB_CLAIM/JOB_STATUS/JOB_DONE control ops
     and wires the failure detector to :meth:`release_pilot`.
 
-    All public methods are thread-safe (the dispatch pipeline serves
-    claims from its worker pool) and deterministic: given the same call
-    sequence and clock values, the journal comes out byte-identical —
-    the chaos suite holds us to that.
+    All public methods are thread-safe (the proxy serves them on its
+    event loop, the failure detector and local callers from their own
+    threads) and deterministic: given the same call sequence and clock
+    values, the journal comes out byte-identical — the chaos suite
+    holds us to that.
     """
 
     def __init__(
@@ -487,8 +485,11 @@ class WorkloadManager:
                     self._claim_cache.move_to_end(claim_id)
                     return list(cached)
             assigned: list[dict[str, Any]] = []
+            # Decayed usage at ``now``, read once per user per claim; a
+            # charge moves only the charged user's value.
+            usage: dict[str, float] = {}
             for _ in range(count):
-                record = self._pick_locked(capability, gap, now)
+                record = self._pick_locked(capability, gap, now, usage)
                 if record is None:
                     break
                 self._counts[JobState.PENDING] -= 1
@@ -499,7 +500,9 @@ class WorkloadManager:
                 record.site = site
                 record.token = f"{record.spec.job_id}#{record.attempts}"
                 self._claimed_by.setdefault(pilot, set()).add(record.spec.job_id)
-                self._shares.charge(record.spec.user, record.spec.work, now)
+                user = record.spec.user
+                self._shares.charge(user, record.spec.work, now)
+                usage[user] = self._shares.usage(user, now)
                 self._log(
                     {
                         "ev": "claim",
@@ -531,6 +534,7 @@ class WorkloadManager:
         capability: Optional[dict[str, Any]],
         gap: Optional[float],
         now: float,
+        usage: dict[str, float],
     ) -> Optional[JobRecord]:
         """Choose one pending job: priority, then fair share, then backfill.
 
@@ -542,13 +546,15 @@ class WorkloadManager:
         smaller job that does, so a giant at the head of every queue
         cannot idle a small claimer.  A lower tier is only reached when
         nothing in the higher tier fits — the bounded priority
-        inversion any backfilling scheduler accepts.
+        inversion any backfilling scheduler accepts.  ``usage`` caches
+        each user's decayed usage at ``now`` across the picks of one claim.
         """
         for priority in sorted(self._pending, reverse=True):
             tier = self._pending[priority]
-            ordered = sorted(
-                tier, key=lambda user: (self._shares.usage(user, now), user)
-            )
+            for user in tier:
+                if user not in usage:
+                    usage[user] = self._shares.usage(user, now)
+            ordered = sorted(tier, key=lambda user: (usage[user], user))
             for user in ordered:
                 record = self._records[tier[user][0]]
                 if self.matchmaker.fits(record.spec, capability, gap):
@@ -768,7 +774,6 @@ class WorkloadManager:
         cls,
         path: str,
         requeue_claimed: bool = True,
-        fsync: bool = False,
         **kwargs: Any,
     ) -> "WorkloadManager":
         """Restart from a journal file after a crash.
@@ -778,7 +783,7 @@ class WorkloadManager:
         executor's late report cannot double-complete the job.
         """
         events = FileJournal.read(path)
-        manager = cls.replay(events, journal=FileJournal(path, fsync=fsync), **kwargs)
+        manager = cls.replay(events, journal=FileJournal(path), **kwargs)
         if requeue_claimed:
             for pilot in sorted(manager._claimed_by):
                 manager.release_pilot(pilot, error="recovered: lease lost in crash")

@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.control.failure import FailureDetector, PeerState
 from repro.control.retry import RetryError, RetryPolicy
-from repro.control.wms import JobSpec, WmsError, site_capability
+from repro.control.wms import JobSpec, site_capability
 from repro.core.dispatch import (
     DROP,
     GUARDED_OP_SCOPES,
@@ -96,8 +96,9 @@ class RequestTimeout(ProxyError):
     """
 
 
-#: Default policy for idempotent control requests: a few quick attempts
-#: with exponential backoff, retrying timeouts and tunnel send failures.
+#: The retry policy of every idempotent control request: a few quick
+#: attempts with exponential backoff, retrying timeouts and tunnel send
+#: failures.
 DEFAULT_REQUEST_RETRY = RetryPolicy(
     max_attempts=3,
     base_delay=0.05,
@@ -112,6 +113,10 @@ DEAD_AFTER = 10.0
 
 #: Size of each proxy's pool for blocking control-plane handlers.
 DISPATCH_WORKERS = 4
+
+#: Most jobs one JOB_CLAIM grants: the claim runs on the event loop, so
+#: its length is bounded however large a ``count`` the pilot asks for.
+MAX_CLAIM_PER_REQUEST = 64
 
 #: Guarded ops the request path stamps with this proxy's *service* token
 #: automatically.  JOB_SUBMIT is excluded: it carries end-user identity,
@@ -433,14 +438,13 @@ class ProxyServer:
         op: int,
         body: Optional[dict] = None,
         timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
         auth: Optional[bytes] = None,
     ) -> ControlMessage:
         """Send a control request to a peer and wait for the reply.
 
         Idempotent ops (see :data:`~repro.core.protocol.IDEMPOTENT_OPS`)
-        are retried under ``retry`` (default :data:`DEFAULT_REQUEST_RETRY`)
-        on per-attempt timeouts and tunnel send failures; ``timeout`` is the *total*
+        are retried under :data:`DEFAULT_REQUEST_RETRY` on per-attempt
+        timeouts and tunnel send failures; ``timeout`` is the *total*
         deadline budget across attempts.  Everything else runs exactly
         once — a duplicated JOB_SUBMIT would execute twice.
 
@@ -458,7 +462,7 @@ class ProxyServer:
         ctx = current_trace()
         sampled = head_sample(self._trace_roots[op]) if ctx is None else ctx.sampled
         if not (sampled and obs_enabled()):
-            return self._request_with_retry(peer_proxy, op, body, timeout, retry, auth)
+            return self._request_with_retry(peer_proxy, op, body, timeout, auth)
         span = self.obs.spans.start(
             f"request.{Op.name_of(op)}",
             parent=ctx,
@@ -466,9 +470,7 @@ class ProxyServer:
         )
         try:
             with use_trace(span.context):
-                return self._request_with_retry(
-                    peer_proxy, op, body, timeout, retry, auth
-                )
+                return self._request_with_retry(peer_proxy, op, body, timeout, auth)
         except ProxyError as exc:
             span.tags["error"] = str(exc)
             raise
@@ -481,16 +483,14 @@ class ProxyServer:
         op: int,
         body: Optional[dict],
         timeout: float,
-        retry: Optional[RetryPolicy],
         auth: Optional[bytes] = None,
     ) -> ControlMessage:
-        policy = retry if retry is not None else DEFAULT_REQUEST_RETRY
-        if op not in IDEMPOTENT_OPS or policy.max_attempts <= 1:
+        if op not in IDEMPOTENT_OPS:
             return self._request_once(peer_proxy, op, body, timeout, auth)
         # Each attempt gets an equal slice of the budget so a swallowed
         # request leaves room for its retries within ``timeout``.
-        slice_timeout = timeout / policy.max_attempts
-        policy = dataclasses.replace(policy, deadline=timeout)
+        slice_timeout = timeout / DEFAULT_REQUEST_RETRY.max_attempts
+        policy = dataclasses.replace(DEFAULT_REQUEST_RETRY, deadline=timeout)
         attempts = 0
 
         def attempt(deadline):
@@ -621,12 +621,13 @@ class ProxyServer:
 
         The :class:`TokenAuthGuard` makes every guarded op (jobs, WMS,
         MPI control, revoke) require a valid bearer token.
-        ``JOB_SUBMIT`` is ``blocking``: it runs user task code, which
-        must never stall the shared event loop (and could deadlock it by
-        waiting on traffic the same loop delivers).  So are
-        ``AUTH_LOGIN`` (PBKDF2 and token minting) and ``AUTH_REVOKE``
-        (fans heartbeats out to every tunnel).  Everything else is a
-        bounded in-memory operation and runs inline.
+        The rule for ``blocking=True`` is "runs user code or costs
+        milliseconds".  ``JOB_SUBMIT`` runs user task code, which must
+        never stall the shared event loop (and could deadlock it by
+        waiting on traffic the same loop delivers); ``AUTH_LOGIN`` pays
+        PBKDF2; ``AUTH_REVOKE`` fans heartbeats out to every tunnel.
+        Everything else, the WMS ops of :meth:`attach_wms` included, is
+        a bounded operation of microseconds and runs inline.
         """
         pipe = self.pipeline
         pipe.add_guard(self._guard_sender_identity)
@@ -741,10 +742,12 @@ class ProxyServer:
         """Adopt a :class:`~repro.control.wms.WorkloadManager`.
 
         This proxy becomes the grid's queue authority: it serves the
-        JOB_QSUBMIT/JOB_CLAIM/JOB_STATUS/JOB_DONE ops (blocking — the
-        manager takes a lock and may journal to disk, neither of which
-        belongs on the event loop), and wires the failure detector so a
-        claiming peer's death releases its leases back to the queue.
+        JOB_QSUBMIT/JOB_CLAIM/JOB_STATUS/JOB_DONE ops inline on the event
+        loop (each is a lock, a dict update and one journal write and
+        flush per job; a claim grants at most
+        :data:`MAX_CLAIM_PER_REQUEST` jobs), and wires the failure
+        detector so a claiming peer's death releases its leases back to
+        the queue.
         """
         if self.wms is not None:
             raise ProxyError(
@@ -752,10 +755,10 @@ class ProxyServer:
             )
         self.wms = wms
         pipe = self.pipeline
-        pipe.register(Op.JOB_QSUBMIT, self._handle_wms_submit, blocking=True)
-        pipe.register(Op.JOB_CLAIM, self._handle_wms_claim, blocking=True)
-        pipe.register(Op.JOB_STATUS, self._handle_wms_status, blocking=True)
-        pipe.register(Op.JOB_DONE, self._handle_wms_done, blocking=True)
+        pipe.register(Op.JOB_QSUBMIT, self._handle_wms_submit)
+        pipe.register(Op.JOB_CLAIM, self._handle_wms_claim)
+        pipe.register(Op.JOB_STATUS, self._handle_wms_status)
+        pipe.register(Op.JOB_DONE, self._handle_wms_done)
         self.health.on_dead.append(self._wms_pilot_lost)
 
     def _wms_pilot_lost(self, peer: str) -> None:
@@ -1088,53 +1091,39 @@ class ProxyServer:
     # Workload manager: authority handlers and pilot-side helpers
     # ------------------------------------------------------------------
 
+    # A WmsError (malformed spec, unknown job) propagates: the pipeline
+    # turns any handler exception into the ERROR reply.
+
     def _handle_wms_submit(self, message: ControlMessage, peer: str) -> ControlMessage:
-        try:
-            result = self.wms.submit(JobSpec.from_wire(message.body))
-        except WmsError as exc:
-            return message.reply(Op.ERROR, {"error": str(exc)})
+        result = self.wms.submit(JobSpec.from_wire(message.body))
         return message.reply(Op.JOB_QUEUED, result)
 
     def _handle_wms_claim(self, message: ControlMessage, peer: str) -> ControlMessage:
         body = message.body
-        try:
-            # The pilot identity is the *authenticated* tunnel peer, not
-            # a body field: it is the name the failure detector will
-            # report dead, so leases key on it.
-            assigned = self.wms.claim(
-                pilot=peer,
-                site=body.get("site", ""),
-                capability=body.get("capability"),
-                count=int(body.get("count", 1)),
-                claim_id=body.get("claim_id"),
-                gap=body.get("gap"),
-            )
-        except WmsError as exc:
-            return message.reply(Op.ERROR, {"error": str(exc)})
+        # The pilot identity is the *authenticated* tunnel peer, not a
+        # body field: it is the name the failure detector will report
+        # dead, so leases key on it.
+        assigned = self.wms.claim(
+            pilot=peer,
+            site=body.get("site", ""),
+            capability=body.get("capability"),
+            count=min(int(body.get("count", 1)), MAX_CLAIM_PER_REQUEST),
+            claim_id=body.get("claim_id"),
+            gap=body.get("gap"),
+        )
         return message.reply(Op.JOB_ASSIGN, {"assigned": assigned})
 
     def _handle_wms_status(self, message: ControlMessage, peer: str) -> ControlMessage:
-        try:
-            result = self.wms.status(message.body.get("job_id"))
-        except WmsError as exc:
-            return message.reply(Op.ERROR, {"error": str(exc)})
+        result = self.wms.status(message.body.get("job_id"))
         return message.reply(Op.JOB_STATE, result)
 
     def _handle_wms_done(self, message: ControlMessage, peer: str) -> ControlMessage:
         body = message.body
-        try:
-            if body.get("ok", True):
-                result = self.wms.complete(
-                    body.get("job_id", ""), body.get("token", "")
-                )
-            else:
-                result = self.wms.fail(
-                    body.get("job_id", ""),
-                    body.get("token", ""),
-                    body.get("error", ""),
-                )
-        except WmsError as exc:
-            return message.reply(Op.ERROR, {"error": str(exc)})
+        job_id, token = body.get("job_id", ""), body.get("token", "")
+        if body.get("ok", True):
+            result = self.wms.complete(job_id, token)
+        else:
+            result = self.wms.fail(job_id, token, body.get("error", ""))
         return message.reply(Op.JOB_DONE_ACK, result)
 
     def wms_submit(

@@ -675,6 +675,39 @@ class Service:
     assert codes_of(result) == [], render_text(result)
 
 
+_FSYNC_HANDLER = """\
+import json
+import os
+
+class Journal:
+    def append(self, event):
+        self._fh.write(json.dumps(event))
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+class Service:
+    def wire(self, pipe):
+        pipe.register(Op.JOB_DONE, self._done{blocking})
+
+    def _done(self, message, peer):
+        self.journal.append(message.body)
+"""
+
+
+def test_gl101_flags_fsync_under_an_inline_handler(tmp_path):
+    """A per-event disk sync on the loop stalls every tunnel."""
+    files = {"repro/core/svc.py": _FSYNC_HANDLER.format(blocking="")}
+    result = lint(tmp_path, files, select={"GL101"})
+    assert codes_of(result) == ["GL101"], render_text(result)
+    assert "os.fsync()" in result.findings[0].message
+
+
+def test_gl101_fsync_under_a_blocking_handler_is_exempt(tmp_path):
+    files = {"repro/core/svc.py": _FSYNC_HANDLER.format(blocking=", blocking=True")}
+    result = lint(tmp_path, files, select={"GL101"})
+    assert codes_of(result) == [], render_text(result)
+
+
 def test_gl101_reaches_through_lambdas(tmp_path):
     files = {
         "repro/core/svc.py": """\

@@ -137,6 +137,8 @@ def _classify_blocking(
             and receiver.id == "socket"
         ):
             return "socket.create_connection()"
+        if attr == "fsync" and isinstance(receiver, ast.Name) and receiver.id == "os":
+            return "os.fsync()"
         if attr == "acquire":
             # acquire() / acquire(True) / acquire(blocking=True) with no
             # timeout can park the thread forever.

@@ -101,8 +101,8 @@ class NoBlockingOnReactor(Rule):
     A callback registered with ``set_ready_callback``, ``register_fd``,
     ``call_later``/``call_every``, or the dispatch registry (without
     ``blocking=True``) runs on a shared event-loop thread; one
-    ``time.sleep``, unbounded ``Lock.acquire``, or blocking socket op
-    stalls every channel multiplexed onto that loop.  The rule walks a
+    ``time.sleep``, ``os.fsync``, unbounded ``Lock.acquire``, or
+    blocking socket op stalls every channel multiplexed onto that loop.  The rule walks a
     conservative call graph from every registration site and flags
     blocking primitives reachable from them.  Non-blocking sockets and
     guarded acquires are real patterns — suppress those sites with the
