@@ -79,6 +79,15 @@ __all__ = [
 ]
 
 
+#: Claim ids remembered for JOB_CLAIM replies (a retried claim within
+#: this many newer claims replays its grant instead of claiming again).
+CLAIM_CACHE_SIZE = 1024
+
+#: One encoder for every journal line: ``json.dumps(..., sort_keys=True)``
+#: would build a fresh encoder per event, for the same bytes.
+_JOURNAL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class WmsError(Exception):
     """Malformed job, unknown job id, or journal corruption."""
 
@@ -293,7 +302,7 @@ class FileJournal:
         self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, event: dict[str, Any]) -> None:
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
+        self._fh.write(_JOURNAL_ENCODER.encode(event) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -356,7 +365,6 @@ class WorkloadManager:
         journal: Optional[Any] = None,
         half_life: float = 300.0,
         backfill_limit: int = 8,
-        claim_cache_size: int = 1024,
         metrics: Optional[Any] = None,
     ):
         if backfill_limit < 0:
@@ -371,10 +379,8 @@ class WorkloadManager:
         self._records: dict[str, JobRecord] = {}
         #: priority tier -> user -> FIFO of pending job ids
         self._pending: dict[int, dict[str, deque[str]]] = {}
-        self._pending_count = 0
         self._claimed_by: dict[str, set[str]] = {}  # pilot -> claimed ids
         self._claim_cache: OrderedDict[str, list[dict[str, Any]]] = OrderedDict()
-        self._claim_cache_size = claim_cache_size
         self._seq = itertools.count(1)
         self._counts = {
             JobState.PENDING: 0,
@@ -403,13 +409,13 @@ class WorkloadManager:
 
     # -- journal helpers -------------------------------------------------
 
-    def _log(self, event: dict[str, Any]) -> None:
+    def _log(self, kind: str, now: float, **fields: Any) -> None:
         if self.journal is not None:
-            self.journal.append(event)
+            self.journal.append({"ev": kind, "t": now, **fields})
 
     def _set_depth(self) -> None:
         if self._m_depth is not None:
-            self._m_depth.set(self._pending_count)
+            self._m_depth.set(self._counts[JobState.PENDING])
 
     # -- submit ----------------------------------------------------------
 
@@ -424,17 +430,25 @@ class WorkloadManager:
                     "state": existing.state,
                     "duplicate": True,
                 }
-            record = JobRecord(spec=spec, seq=next(self._seq), submitted_at=now)
-            self._records[spec.job_id] = record
-            self._enqueue_locked(record, front=False)
-            self._counts[JobState.PENDING] += 1
-            self._log(
-                {"ev": "submit", "t": now, "seq": record.seq, "job": spec.to_wire()}
-            )
+            self._submit_locked(spec, next(self._seq), now)
             if self._m_submitted is not None:
                 self._m_submitted.inc()
             self._set_depth()
             return {"job_id": spec.job_id, "state": JobState.PENDING}
+
+    def _submit_locked(self, spec: JobSpec, seq: int, now: float) -> None:
+        """New → PENDING, at the back of the user's FIFO."""
+        record = JobRecord(spec=spec, seq=seq, submitted_at=now)
+        self._records[spec.job_id] = record
+        self._counts[JobState.PENDING] += 1
+        self._enqueue_locked(record, front=False)
+        self._log("submit", now, seq=seq, job=spec.to_wire())
+
+    def _move_locked(self, record: JobRecord, state: str) -> None:
+        """The one place a job changes state; the counters follow it."""
+        self._counts[record.state] -= 1
+        self._counts[state] += 1
+        record.state = state
 
     def _enqueue_locked(self, record: JobRecord, front: bool) -> None:
         tier = self._pending.setdefault(record.spec.priority, {})
@@ -443,7 +457,6 @@ class WorkloadManager:
             queue.appendleft(record.spec.job_id)
         else:
             queue.append(record.spec.job_id)
-        self._pending_count += 1
 
     def _dequeue_locked(self, record: JobRecord, index: int) -> None:
         tier = self._pending[record.spec.priority]
@@ -453,7 +466,6 @@ class WorkloadManager:
             del tier[record.spec.user]
         if not tier:
             del self._pending[record.spec.priority]
-        self._pending_count -= 1
 
     # -- claim -----------------------------------------------------------
 
@@ -492,27 +504,8 @@ class WorkloadManager:
                 record = self._pick_locked(capability, gap, now, usage)
                 if record is None:
                     break
-                self._counts[JobState.PENDING] -= 1
-                self._counts[JobState.CLAIMED] += 1
-                record.state = JobState.CLAIMED
-                record.attempts += 1
-                record.pilot = pilot
-                record.site = site
-                record.token = f"{record.spec.job_id}#{record.attempts}"
-                self._claimed_by.setdefault(pilot, set()).add(record.spec.job_id)
-                user = record.spec.user
-                self._shares.charge(user, record.spec.work, now)
-                usage[user] = self._shares.usage(user, now)
-                self._log(
-                    {
-                        "ev": "claim",
-                        "t": now,
-                        "job": record.spec.job_id,
-                        "pilot": pilot,
-                        "site": site,
-                        "attempt": record.attempts,
-                    }
-                )
+                self._claim_locked(record, pilot, site, record.attempts + 1, now)
+                usage[record.spec.user] = self._shares.usage(record.spec.user, now)
                 if record.attempts == 1 and self._m_wait is not None:
                     self._m_wait.observe(max(0.0, now - record.submitted_at))
                 assigned.append(
@@ -520,7 +513,7 @@ class WorkloadManager:
                 )
             if claim_id is not None:
                 self._claim_cache[claim_id] = list(assigned)
-                while len(self._claim_cache) > self._claim_cache_size:
+                while len(self._claim_cache) > CLAIM_CACHE_SIZE:
                     self._claim_cache.popitem(last=False)
             if self._m_claims is not None:
                 self._m_claims.inc()
@@ -528,6 +521,19 @@ class WorkloadManager:
                 self._m_claim_serve.observe(time.perf_counter() - start)
             self._set_depth()
             return assigned
+
+    def _claim_locked(
+        self, record: JobRecord, pilot: str, site: str, attempt: int, now: float
+    ) -> None:
+        """A dequeued job → CLAIMED by ``pilot``; the claim charges its user."""
+        self._move_locked(record, JobState.CLAIMED)
+        record.attempts = attempt
+        record.pilot = pilot
+        record.site = site
+        record.token = f"{record.spec.job_id}#{attempt}"
+        self._claimed_by.setdefault(pilot, set()).add(record.spec.job_id)
+        self._shares.charge(record.spec.user, record.spec.work, now)
+        self._log("claim", now, job=record.spec.job_id, pilot=pilot, site=site, attempt=attempt)
 
     def _pick_locked(
         self,
@@ -590,11 +596,7 @@ class WorkloadManager:
             guard = self._report_guard_locked(record, token)
             if guard is not None:
                 return guard
-            self._counts[JobState.CLAIMED] -= 1
-            self._counts[JobState.DONE] += 1
-            record.state = JobState.DONE
-            self._release_claim_locked(record)
-            self._log({"ev": "done", "t": now, "job": job_id, "attempt": record.attempts})
+            self._done_locked(record, now)
             if self._m_completed is not None:
                 self._m_completed.inc()
             return {"job_id": job_id, "state": JobState.DONE}
@@ -608,6 +610,7 @@ class WorkloadManager:
             if guard is not None:
                 return guard
             self._fail_locked(record, error or "reported failure", now)
+            self._count_failure_locked(record)
             self._set_depth()
             return {"job_id": job_id, "state": record.state}
 
@@ -637,45 +640,38 @@ class WorkloadManager:
             }
         return None
 
+    def _done_locked(self, record: JobRecord, now: float) -> None:
+        """CLAIMED → DONE."""
+        self._move_locked(record, JobState.DONE)
+        self._release_claim_locked(record)
+        self._log("done", now, job=record.spec.job_id, attempt=record.attempts)
+
     def _fail_locked(self, record: JobRecord, error: str, now: float) -> None:
         """CLAIMED → PENDING (requeue) or DEAD (attempts spent)."""
-        self._counts[JobState.CLAIMED] -= 1
         self._release_claim_locked(record)
         record.error = error
         record.token = ""
         record.pilot = ""
         record.site = ""
         if record.attempts >= record.spec.max_attempts:
-            record.state = JobState.DEAD
-            self._counts[JobState.DEAD] += 1
-            self._log(
-                {
-                    "ev": "dead",
-                    "t": now,
-                    "job": record.spec.job_id,
-                    "attempt": record.attempts,
-                    "error": error,
-                }
-            )
-            if self._m_dead is not None:
-                self._m_dead.inc()
+            self._move_locked(record, JobState.DEAD)
         else:
-            record.state = JobState.PENDING
-            self._counts[JobState.PENDING] += 1
+            self._move_locked(record, JobState.PENDING)
             # Requeued at the *front* of the user's FIFO: the job kept
             # its original submit seniority, it just had bad luck.
             self._enqueue_locked(record, front=True)
-            self._log(
-                {
-                    "ev": "requeue",
-                    "t": now,
-                    "job": record.spec.job_id,
-                    "attempt": record.attempts,
-                    "error": error,
-                }
-            )
-            if self._m_requeued is not None:
-                self._m_requeued.inc()
+        self._log(
+            "dead" if record.state == JobState.DEAD else "requeue",
+            now,
+            job=record.spec.job_id,
+            attempt=record.attempts,
+            error=error,
+        )
+
+    def _count_failure_locked(self, record: JobRecord) -> None:
+        counter = self._m_dead if record.state == JobState.DEAD else self._m_requeued
+        if counter is not None:
+            counter.inc()
 
     def _release_claim_locked(self, record: JobRecord) -> None:
         held = self._claimed_by.get(record.pilot)
@@ -702,6 +698,7 @@ class WorkloadManager:
                 record = self._records[job_id]
                 if record.state == JobState.CLAIMED and record.pilot == pilot:
                     self._fail_locked(record, error, now)
+                    self._count_failure_locked(record)
             self._set_depth()
             return held
 
@@ -754,11 +751,14 @@ class WorkloadManager:
     ) -> "WorkloadManager":
         """Rebuild a manager from a journal's event stream.
 
-        Replay applies events without re-journaling; ``journal`` is
-        attached afterwards so post-replay operations append where the
-        history left off.  The rebuilt state is exactly the state the
-        journaling manager held after its last acknowledged operation —
-        the conservation property test holds us to it.
+        Each event runs through the same transition function the live
+        operation ran (:meth:`_apply`), on a manager built with
+        ``journal=None`` so nothing is re-journaled and no metric moves;
+        ``journal`` is attached afterwards so post-replay operations
+        append where the history left off.  The rebuilt state is exactly
+        the state the journaling manager held after its last acknowledged
+        operation — the golden-journal and conservation tests hold us to
+        it.
         """
         manager = cls(journal=None, **kwargs)
         for event in events:
@@ -770,76 +770,60 @@ class WorkloadManager:
         return manager
 
     @classmethod
-    def recover(
-        cls,
-        path: str,
-        requeue_claimed: bool = True,
-        **kwargs: Any,
-    ) -> "WorkloadManager":
+    def recover(cls, path: str, **kwargs: Any) -> "WorkloadManager":
         """Restart from a journal file after a crash.
 
-        Outstanding claims are requeued by default — the leases died
-        with the process, and the spent tokens guarantee a surviving
-        executor's late report cannot double-complete the job.
+        Outstanding claims are requeued (or dead-lettered once their
+        attempts are spent) — the leases died with the process, and the
+        spent tokens guarantee a surviving executor's late report cannot
+        double-complete the job.
         """
         events = FileJournal.read(path)
         manager = cls.replay(events, journal=FileJournal(path), **kwargs)
-        if requeue_claimed:
-            for pilot in sorted(manager._claimed_by):
-                manager.release_pilot(pilot, error="recovered: lease lost in crash")
+        for pilot in sorted(manager._claimed_by):
+            manager.release_pilot(pilot, error="recovered: lease lost in crash")
         return manager
 
     def _apply(self, event: dict[str, Any]) -> None:
-        """Apply one journaled event during replay (no re-journaling)."""
+        """Decode one journaled event and run its transition (replay only).
+
+        A claim first takes the job out of the pending queue, as the live
+        pick did.  A failure report re-derives requeue-or-dead from the
+        attempt count, so an event whose kind disagrees is corruption.
+        """
         kind = event.get("ev")
         now = float(event.get("t", 0.0))
         if kind == "submit":
             spec = JobSpec.from_wire(event["job"])
-            record = JobRecord(
-                spec=spec, seq=int(event["seq"]), submitted_at=now
-            )
-            self._records[spec.job_id] = record
-            self._enqueue_locked(record, front=False)
-            self._counts[JobState.PENDING] += 1
+            if spec.job_id in self._records:
+                raise WmsError(f"journal submits job {spec.job_id!r} twice")
+            self._submit_locked(spec, int(event["seq"]), now)
         elif kind == "claim":
             record = self._require_locked(event["job"])
-            index = self._pending_index_locked(record)
-            self._dequeue_locked(record, index)
-            self._counts[JobState.PENDING] -= 1
-            self._counts[JobState.CLAIMED] += 1
-            record.state = JobState.CLAIMED
-            record.attempts = int(event["attempt"])
-            record.pilot = event.get("pilot", "")
-            record.site = event.get("site", "")
-            record.token = f"{record.spec.job_id}#{record.attempts}"
-            self._claimed_by.setdefault(record.pilot, set()).add(record.spec.job_id)
-            self._shares.charge(record.spec.user, record.spec.work, now)
-        elif kind == "done":
+            self._dequeue_locked(record, self._pending_index_locked(record))
+            pilot, site = event.get("pilot", ""), event.get("site", "")
+            self._claim_locked(record, pilot, site, int(event["attempt"]), now)
+        elif kind in ("done", "requeue", "dead"):
             record = self._require_locked(event["job"])
-            self._counts[JobState.CLAIMED] -= 1
-            self._counts[JobState.DONE] += 1
-            record.state = JobState.DONE
-            self._release_claim_locked(record)
-        elif kind in ("requeue", "dead"):
-            record = self._require_locked(event["job"])
-            self._counts[JobState.CLAIMED] -= 1
-            self._release_claim_locked(record)
-            record.error = event.get("error", "")
-            record.token = ""
-            record.pilot = ""
-            record.site = ""
-            if kind == "dead":
-                record.state = JobState.DEAD
-                self._counts[JobState.DEAD] += 1
-            else:
-                record.state = JobState.PENDING
-                self._counts[JobState.PENDING] += 1
-                self._enqueue_locked(record, front=True)
+            if record.state != JobState.CLAIMED:
+                raise WmsError(
+                    f"journal reports {kind!r} for job {record.spec.job_id!r}"
+                    f" that is {record.state}, not claimed"
+                )
+            if kind == "done":
+                self._done_locked(record, now)
+                return
+            self._fail_locked(record, event.get("error", ""), now)
+            if (record.state == JobState.DEAD) != (kind == "dead"):
+                raise WmsError(
+                    f"journal says {kind!r} for job {record.spec.job_id!r} at attempt"
+                    f" {record.attempts} of {record.spec.max_attempts}"
+                )
         else:
             raise WmsError(f"unknown journal event: {kind!r}")
 
     def _pending_index_locked(self, record: JobRecord) -> int:
-        queue = self._pending[record.spec.priority][record.spec.user]
+        queue = self._pending.get(record.spec.priority, {}).get(record.spec.user, ())
         for index, job_id in enumerate(queue):
             if job_id == record.spec.job_id:
                 return index

@@ -357,3 +357,147 @@ class TestMetrics:
         assert counters["wms.completed"] == 1
         assert counters["wms.dead_lettered"] == 1
         assert snap["gauges"]["wms.queue_depth"] == 0
+
+
+class SteppedClock:
+    """A clock that moves only when the test moves it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class TestJournalGolden:
+    """The journal bytes of a fixed history, pinned as a literal.
+
+    The history touches every journal kind: submits by two users, a
+    two-job claim, a completion, a failure that requeues, a pilot loss
+    that dead-letters a ``max_attempts=1`` job, and a duplicate report
+    (which journals nothing).  Replaying the bytes must rebuild the live
+    manager exactly.
+    """
+
+    NO_RAM = {"ram_free": 0, "speed": 1.0}
+    GOLDEN = (
+        '{"ev": "submit", "job": {"group": "", "job_id": "a0", "max_attempts": 3,'
+        ' "priority": 0, "ram": 0, "user": "alice", "work": 1.0}, "seq": 1, "t": 0.0}\n'
+        '{"ev": "submit", "job": {"group": "", "job_id": "b0", "max_attempts": 3,'
+        ' "priority": 0, "ram": 0, "user": "bob", "work": 2.0}, "seq": 2, "t": 0.25}\n'
+        '{"ev": "submit", "job": {"group": "", "job_id": "a1", "max_attempts": 1,'
+        ' "priority": 0, "ram": 0, "user": "alice", "work": 0.5}, "seq": 3, "t": 0.5}\n'
+        '{"ev": "submit", "job": {"group": "", "job_id": "b1", "max_attempts": 3,'
+        ' "priority": 0, "ram": 64, "user": "bob", "work": 1.0}, "seq": 4, "t": 0.75}\n'
+        '{"ev": "submit", "job": {"group": "", "job_id": "a2", "max_attempts": 3,'
+        ' "priority": 0, "ram": 0, "user": "alice", "work": 1.5}, "seq": 5, "t": 1.0}\n'
+        '{"attempt": 1, "ev": "claim", "job": "a0", "pilot": "p1", "site": "S1", "t": 1.25}\n'
+        '{"attempt": 1, "ev": "claim", "job": "b0", "pilot": "p1", "site": "S1", "t": 1.25}\n'
+        '{"attempt": 1, "ev": "done", "job": "a0", "t": 1.75}\n'
+        '{"attempt": 1, "error": "boom", "ev": "requeue", "job": "b0", "t": 2.25}\n'
+        '{"attempt": 1, "ev": "claim", "job": "a1", "pilot": "p2", "site": "S2", "t": 2.75}\n'
+        '{"attempt": 1, "error": "pilot lost", "ev": "dead", "job": "a1", "t": 3.25}\n'
+    )
+
+    def _drive(self, path, clock):
+        wms = WorkloadManager(clock=clock, journal=FileJournal(path), half_life=10.0)
+        for spec in (
+            JobSpec(job_id="a0", user="alice", work=1.0),
+            JobSpec(job_id="b0", user="bob", work=2.0),
+            JobSpec(job_id="a1", user="alice", work=0.5, max_attempts=1),
+            JobSpec(job_id="b1", user="bob", ram=64),
+            JobSpec(job_id="a2", user="alice", work=1.5),
+        ):
+            wms.submit(spec)
+            clock.now += 0.25
+        grants = wms.claim("p1", site="S1", capability=self.NO_RAM, count=2)
+        assert [g["token"] for g in grants] == ["a0#1", "b0#1"]
+        clock.now += 0.5
+        wms.complete("a0", "a0#1")
+        clock.now += 0.5
+        assert wms.fail("b0", "b0#1", "boom")["state"] == JobState.PENDING
+        clock.now += 0.5
+        [grant] = wms.claim("p2", site="S2", capability=self.NO_RAM)
+        assert grant["token"] == "a1#1"
+        clock.now += 0.5
+        assert wms.release_pilot("p2") == ["a1"]
+        clock.now += 0.5
+        assert wms.complete("a0", "a0#1")["duplicate"] is True
+        clock.now += 0.5
+        return wms
+
+    def test_journal_bytes_and_replay(self, tmp_path):
+        path = os.fspath(tmp_path / "wms.jsonl")
+        clock = SteppedClock()
+        live = self._drive(path, clock)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == self.GOLDEN
+            rebuilt = WorkloadManager.replay(
+                FileJournal.read(path), clock=clock, half_life=10.0
+            )
+            assert rebuilt.status() == live.status()
+            assert rebuilt.pending_jobs() == live.pending_jobs() == ["b0", "b1", "a2"]
+            assert rebuilt.fair_shares() == live.fair_shares() == pytest.approx(
+                {"alice": 1.2628776276616505, "bob": 1.6245047927124712}, rel=1e-12
+            )
+            # b0 was requeued ahead of b1: a retried job keeps its seniority.
+            order = [g["token"] for g in live.claim("px", count=10)]
+            assert order == ["a2#1", "b0#2", "b1#1"]
+            assert [g["token"] for g in rebuilt.claim("px", count=10)] == order
+        finally:
+            live.close()
+
+
+class TestCorruptJournal:
+    """Replay refuses histories the live manager could not have written."""
+
+    def _history(self, max_attempts):
+        journal = MemoryJournal()
+        wms = make_wms(journal=journal)
+        wms.submit(JobSpec(job_id="j", max_attempts=max_attempts))
+        wms.submit(JobSpec(job_id="k"))
+        [grant] = wms.claim("p")
+        wms.fail("j", grant["token"], "boom")
+        return journal.events
+
+    def test_requeue_of_a_spent_job_raises(self):
+        events = self._history(max_attempts=1)
+        assert events[-1]["ev"] == "dead"
+        events[-1] = dict(events[-1], ev="requeue")
+        with pytest.raises(WmsError):
+            WorkloadManager.replay(events)
+
+    def test_dead_letter_of_a_job_with_attempts_left_raises(self):
+        events = self._history(max_attempts=2)
+        assert events[-1]["ev"] == "requeue"
+        events[-1] = dict(events[-1], ev="dead")
+        with pytest.raises(WmsError):
+            WorkloadManager.replay(events)
+
+    @pytest.mark.parametrize("others", [0, 1], ids=["alone", "with-a-pending-sibling"])
+    def test_claim_of_a_job_that_is_not_pending_raises(self, others):
+        journal = MemoryJournal()
+        wms = make_wms(journal=journal)
+        for i in range(1 + others):
+            wms.submit(JobSpec(job_id=f"j{i}"))
+        wms.claim("p")
+        claim = journal.events[-1]
+        assert claim["ev"] == "claim" and claim["job"] == "j0"
+        with pytest.raises(WmsError):
+            WorkloadManager.replay(journal.events + [claim])
+
+    def test_second_submit_of_a_job_raises(self):
+        journal = MemoryJournal()
+        wms = make_wms(journal=journal)
+        wms.submit(JobSpec(job_id="j"))
+        with pytest.raises(WmsError):
+            WorkloadManager.replay(journal.events * 2)
+
+    def test_report_on_a_job_that_is_not_claimed_raises(self):
+        journal = MemoryJournal()
+        wms = make_wms(journal=journal)
+        wms.submit(JobSpec(job_id="j"))
+        done = {"ev": "done", "t": 1.0, "job": "j", "attempt": 1}
+        with pytest.raises(WmsError):
+            WorkloadManager.replay(journal.events + [done])
