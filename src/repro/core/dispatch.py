@@ -3,8 +3,8 @@
 The seed's :class:`~repro.core.proxy.ProxyServer` buried the whole
 inbound control path in one ``_dispatch`` method: an if/elif ladder over
 op codes, executed on whichever thread happened to deliver the frame.
-With the reactor owning delivery, that thread is a *shared event loop* —
-a handler that blocks (job execution, a slow extension) would stall every
+With the reactor owning delivery, that thread is the *shared event loop* —
+a handler that blocks (job execution, password hashing) would stall every
 tunnel on the loop, and a handler that waits for a reply arriving over
 the same loop would deadlock it outright.
 
@@ -22,9 +22,11 @@ safe to run:
    HMAC + a revocation-epoch check, at best a hit in the token service's
    cache of verified blobs — the guard keeps none of its own — and never
    asymmetric crypto; gridlint GL105 enforces that budget).
-3. **lookup** — the handler registry maps op → handler; ops registered
-   ``blocking=True`` (job execution, any extension handler) are
-   bounced to a **sized worker pool** so the event loop never stalls.
+3. **lookup** — one dict lookup maps op → handler (:meth:`register`,
+   also how a new op from :func:`~repro.core.protocol.register_op`
+   gets served); ops registered ``blocking=True`` (job execution,
+   password login) are bounced to a **sized worker pool** so the event
+   loop never stalls.
 4. **respond** — the handler's reply (or the ERROR built from its
    exception) goes back through the caller-supplied ``respond`` sink;
    handlers returning ``None`` answer nothing (HELLO, notifications).
@@ -111,13 +113,6 @@ class DispatchPipeline:
         # Benignly racy: losers re-derive the same pair.
         self._op_instruments: dict[int, tuple[str, Any]] = {}
         self._handlers: dict[int, Handler] = {}
-        #: live extension registry, consulted *before* the built-in
-        #: handlers so deployments can override any op ("the codes used
-        #: in this protocol can be expanded").  Extension code is
-        #: unknown code: it always runs on the worker pool.
-        self.overrides: dict[
-            int, Callable[[ControlMessage, str], Optional[ControlMessage]]
-        ] = {}
         self._guards: list[Guard] = []
         self._default: Optional[Handler] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -194,11 +189,7 @@ class DispatchPipeline:
                     self._m_vetoed.inc()
                 self._respond(veto, respond)
                 return
-        override = self.overrides.get(message.op)
-        if override is not None:
-            handler = Handler(override, blocking=True)
-        else:
-            handler = self._handlers.get(message.op, self._default)
+        handler = self._handlers.get(message.op, self._default)
         if handler is None:
             return
         if handler.blocking:

@@ -247,32 +247,29 @@ class ControlMessage:
 
 
 class _ReplyWaiter(queue.SimpleQueue):
-    """Event's ``set``/``wait(timeout) -> bool``, waiting in C (Event's Condition is Python)."""
+    """One expected reply's mailbox, tagged with the peer it is expected from.
 
-    __slots__ = ()
+    The reply (or a locally built cancellation) is put on it, and the
+    requester's ``get`` waits in C (Event's Condition is Python).
+    """
 
-    def set(self) -> None:
-        self.put(True)
+    __slots__ = ("peer",)
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        try:
-            return bool(self.get(timeout=timeout))
-        except queue.Empty:
-            return False
+    def __init__(self, peer: str):
+        self.peer = peer
 
 
 class RequestTracker:
-    """Correlates replies with outstanding requests on one control link."""
+    """Correlates replies with a proxy's outstanding requests, to any peer."""
 
     def __init__(self):
         self._waiting: dict[int, _ReplyWaiter] = {}
-        self._replies: dict[int, ControlMessage] = {}
         self._lock = threading.Lock()
 
-    def expect(self, request: ControlMessage) -> int:
-        """Register interest in the reply to ``request``."""
+    def expect(self, request: ControlMessage, peer: str = "") -> int:
+        """Register interest in the reply to ``request``, sent to ``peer``."""
         with self._lock:
-            self._waiting[request.message_id] = _ReplyWaiter()
+            self._waiting[request.message_id] = _ReplyWaiter(peer)
         return request.message_id
 
     def fulfil(self, reply: ControlMessage) -> bool:
@@ -283,8 +280,7 @@ class RequestTracker:
             waiter = self._waiting.get(reply.reply_to)
             if waiter is None:
                 return False
-            self._replies[reply.reply_to] = reply
-            waiter.set()
+            waiter.put(reply)
             return True
 
     def wait(self, message_id: int, timeout: float = 30.0) -> ControlMessage:
@@ -293,40 +289,41 @@ class RequestTracker:
             waiter = self._waiting.get(message_id)
         if waiter is None:
             raise ProtocolError(f"no outstanding request {message_id}")
-        waiter.wait(timeout=timeout)
-        with self._lock:
-            self._waiting.pop(message_id, None)
-            # Looked up even after a timeout: a reply that raced it is kept.
-            reply = self._replies.pop(message_id, None)
-        if reply is None:
-            raise ProtocolError(f"request {message_id} timed out after {timeout}s")
-        return reply
+        try:
+            return waiter.get(timeout=timeout)
+        except queue.Empty:
+            pass
+        finally:
+            with self._lock:
+                self._waiting.pop(message_id, None)
+        try:
+            # Read after the pop: a reply that raced the timeout is kept.
+            return waiter.get_nowait()
+        except queue.Empty:
+            raise ProtocolError(
+                f"request {message_id} timed out after {timeout}s"
+            ) from None
 
     def discard(self, message_id: int) -> None:
         """Forget a request whose reply will never be waited for."""
         with self._lock:
             self._waiting.pop(message_id, None)
-            self._replies.pop(message_id, None)
 
-    def cancel(self, message_id: int, reason: str = "link down") -> None:
-        """Wake one waiter with an ERROR reply."""
-        with self._lock:
-            waiter = self._waiting.get(message_id)
-            if waiter is None or message_id in self._replies:
-                return
-            # "cancelled" marks this as a locally-synthesised reply (the
-            # link died), distinguishable from a peer-reported ERROR so
-            # retry layers treat it as peer-unavailable, not app failure.
-            self._replies[message_id] = ControlMessage(
-                op=Op.ERROR,
-                body={"error": reason, "cancelled": True},
-                reply_to=message_id,
-            )
-            waiter.set()
+    def cancel_peer(self, peer: str, reason: str = "link down") -> None:
+        """Wake every request expected from ``peer`` with an ERROR reply.
 
-    def cancel_all(self, reason: str = "link down") -> None:
-        """Wake all waiters with an ERROR reply (total shutdown)."""
+        ``"cancelled"`` marks the reply as synthesised here (the link
+        died), distinguishable from a peer-reported ERROR, so retry
+        layers treat it as peer-unavailable, not application failure.
+        A reply already delivered stays first in its waiter's queue.
+        """
         with self._lock:
-            ids = list(self._waiting)
-        for message_id in ids:
-            self.cancel(message_id, reason)
+            for message_id, waiter in self._waiting.items():
+                if waiter.peer == peer:
+                    waiter.put(
+                        ControlMessage(
+                            op=Op.ERROR,
+                            body={"error": reason, "cancelled": True},
+                            reply_to=message_id,
+                        )
+                    )

@@ -154,8 +154,6 @@ class ProxyServer:
         self._tunnels: dict[str, Tunnel] = {}
         self._tunnel_lock = threading.Lock()
         self._tracker = RequestTracker()
-        self._inflight_by_peer: dict[str, set[int]] = {}
-        self._inflight_lock = threading.Lock()
         self._listener: Optional[Listener] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._handshake_threads: list[threading.Thread] = []
@@ -198,9 +196,6 @@ class ProxyServer:
             name=f"{name}-dispatch", workers=DISPATCH_WORKERS, obs=self.obs
         )
         self._register_handlers()
-        #: extension op handlers: op code -> fn(message, peer) -> reply |
-        #: None.  Checked before the built-ins; always run on the pool.
-        self.extension_handlers = self.pipeline.overrides
         #: optional usage ledger (reward mechanisms); set by the Grid
         self.ledger = None
         #: optional workload manager (set by attach_wms): this proxy is
@@ -337,16 +332,12 @@ class ProxyServer:
             # the proxy: refuse the tunnel instead of installing it.
             tunnel.close()
             return
-        tunnel.on_frame(FrameKind.CONTROL, lambda f: self._on_control(tunnel, f))
         tunnel.on_frame_batch(
             FrameKind.CONTROL, lambda fs: self._on_control_batch(tunnel, fs)
         )
         tunnel.on_frame(FrameKind.MPI, lambda f: self._on_mpi(tunnel, f))
         tunnel.on_frame(FrameKind.HEARTBEAT, lambda f: self._on_heartbeat(tunnel, f))
         tunnel.on_close(self._on_tunnel_close)
-        # A dead tunnel must not strand request() callers mid-wait — but
-        # only requests sent over *this* tunnel are affected.
-        tunnel.on_close(self._cancel_inflight_for_peer)
         tunnel.bind_metrics(self.obs.metrics)
         # Client side of a handshake: bank the session ticket (if the
         # server issued one) so the *next* dial to this peer can resume.
@@ -357,14 +348,6 @@ class ProxyServer:
             self._tunnels[tunnel.peer_name] = tunnel
         self.health.watch(tunnel.peer_name)
         tunnel.start()
-
-    def _cancel_inflight_for_peer(self, tunnel: Tunnel) -> None:
-        with self._inflight_lock:
-            pending = list(self._inflight_by_peer.get(tunnel.peer_name, ()))
-        for message_id in pending:
-            self._tracker.cancel(
-                message_id, f"tunnel to {tunnel.peer_name} closed"
-            )
 
     def _on_tunnel_close(self, tunnel: Tunnel) -> None:
         with self._tunnel_lock:
@@ -378,6 +361,11 @@ class ProxyServer:
             self.health.mark_dead(tunnel.peer_name)
         for callback in list(self.on_peer_lost):
             callback(tunnel.peer_name)
+        # A dead tunnel must not strand request() callers mid-wait — but
+        # only requests sent to *this* peer are affected.
+        self._tracker.cancel_peer(
+            tunnel.peer_name, f"tunnel to {tunnel.peer_name} closed"
+        )
 
     def tunnel_to(self, peer_proxy: str) -> Tunnel:
         with self._tunnel_lock:
@@ -532,11 +520,7 @@ class ProxyServer:
         ctx = current_trace()
         if ctx is not None and ctx.sampled and obs_enabled():
             message.trace = ctx.to_wire()
-        self._tracker.expect(message)
-        with self._inflight_lock:
-            self._inflight_by_peer.setdefault(peer_proxy, set()).add(
-                message.message_id
-            )
+        self._tracker.expect(message, peer_proxy)
         try:
             try:
                 self._send_control(tunnel, message)
@@ -555,10 +539,6 @@ class ProxyServer:
                 ) from exc
         finally:
             self._tracker.discard(message.message_id)  # a failed send never waits
-            with self._inflight_lock:
-                self._inflight_by_peer.get(peer_proxy, set()).discard(
-                    message.message_id
-                )
         if reply.op == Op.ERROR:
             if reply.body.get("cancelled"):
                 self._m_req_unavailable.inc()
@@ -572,6 +552,8 @@ class ProxyServer:
         return reply
 
     def _on_control(self, tunnel: Tunnel, frame: Frame) -> None:
+        # No caller: control frames arrive through _on_control_batch.  Kept
+        # only while benchmarks/e2e/trace.py names it as a trace target.
         message = self.pipeline.decode(frame)
         if message is None:
             return  # corrupt control traffic is discarded
@@ -1421,9 +1403,6 @@ class ProxyServer:
                 )
             except TunnelError:
                 return
-            tunnel.on_frame(
-                FrameKind.CONTROL, lambda f: self._on_control(tunnel, f)
-            )
             tunnel.on_frame_batch(
                 FrameKind.CONTROL, lambda fs: self._on_control_batch(tunnel, fs)
             )

@@ -12,8 +12,10 @@ one tunnel serves the control protocol and any number of multiplexed MPI
 applications concurrently.
 
 Delivery is event-driven: :meth:`Tunnel.start` registers the secure
-channel on the shared reactor, so N tunnels cost O(loops) threads
-instead of one receiver thread each.
+channel on the shared reactor, so N tunnels share its one loop thread
+instead of spawning one receiver thread each.  A handler that raises
+costs only its own frame (or its own run of frames), never the frames
+that arrived behind it — the paper's containment rule at the border.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ class Tunnel:
     """An authenticated, encrypted link between two proxies.
 
     Build with :meth:`establish_client` / :meth:`establish_server`, then
-    :meth:`start` inbound delivery.  ``on_frame(kind, handler)`` registers
-    the demultiplexer targets; ``on_close(fn)`` fires when the link dies
-    (feeds the failure detector).
+    :meth:`start` inbound delivery.  ``on_frame(kind, handler)`` and
+    ``on_frame_batch(kind, handler)`` register the demultiplexer
+    targets; ``on_close(fn)`` fires when the link dies (feeds the
+    failure detector).
     """
 
     def __init__(self, secure: SecureChannel, local_name: str):
@@ -81,6 +84,7 @@ class Tunnel:
         self._m_sent = None
         self._m_busy = None
         self._m_send_errors = None
+        self._m_handler_errors = None
 
     def bind_metrics(self, registry) -> None:
         """Attach the owner's registry; send-path counters go there."""
@@ -89,6 +93,7 @@ class Tunnel:
             self._m_sent = registry.counter("tunnel.frames_sent")
             self._m_busy = registry.counter("tunnel.backpressure")
             self._m_send_errors = registry.counter("tunnel.send_errors")
+            self._m_handler_errors = registry.counter("tunnel.handler_errors")
 
     # -- construction ---------------------------------------------------------
 
@@ -239,8 +244,7 @@ class Tunnel:
             return
         self._registration = get_global_reactor().add_channel(
             self._secure,
-            on_frame=self._deliver,
-            on_batch=self._deliver_batch,
+            self._deliver_batch,
             on_close=lambda channel, exc: self._finalize(),
         )
 
@@ -256,7 +260,10 @@ class Tunnel:
 
         Consecutive frames of one kind go to that kind's batch handler
         as a single list; runs are never reordered across kinds, so the
-        per-frame ordering contract is unchanged.
+        per-frame ordering contract is unchanged.  This is the one place
+        a handler's fault is contained: an exception costs only the frame
+        (or batch-handled run) that raised it and is counted as
+        ``tunnel.handler_errors``; the frames after it are delivered.
         """
         i, n = 0, len(frames)
         while i < n:
@@ -266,11 +273,21 @@ class Tunnel:
                 j += 1
             handler = self._batch_handlers.get(kind)
             if handler is not None:
-                handler(frames[i:j] if (i, j) != (0, n) else frames)
+                try:
+                    handler(frames[i:j] if (i, j) != (0, n) else frames)
+                except Exception:
+                    self._handler_failed()
             else:
                 for k in range(i, j):
-                    self._deliver(frames[k])
+                    try:
+                        self._deliver(frames[k])
+                    except Exception:
+                        self._handler_failed()
             i = j
+
+    def _handler_failed(self) -> None:
+        if self._m_handler_errors is not None:
+            self._m_handler_errors.inc()
 
     def _finalize(self) -> None:
         """Mark the tunnel dead and fire close callbacks exactly once."""
@@ -315,13 +332,28 @@ class Tunnel:
         self._send_lock.acquire()
 
     def send(self, frame: Frame) -> None:
+        self._send(self._secure.send, frame, 1)
+
+    def send_many(self, frames) -> None:
+        """Send a burst of frames, coalescing records into one socket write.
+
+        Control chatter and multiplexed MPI traffic (heartbeats,
+        virtual-slave bursts) sent together share a single syscall; each
+        frame keeps its own record so the wire format is unchanged.
+        """
+        frames = list(frames)
+        if frames:
+            self._send(self._secure.send_many, frames, len(frames))
+
+    def _send(self, write: Callable, payload, count: int) -> None:
+        """``write(payload)`` under the send lock; ``count`` frames on success."""
         if not self.alive:
             raise TunnelError(
                 f"tunnel {self.local_name}->{self.peer_name} is down"
             )
         self._acquire_send_lock()
         try:
-            self._secure.send(frame)
+            write(payload)
         except ChannelBusy as exc:
             # Backpressure: the tunnel is congested, not broken.
             if self._m_busy is not None:
@@ -335,38 +367,7 @@ class Tunnel:
         finally:
             self._send_lock.release()
         if self._m_sent is not None:
-            self._m_sent.inc()
-
-    def send_many(self, frames) -> None:
-        """Send a burst of frames, coalescing records into one socket write.
-
-        Control chatter and multiplexed MPI traffic (heartbeats,
-        virtual-slave bursts) sent together share a single syscall; each
-        frame keeps its own record so the wire format is unchanged.
-        """
-        frames = list(frames)
-        if not frames:
-            return
-        if not self.alive:
-            raise TunnelError(
-                f"tunnel {self.local_name}->{self.peer_name} is down"
-            )
-        self._acquire_send_lock()
-        try:
-            self._secure.send_many(frames)
-        except ChannelBusy as exc:
-            if self._m_busy is not None:
-                self._m_busy.inc()
-            raise TunnelBusy(f"tunnel send refused: {exc}") from exc
-        except TransportError as exc:
-            if self._m_send_errors is not None:
-                self._m_send_errors.inc()
-            self.close()
-            raise TunnelError(f"tunnel send failed: {exc}") from exc
-        finally:
-            self._send_lock.release()
-        if self._m_sent is not None:
-            self._m_sent.inc(len(frames))
+            self._m_sent.inc(count)
 
     @property
     def alive(self) -> bool:

@@ -93,7 +93,7 @@ class ObsHub:
         ``include_process`` folds in the process-level registry (reactor
         loop lag, shared write queues) — every proxy in this process
         reports the same shared-infrastructure view, which is accurate:
-        they really do share those loops.
+        they really do share that loop.
         """
         out: dict[str, Any] = {
             "name": self.name,

@@ -170,11 +170,6 @@ class SecureChannel(Channel):
     def set_ready_callback(self, callback) -> None:
         self._inner.set_ready_callback(callback)
 
-    @property
-    def reactor_loop(self):
-        """Pin to the loop owning the wrapped transport, if any."""
-        return getattr(self._inner, "reactor_loop", None)
-
     def close(self) -> None:
         self._inner.close()
 

@@ -290,11 +290,6 @@ class FaultyChannel(Channel):
     def set_ready_callback(self, callback) -> None:
         self._inner.set_ready_callback(callback)
 
-    @property
-    def reactor_loop(self):
-        """Pin to the loop owning the wrapped transport, if any."""
-        return getattr(self._inner, "reactor_loop", None)
-
     def recv(self, timeout: Optional[float] = None) -> Frame:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:

@@ -3,22 +3,24 @@
 The seed runtime spent one thread per TCP connection (socket reader)
 plus one per :class:`~repro.core.tunnel.Tunnel` (receive loop), so a
 proxy serving N tunnels burned O(N) threads and its time
-context-switching.  This module replaced that: one (or a few, for
-multi-core) event-loop thread(s) own every socket, and all higher layers
-register *callbacks* instead of spawning threads.
+context-switching.  This module replaced that: one event-loop thread
+owns every socket, and all higher layers register *callbacks* instead
+of spawning threads.
 
 Two pieces live here, plus :func:`get_global_reactor`, which hands out
 the shared process-wide reactor:
 
-* :class:`Reactor` — ``loops`` event-loop threads, each with its own
-  ``selectors`` selector, a gated socketpair for cross-thread wakeups
-  (at most one byte in flight, none from the loop itself), and a
-  timer heap (one-shot :meth:`call_later` and jittered periodic
-  :meth:`call_every` — heartbeats and deadline expiry ride these).
-  Channels of *any* transport join via :meth:`add_channel`, which drives
-  the uniform ``poll_recv``/``set_ready_callback`` protocol declared on
+* :class:`Reactor` — one event-loop thread with a ``selectors``
+  selector, a gated socketpair for cross-thread wakeups (at most one
+  byte in flight, none from the loop itself), and a timer heap
+  (one-shot :meth:`call_later` and jittered periodic :meth:`call_every`
+  — heartbeats and deadline expiry ride these).  Channels of *any*
+  transport join via :meth:`add_channel`, which drives the uniform
+  ``poll_recv``/``set_ready_callback`` protocol declared on
   :class:`~repro.transport.channel.Channel`; in-process and
-  fault-injected channels therefore run on the loop unchanged.
+  fault-injected channels therefore run on the loop unchanged.  Each
+  wakeup hands a channel's whole decoded backlog to its one delivery
+  callback as a list.
 * :class:`ReactorTcpChannel` — a non-blocking TCP channel owned by a
   loop: the loop reads and feeds the frame decoder; a sender writes its
   own frames with one vectored ``sendmsg`` while nothing is queued, and
@@ -149,13 +151,11 @@ class TimerHandle:
 class _Registration:
     """One channel's membership on a loop: ready-flag + drain bookkeeping."""
 
-    __slots__ = ("channel", "on_frame", "on_batch", "on_close", "_loop",
+    __slots__ = ("channel", "on_batch", "on_close", "_loop",
                  "_lock", "_scheduled", "_closed")
 
-    def __init__(self, channel: Channel, on_frame, on_close, loop: "_Loop",
-                 on_batch=None):
+    def __init__(self, channel: Channel, on_batch, on_close, loop: "_Loop"):
         self.channel = channel
-        self.on_frame = on_frame
         self.on_batch = on_batch
         self.on_close = on_close
         self._loop = loop
@@ -175,30 +175,6 @@ class _Registration:
     # -- loop side -------------------------------------------------------
 
     def _drain(self) -> None:
-        with self._lock:
-            self._scheduled = False
-            if self._closed:
-                return
-        if self.on_batch is not None:
-            self._drain_batch()
-            return
-        for _ in range(_DRAIN_BATCH):
-            try:
-                frame = self.channel.poll_recv()
-            except Exception as exc:  # ChannelClosed, FrameError, record MAC…
-                self._finish(exc)
-                return
-            if frame is None:
-                return
-            try:
-                self.on_frame(frame)
-            except Exception:
-                pass  # a faulty handler must not kill the shared loop
-        # Batch exhausted with frames possibly still pending: yield the
-        # loop to other channels and reschedule ourselves.
-        self.ready()
-
-    def _drain_batch(self) -> None:
         """Collect the whole decoder backlog, deliver it as one batch.
 
         One loop wakeup → one ``on_batch(frames)`` call → one dispatch
@@ -207,12 +183,16 @@ class _Registration:
         Frames already drained are always delivered before a terminal
         condition is surfaced — a death notice must not eat data.
         """
+        with self._lock:
+            self._scheduled = False
+            if self._closed:
+                return
         batch: list = []
         error: Optional[Exception] = None
         for _ in range(_DRAIN_BATCH):
             try:
                 frame = self.channel.poll_recv()
-            except Exception as exc:
+            except Exception as exc:  # ChannelClosed, FrameError, record MAC…
                 error = exc
                 break
             if frame is None:
@@ -222,7 +202,7 @@ class _Registration:
             try:
                 self.on_batch(batch)
             except Exception:
-                pass  # a faulty handler must not kill the shared loop
+                pass  # a faulty consumer must not kill the shared loop
         if error is not None:
             self._finish(error)
         elif len(batch) == _DRAIN_BATCH:
@@ -450,18 +430,16 @@ class _Loop:
 
 
 class Reactor:
-    """A fixed pool of event loops; channels and timers spread across them.
+    """One event loop serving any number of channels and timers.
 
-    One reactor serves any number of proxies/tunnels: thread count is
-    O(loops) — not O(connections) — which is the whole point.
+    One reactor serves every proxy and tunnel in a process: one thread,
+    not one per connection, which is the whole point.  With the GIL a
+    second loop would only help when I/O itself saturates a core.
     """
 
-    def __init__(self, loops: int = 1, name: str = "reactor"):
-        if loops <= 0:
-            raise ValueError(f"need at least one loop: {loops}")
+    def __init__(self, name: str = "reactor"):
         self.name = name
-        self._loops = [_Loop(f"{name}-loop-{i}") for i in range(loops)]
-        self._rr = itertools.count()
+        self._loop = _Loop(f"{name}-loop")
         self._started = False
         self._lock = threading.Lock()
 
@@ -471,83 +449,67 @@ class Reactor:
         with self._lock:
             if not self._started:
                 # A stopped loop's thread is gone and its selector closed;
-                # restarting the reactor must hand out live loops, not
-                # silently drop work on dead ones.
-                self._loops = [
-                    _Loop(loop.name) if loop.defunct else loop
-                    for loop in self._loops
-                ]
-                for loop in self._loops:
-                    loop.start()
+                # restarting the reactor must hand out a live loop, not
+                # silently drop work on the dead one.
+                if self._loop.defunct:
+                    self._loop = _Loop(self._loop.name)
+                self._loop.start()
                 self._started = True
         return self
 
     def stop(self, join: bool = True) -> None:
         with self._lock:
             self._started = False
-            loops = list(self._loops)
-        for loop in loops:
-            loop.stop()
+            loop = self._loop
+        loop.stop()
         if join:
-            for loop in loops:
-                loop.join(timeout=5.0)
+            loop.join(timeout=5.0)
 
     @property
-    def loops(self) -> int:
-        return len(self._loops)
+    def loop(self) -> _Loop:
+        """The event loop, restarted first if the reactor was stopped."""
+        return self.start()._loop
 
     @staticmethod
     def current_owner() -> Optional[str]:
         """Hook form of :func:`current_owner` (racesan's resolver)."""
         return current_owner()
 
-    def next_loop(self) -> _Loop:
-        """Round-robin loop assignment (channels pin to one loop)."""
-        self.start()
-        return self._loops[next(self._rr) % len(self._loops)]
-
     # -- timers ----------------------------------------------------------
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        return self.next_loop().call_later(delay, fn)
+        return self.loop.call_later(delay, fn)
 
     def call_every(
         self, interval: float, fn: Callable[[], None], jitter: float = 0.0
     ) -> TimerHandle:
         """Periodic callback every ``interval`` seconds, jittered ±10% by
         default conventions of the callers (pass ``jitter`` explicitly)."""
-        return self.next_loop().call_every(interval, fn, jitter=jitter)
+        return self.loop.call_every(interval, fn, jitter=jitter)
 
     # -- channels --------------------------------------------------------
 
     def add_channel(
         self,
         channel: Channel,
-        on_frame: Optional[Callable[[Frame], None]] = None,
+        on_batch: Callable[[list], None],
         on_close: Optional[Callable[[Channel, Exception], None]] = None,
-        on_batch: Optional[Callable[[list], None]] = None,
     ) -> _Registration:
-        """Drive ``channel`` from the loop: every frame → ``on_frame``.
+        """Drive ``channel`` from the loop: every backlog → ``on_batch``.
 
         Works for any :class:`Channel` (``poll_recv``/``set_ready_callback``
         are part of the interface) — reactor TCP, in-process pairs,
         fault-injected wrappers, and secure channels layered over any of
-        them.  ``on_close(channel, exc)`` fires once when the
-        channel dies (peer gone, framing error, record MAC failure).
-
-        ``on_batch(frames)``, when given, replaces per-frame delivery:
-        each loop wakeup drains the channel's whole decoded backlog (up
-        to an internal cap) and hands it over as one list, letting the
-        consumer dispatch and reply in bulk.
+        them.  Each loop wakeup drains the channel's decoded backlog (up
+        to an internal cap) and hands it to ``on_batch(frames)`` as one
+        list, letting the consumer dispatch and reply in bulk.  A raising
+        ``on_batch`` loses nothing but the rest of its own call; keeping
+        one frame's fault away from the frames beside it is the
+        consumer's job.  ``on_close(channel, exc)`` fires once, after the
+        last batch, when the channel dies (peer gone, framing error,
+        record MAC failure).
         """
-        if on_frame is None and on_batch is None:
-            raise ValueError("add_channel needs on_frame or on_batch")
-        # Pin layered channels to the loop that owns their underlying fd
-        # when there is one; queue-backed channels round-robin.
-        loop = getattr(channel, "reactor_loop", None) or self.next_loop()
-        registration = _Registration(
-            channel, on_frame, on_close, loop, on_batch=on_batch
-        )
+        registration = _Registration(channel, on_batch, on_close, self.loop)
         channel.set_ready_callback(registration.ready)
         registration.ready()  # drain anything buffered before we attached
         return registration
@@ -609,7 +571,7 @@ class ReactorTcpChannel(Channel):
         self._sock = sock
         _set_nodelay(sock)
         self._sock.setblocking(False)
-        self.reactor_loop = reactor.next_loop()
+        self.reactor_loop = reactor.loop
         self.max_write_queue = max_write_queue
         self.send_timeout = send_timeout
         # inbound: raw bytes land in the decoder on the loop thread;
@@ -964,11 +926,7 @@ _global_reactor: Optional[Reactor] = None
 
 
 def get_global_reactor() -> Reactor:
-    """The shared reactor every proxy/tunnel in this process registers on.
-
-    One loop: with the GIL, extra loops only help when I/O itself
-    saturates one core.
-    """
+    """The shared reactor every proxy/tunnel in this process registers on."""
     global _global_reactor
     with _global_lock:
         if _global_reactor is None:

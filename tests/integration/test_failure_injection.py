@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.core.grid import Grid
-from repro.core.protocol import Op
+from repro.core.protocol import ControlMessage, Op
 from repro.core.proxy import ProxyError
 from repro.mpi.datatypes import SUM
 from repro.transport.frames import Frame, FrameKind, encode_value
@@ -89,8 +89,8 @@ class TestProxyFailure:
 
         # Send the request, then kill the peer before it can matter.
         thread = threading.Thread(target=submit)
-        grid.proxy_of("C").extension_handlers[Op.STATUS_QUERY] = (
-            lambda msg, peer: None  # swallow: never reply
+        grid.proxy_of("C").pipeline.register(
+            Op.STATUS_QUERY, lambda msg, peer: None  # swallow: never reply
         )
         thread.start()
         time.sleep(0.1)
@@ -98,6 +98,50 @@ class TestProxyFailure:
         thread.join(timeout=15.0)
         assert not thread.is_alive()
         assert errors and "closed" in errors[0]
+
+    def test_tunnel_loss_cancels_only_that_peers_requests(self, grid):
+        """Closing A's tunnel to C fails A's request to C at once, while
+        its request to B keeps waiting and still gets B's reply."""
+        proxy_a = grid.proxy_of("A")
+        at_b, at_c, release_b = (threading.Event() for _ in range(3))
+
+        def held_at_b(msg, peer):
+            at_b.set()
+            release_b.wait(timeout=10.0)
+            return msg.reply(Op.STATUS_REPORT, {"held": True})
+
+        grid.proxy_of("B").pipeline.register(
+            Op.STATUS_QUERY, held_at_b, blocking=True
+        )
+        grid.proxy_of("C").pipeline.register(
+            Op.STATUS_QUERY, lambda msg, peer: at_c.set()  # never replies
+        )
+        outcome = {}
+
+        def ask(peer):
+            try:
+                outcome[peer] = proxy_a.request(peer, Op.STATUS_QUERY, timeout=30.0)
+            except ProxyError as exc:
+                outcome[peer] = exc
+
+        threads = {
+            peer: threading.Thread(target=ask, args=(peer,))
+            for peer in ("proxy.B", "proxy.C")
+        }
+        for thread in threads.values():
+            thread.start()
+        try:
+            assert at_b.wait(timeout=10.0) and at_c.wait(timeout=10.0)
+            proxy_a.tunnel_to("proxy.C").close()
+            threads["proxy.C"].join(timeout=10.0)
+            assert not threads["proxy.C"].is_alive()
+            assert isinstance(outcome["proxy.C"], ProxyError)
+            assert "closed" in str(outcome["proxy.C"])
+            assert threads["proxy.B"].is_alive() and "proxy.B" not in outcome
+        finally:
+            release_b.set()
+        threads["proxy.B"].join(timeout=10.0)
+        assert outcome["proxy.B"].body == {"held": True}
 
 
 class TestNodeFailure:
@@ -168,6 +212,31 @@ class TestHostileTraffic:
         )
         reply = grid.proxy_of("A").request("proxy.B", Op.PING, timeout=10.0)
         assert reply.op == Op.PONG
+
+    def test_misrouted_mpi_frame_does_not_eat_the_ping_behind_it(self):
+        """One drained batch: an MPI frame for a rank that is not local to
+        B (its handler raises) must cost only itself, not the PING that
+        arrived behind it in the same ``send_many``."""
+        with Grid() as grid:
+            grid.add_site("A", nodes=1)
+            grid.add_site("B", nodes=1)
+            grid.connect_all()
+            proxy_a, proxy_b = grid.proxy_of("A"), grid.proxy_of("B")
+            proxy_a.start_app("app1", {0: "A", 1: "B"}, {0: "A.n0", 1: "B.n0"})
+            tunnel = proxy_a.tunnel_to(proxy_b.name)
+            for _ in range(5):
+                misrouted = Frame(
+                    kind=FrameKind.MPI,
+                    headers={"app": "app1", "src": 1, "dst": 0, "tag": 0},
+                    payload=encode_value("not for B"),
+                )
+                ping = ControlMessage(op=Op.PING, body={}, sender=proxy_a.name)
+                proxy_a._tracker.expect(ping)
+                tunnel.send_many([misrouted, ping.to_frame()])
+                reply = proxy_a._tracker.wait(ping.message_id, timeout=5.0)
+                assert reply.op == Op.PONG
+            errors = proxy_b.obs.metrics.counter("tunnel.handler_errors")
+            assert errors.value == 5
 
     def test_tampered_record_kills_only_that_tunnel(self, grid):
         """Record corruption is detected; the victim drops the tunnel."""

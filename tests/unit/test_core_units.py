@@ -182,6 +182,60 @@ class TestTunnel:
                 time.sleep(0.01)
         a.close()
 
+    def test_handler_fault_costs_only_its_own_frame(self, pki):
+        """A per-frame handler that raises must not eat the frames drained
+        behind it in the same batch; the fault is counted on the owner."""
+        from repro.obs.metrics import MetricsRegistry
+
+        a, b = make_tunnel_pair(pki)
+        registry = MetricsRegistry()
+        b.bind_metrics(registry)
+        control = []
+
+        def on_mpi(frame):
+            raise RuntimeError("rank not local")
+
+        b.on_frame(FrameKind.MPI, on_mpi)
+        b.on_frame(FrameKind.CONTROL, control.append)
+        try:
+            b._deliver_batch([
+                Frame(kind=FrameKind.MPI, headers={"seq": 1}),
+                Frame(kind=FrameKind.CONTROL, headers={"seq": 2}),
+            ])
+            assert [f.headers for f in control] == [{"seq": 2}]
+            assert registry.counter("tunnel.handler_errors").value == 1
+        finally:
+            a.close()
+            b.close()
+
+    def test_batch_handler_fault_costs_only_its_own_run(self, pki):
+        from repro.obs.metrics import MetricsRegistry
+
+        a, b = make_tunnel_pair(pki)
+        registry = MetricsRegistry()
+        b.bind_metrics(registry)
+        runs, mpi = [], []
+
+        def on_control_batch(frames):
+            runs.append([f.headers["seq"] for f in frames])
+            raise RuntimeError("handler fault")
+
+        b.on_frame_batch(FrameKind.CONTROL, on_control_batch)
+        b.on_frame(FrameKind.MPI, mpi.append)
+        try:
+            b._deliver_batch([
+                Frame(kind=FrameKind.CONTROL, headers={"seq": 1}),
+                Frame(kind=FrameKind.CONTROL, headers={"seq": 2}),
+                Frame(kind=FrameKind.MPI, headers={"seq": 3}),
+                Frame(kind=FrameKind.CONTROL, headers={"seq": 4}),
+            ])
+            assert runs == [[1, 2], [4]]
+            assert [f.headers["seq"] for f in mpi] == [3]
+            assert registry.counter("tunnel.handler_errors").value == 2
+        finally:
+            a.close()
+            b.close()
+
     def test_loop_thread_send_fails_fast_on_lock_contention(self, pki):
         """A reactor loop thread must never block on a tunnel's send lock
         (a worker holding it under backpressure would stall the only
@@ -190,7 +244,7 @@ class TestTunnel:
         from repro.transport.reactor import Reactor
 
         a, b = make_tunnel_pair(pki)
-        reactor = Reactor(loops=1, name="lock-test").start()
+        reactor = Reactor(name="lock-test").start()
         outcome = {}
         done = threading.Event()
 
@@ -536,4 +590,4 @@ class TestRequestTrackerHygiene:
             for _ in range(100):
                 with pytest.raises(PeerUnavailable, match="tunnel closed"):
                     proxy._request_once(peer, Op.PING, None, 2.0)
-            assert not proxy._tracker._waiting and not proxy._tracker._replies
+            assert not proxy._tracker._waiting

@@ -244,11 +244,6 @@ class TestGuards:
         assert "forbidden" in sink.replies[0].body["error"]
 
 
-# ---------------------------------------------------------------------------
-# Extension overrides
-# ---------------------------------------------------------------------------
-
-
 class TestTokenAuthGuard:
     """The guard over the service's shared verified-blob cache: counted
     in HMACs and counters on a hand-cranked clock, never timed."""
@@ -331,30 +326,6 @@ class TestTokenAuthGuard:
         with pytest.raises(TypeError):
             TokenAuthGuard(service, cache_size=16)
         assert not hasattr(guard, "_cache")
-
-
-class TestOverrides:
-    def test_override_beats_builtin_and_runs_on_pool(self, pipeline):
-        pipeline.register(Op.STATUS_QUERY, lambda m, p: m.reply(Op.STATUS_REPORT, {}))
-        names = []
-        sink = _Sink()
-        pipeline.overrides[Op.STATUS_QUERY] = lambda message, peer: (
-            names.append(threading.current_thread().name),
-            message.reply(Op.STATUS_REPORT, {"status": "overridden"}),
-        )[1]
-        pipeline.dispatch(_message(op=Op.STATUS_QUERY), "p", sink)
-        assert sink.arrived.wait(timeout=5.0)
-        assert sink.replies[0].body == {"status": "overridden"}
-        assert names[0].startswith("test-dispatch-worker")
-
-    def test_removed_override_restores_builtin(self, pipeline):
-        pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {"builtin": True}))
-        pipeline.overrides[Op.PING] = lambda m, p: m.reply(Op.PONG, {"builtin": False})
-        del pipeline.overrides[Op.PING]
-        sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
-        assert sink.arrived.wait(timeout=2.0)
-        assert sink.replies[0].body == {"builtin": True}
 
 
 # ---------------------------------------------------------------------------

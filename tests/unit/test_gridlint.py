@@ -708,6 +708,24 @@ def test_gl101_fsync_under_a_blocking_handler_is_exempt(tmp_path):
     assert codes_of(result) == [], render_text(result)
 
 
+def test_gl101_flags_sleep_under_an_on_frame_batch_handler(tmp_path):
+    """Inbound control frames reach the proxy through ``on_frame_batch``."""
+    files = {
+        "repro/core/svc.py": """\
+import time
+
+class Proxy:
+    def install(self, tunnel):
+        tunnel.on_frame_batch(1, lambda frames: self._on_batch(tunnel, frames))
+
+    def _on_batch(self, tunnel, frames):
+        time.sleep(0.5)
+"""
+    }
+    result = lint(tmp_path, files, select={"GL101"})
+    assert codes_of(result) == ["GL101"], render_text(result)
+
+
 def test_gl101_reaches_through_lambdas(tmp_path):
     files = {
         "repro/core/svc.py": """\

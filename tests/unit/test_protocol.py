@@ -1,5 +1,6 @@
 """Unit tests for the inter-proxy control protocol."""
 
+import queue
 import re
 import threading
 from pathlib import Path
@@ -11,6 +12,7 @@ from repro.core.protocol import (
     Op,
     ProtocolError,
     RequestTracker,
+    _ReplyWaiter,
     register_op,
 )
 from repro.transport.frames import Frame, FrameKind
@@ -161,14 +163,14 @@ class TestRequestTracker:
         request = ControlMessage(op=Op.PING)
         tracker.expect(request)
 
-        class FulfilledJustTooLate(threading.Event):
-            def wait(self, timeout=None):
+        class FulfilledJustTooLate(_ReplyWaiter):
+            def get(self, block=True, timeout=None):
                 assert tracker.fulfil(request.reply(Op.PONG, {"n": 1}))
-                return False  # what Event.wait reports when the timeout won
+                raise queue.Empty  # what get reports when the timeout won
 
-        tracker._waiting[request.message_id] = FulfilledJustTooLate()
+        tracker._waiting[request.message_id] = FulfilledJustTooLate("")
         assert tracker.wait(request.message_id, timeout=0.01).body == {"n": 1}
-        assert not tracker._waiting and not tracker._replies
+        assert not tracker._waiting
 
     def test_discard_forgets_waiter_and_reply(self):
         tracker = RequestTracker()
@@ -179,7 +181,7 @@ class TestRequestTracker:
         tracker.discard(unsent.message_id)
         tracker.discard(answered.message_id)
         tracker.discard(answered.message_id)  # idempotent
-        assert not tracker._waiting and not tracker._replies
+        assert not tracker._waiting
         assert not tracker.fulfil(unsent.reply(Op.PONG))  # a late reply finds nobody
 
     def test_unexpected_reply_ignored(self):
@@ -196,11 +198,24 @@ class TestRequestTracker:
         with pytest.raises(ProtocolError, match="no outstanding"):
             tracker.wait(12345, timeout=0.1)
 
-    def test_cancel_all_wakes_waiters_with_error(self):
+    def test_cancel_peer_wakes_only_that_peers_waiters(self):
         tracker = RequestTracker()
-        request = ControlMessage(op=Op.PING)
-        tracker.expect(request)
-        tracker.cancel_all("link down")
-        reply = tracker.wait(request.message_id, timeout=1.0)
+        to_c, to_b = ControlMessage(op=Op.PING), ControlMessage(op=Op.PING)
+        tracker.expect(to_c, "proxy.C")
+        tracker.expect(to_b, "proxy.B")
+        tracker.cancel_peer("proxy.C", "link down")
+        reply = tracker.wait(to_c.message_id, timeout=1.0)
         assert reply.op == Op.ERROR
         assert reply.body["error"] == "link down"
+        assert reply.body["cancelled"] is True
+        assert list(tracker._waiting) == [to_b.message_id]
+        assert tracker.fulfil(to_b.reply(Op.PONG))
+        assert tracker.wait(to_b.message_id, timeout=1.0).op == Op.PONG
+
+    def test_cancel_peer_keeps_a_reply_that_already_arrived(self):
+        tracker = RequestTracker()
+        request = ControlMessage(op=Op.PING)
+        tracker.expect(request, "proxy.C")
+        assert tracker.fulfil(request.reply(Op.PONG, {"n": 1}))
+        tracker.cancel_peer("proxy.C")
+        assert tracker.wait(request.message_id, timeout=1.0).body == {"n": 1}

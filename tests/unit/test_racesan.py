@@ -235,7 +235,7 @@ def test_owner_token_on_one_side_only_still_races():
 
 
 def test_reactor_loop_thread_resolves_to_loop_token():
-    reactor = reactor_mod.Reactor(loops=1, name="rs-owner").start()
+    reactor = reactor_mod.Reactor(name="rs-owner").start()
     try:
         seen: list = []
         done = threading.Event()
@@ -384,7 +384,7 @@ def test_ready_callback_swap_does_not_race_the_loop():
         connect_tcp_reactor,
     )
 
-    reactor = Reactor(loops=1, name="rs-ready").start()
+    reactor = Reactor(name="rs-ready").start()
     with racesan.scoped() as san:
         listener = ReactorTcpListener(reactor=reactor)
         client = connect_tcp_reactor(

@@ -24,13 +24,18 @@ from repro.transport.reactor import (
 
 @pytest.fixture
 def reactor():
-    r = Reactor(loops=1, name="test-reactor").start()
+    r = Reactor(name="test-reactor").start()
     yield r
     r.stop()
 
 
 def _frame(payload: bytes = b"x", kind=FrameKind.CONTROL) -> Frame:
     return Frame(kind=kind, payload=payload)
+
+
+def _each(on_frame):
+    """A batch callback that hands each frame of the batch to ``on_frame``."""
+    return lambda frames: [on_frame(frame) for frame in frames]
 
 
 def _queued(channel: ReactorTcpChannel) -> tuple:
@@ -115,7 +120,7 @@ class TestAddChannel:
             if len(got) == 5:
                 done.set()
 
-        reactor.add_channel(b, on_frame)
+        reactor.add_channel(b, _each(on_frame))
         for i in range(5):
             a.send(_frame(b"m%d" % i))
         assert done.wait(timeout=2.0)
@@ -128,7 +133,7 @@ class TestAddChannel:
         got = []
         done = threading.Event()
         reactor.add_channel(
-            b, lambda f: (got.append(f.payload), len(got) == 3 and done.set())
+            b, _each(lambda f: (got.append(f.payload), len(got) == 3 and done.set()))
         )
         assert done.wait(timeout=2.0)
         assert got == [b"0", b"1", b"2"]
@@ -138,7 +143,7 @@ class TestAddChannel:
         closes = []
         closed = threading.Event()
         reactor.add_channel(
-            b, lambda f: None, on_close=lambda ch, exc: (closes.append(exc), closed.set())
+            b, lambda fs: None, on_close=lambda ch, exc: (closes.append(exc), closed.set())
         )
         a.close()
         assert closed.wait(timeout=2.0)
@@ -190,26 +195,31 @@ class TestAddChannel:
             if len(got) == len(expected):
                 done.set()
 
-        reactor.add_channel(faulty, on_frame)
+        reactor.add_channel(faulty, _each(on_frame))
         for i in range(20):
             a.send(_frame(b"m%d" % i))
         assert done.wait(timeout=5.0)
         assert got == expected
 
     def test_handler_exception_does_not_stop_delivery(self, reactor):
+        """A raising batch callback costs only its own batch: the loop
+        lives on and the next batch still arrives."""
         a, b = channel_pair("t")
         got = []
+        raised = threading.Event()
         done = threading.Event()
 
-        def on_frame(frame):
-            got.append(frame.payload)
-            if frame.payload == b"bad":
-                raise RuntimeError("handler fault")
-            if frame.payload == b"last":
+        def on_batch(frames):
+            got.extend(frame.payload for frame in frames)
+            if frames[-1].payload == b"last":
                 done.set()
+                return
+            raised.set()
+            raise RuntimeError("handler fault")
 
-        reactor.add_channel(b, on_frame)
+        reactor.add_channel(b, on_batch)
         a.send(_frame(b"bad"))
+        assert raised.wait(timeout=2.0)
         a.send(_frame(b"last"))
         assert done.wait(timeout=2.0)
         assert got == [b"bad", b"last"]
@@ -230,7 +240,7 @@ class TestReactorTcp:
             done = threading.Event()
             reactor.add_channel(
                 server,
-                lambda f: (got.append(f.payload), len(got) == 10 and done.set()),
+                _each(lambda f: (got.append(f.payload), len(got) == 10 and done.set())),
             )
             client.send_many(_frame(b"n%d" % i) for i in range(10))
             assert done.wait(timeout=5.0)
@@ -458,7 +468,7 @@ class TestBatchDelivery:
 
     def test_add_channel_requires_a_callback(self, reactor):
         a, b = channel_pair("t")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             reactor.add_channel(b)
 
     def test_tcp_round_trip_via_batch(self, reactor):
@@ -643,10 +653,10 @@ class TestLifecycle:
     def test_restart_after_stop_runs_timers(self):
         """A stopped reactor must not silently drop work handed to dead
         loops: the next use restarts with fresh loops."""
-        r = Reactor(loops=1, name="restart-test").start()
+        r = Reactor(name="restart-test").start()
         r.stop()
         fired = threading.Event()
-        r.call_later(0.0, fired.set)  # next_loop() restarts transparently
+        r.call_later(0.0, fired.set)  # the loop restarts transparently
         assert fired.wait(timeout=5.0)
         r.stop()
 
@@ -659,7 +669,7 @@ class TestLifecycle:
             result["on_loop"] = on_reactor_thread()
             done.set()
 
-        reactor.next_loop().schedule(probe)
+        reactor.loop.schedule(probe)
         assert done.wait(timeout=5.0)
         assert result["on_loop"] is True
 
@@ -685,7 +695,7 @@ class _CountingSender:
 
 
 def _count_wakes(reactor):
-    loop = reactor.next_loop()
+    loop = reactor.loop
     loop._wake_send = _CountingSender(loop._wake_send)
     return loop, loop._wake_send
 
@@ -701,7 +711,7 @@ class TestWakeGate:
         before its read, a second waker's byte could be swallowed by the
         same ``recv`` and the flag would stay set over an empty pipe — the
         loop then sleeps on pending callbacks and this never completes."""
-        loop = reactor.next_loop()
+        loop = reactor.loop
         threads, per_thread = 8, 2000
         seen = [[] for _ in range(threads)]
         remaining = [threads * per_thread]
@@ -768,7 +778,7 @@ class TestWakeGate:
         client = connect_tcp_reactor(listener.host, listener.port, reactor=reactor)
         server = listener.accept(timeout=5.0)
         try:
-            reactor.add_channel(server, server.send)  # echo, on the loop
+            reactor.add_channel(server, server.send_many)  # echo, on the loop
             client.send(_frame(b"warm"))
             assert client.recv(timeout=5.0).payload == b"warm"
             _, sender = _count_wakes(reactor)
@@ -805,7 +815,7 @@ class TestThreadBudget:
                     done.set()
 
         for a, b in pairs:
-            reactor.add_channel(b, on_frame)
+            reactor.add_channel(b, _each(on_frame))
         assert threading.active_count() <= before + 1
         for a, _ in pairs:
             a.send(_frame(b"ping"))
