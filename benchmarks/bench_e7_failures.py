@@ -142,7 +142,7 @@ def test_e7_live_tunnel_failure_detected(benchmark):
         grid.connect_all()
         try:
             lost = []
-            grid.proxy_of("A").on_peer_lost.append(lost.append)
+            grid.proxy_of("A").health.on_dead.append(lost.append)
             grid.proxy_of("B").shutdown()
             deadline = _time.monotonic() + 10.0
             while not lost and _time.monotonic() < deadline:

@@ -247,16 +247,16 @@ class ControlMessage:
 
 
 class _ReplyWaiter(queue.SimpleQueue):
-    """One expected reply's mailbox, tagged with the peer it is expected from.
+    """One expected reply's mailbox, tagged with the tunnel it was sent on.
 
     The reply (or a locally built cancellation) is put on it, and the
     requester's ``get`` waits in C (Event's Condition is Python).
     """
 
-    __slots__ = ("peer",)
+    __slots__ = ("tunnel",)
 
-    def __init__(self, peer: str):
-        self.peer = peer
+    def __init__(self, tunnel: object):
+        self.tunnel = tunnel
 
 
 class RequestTracker:
@@ -266,10 +266,10 @@ class RequestTracker:
         self._waiting: dict[int, _ReplyWaiter] = {}
         self._lock = threading.Lock()
 
-    def expect(self, request: ControlMessage, peer: str = "") -> int:
-        """Register interest in the reply to ``request``, sent to ``peer``."""
+    def expect(self, request: ControlMessage, tunnel: object = None) -> int:
+        """Register interest in the reply to ``request``, sent on ``tunnel``."""
         with self._lock:
-            self._waiting[request.message_id] = _ReplyWaiter(peer)
+            self._waiting[request.message_id] = _ReplyWaiter(tunnel)
         return request.message_id
 
     def fulfil(self, reply: ControlMessage) -> bool:
@@ -309,8 +309,9 @@ class RequestTracker:
         with self._lock:
             self._waiting.pop(message_id, None)
 
-    def cancel_peer(self, peer: str, reason: str = "link down") -> None:
-        """Wake every request expected from ``peer`` with an ERROR reply.
+    def cancel_tunnel(self, tunnel: object, reason: str = "link down") -> None:
+        """Wake every request sent on ``tunnel`` (not its peer's requests
+        on a redial's replacement) with an ERROR reply.
 
         ``"cancelled"`` marks the reply as synthesised here (the link
         died), distinguishable from a peer-reported ERROR, so retry
@@ -319,7 +320,7 @@ class RequestTracker:
         """
         with self._lock:
             for message_id, waiter in self._waiting.items():
-                if waiter.peer == peer:
+                if waiter.tunnel is tunnel:
                     waiter.put(
                         ControlMessage(
                             op=Op.ERROR,

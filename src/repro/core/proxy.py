@@ -163,8 +163,6 @@ class ProxyServer:
         self._spaces: dict[str, AppSpace] = {}
         self._space_lock = threading.Lock()
         self._closing = threading.Event()
-        #: pluggable hooks (the failure detector and tests subscribe here)
-        self.on_peer_lost: list[Callable[[str], None]] = []
         #: this proxy's observability hub — its own site's telemetry
         #: only, per the paper's layer-3 model; the grid view is compiled
         #: on demand over OBS_DUMP, never pushed.
@@ -351,21 +349,17 @@ class ProxyServer:
 
     def _on_tunnel_close(self, tunnel: Tunnel) -> None:
         with self._tunnel_lock:
-            current = self._tunnels.get(tunnel.peer_name)
-            stale = current is tunnel
-            if stale:
+            current = self._tunnels.get(tunnel.peer_name) is tunnel
+            if current:
                 del self._tunnels[tunnel.peer_name]
-        if stale:
+        if current:
             # A closed tunnel is a hard liveness signal: skip the
             # heartbeat timeout and degrade immediately.
             self.health.mark_dead(tunnel.peer_name)
-        for callback in list(self.on_peer_lost):
-            callback(tunnel.peer_name)
         # A dead tunnel must not strand request() callers mid-wait — but
-        # only requests sent to *this* peer are affected.
-        self._tracker.cancel_peer(
-            tunnel.peer_name, f"tunnel to {tunnel.peer_name} closed"
-        )
+        # only requests sent on *this* tunnel: a redial's replacement
+        # to the same peer keeps its own.
+        self._tracker.cancel_tunnel(tunnel, f"tunnel to {tunnel.peer_name} closed")
 
     def tunnel_to(self, peer_proxy: str) -> Tunnel:
         with self._tunnel_lock:
@@ -476,16 +470,28 @@ class ProxyServer:
         if op not in IDEMPOTENT_OPS:
             return self._request_once(peer_proxy, op, body, timeout, auth)
         # Each attempt gets an equal slice of the budget so a swallowed
-        # request leaves room for its retries within ``timeout``.
+        # request leaves room for its retries within ``timeout``.  The
+        # first runs bare: the retry state is built only once it failed.
         slice_timeout = timeout / DEFAULT_REQUEST_RETRY.max_attempts
-        policy = dataclasses.replace(DEFAULT_REQUEST_RETRY, deadline=timeout)
-        attempts = 0
+        started = time.monotonic()
+        try:
+            return self._request_once(
+                peer_proxy, op, body, max(slice_timeout, 0.001), auth
+            )
+        except DEFAULT_REQUEST_RETRY.retryable as exc:
+            first: Optional[BaseException] = exc
+        # The policy's deadline is what is left of ``timeout`` since the
+        # first attempt started; its attempt 1 is that attempt's failure.
+        policy = dataclasses.replace(
+            DEFAULT_REQUEST_RETRY, deadline=timeout - (time.monotonic() - started)
+        )
 
         def attempt(deadline):
-            nonlocal attempts
-            attempts += 1
-            if attempts > 1:
-                self._m_req_retries.inc()
+            nonlocal first
+            if first is not None:
+                failed, first = first, None
+                raise failed
+            self._m_req_retries.inc()
             return self._request_once(
                 peer_proxy,
                 op,
@@ -520,7 +526,7 @@ class ProxyServer:
         ctx = current_trace()
         if ctx is not None and ctx.sampled and obs_enabled():
             message.trace = ctx.to_wire()
-        self._tracker.expect(message, peer_proxy)
+        self._tracker.expect(message, tunnel)
         try:
             try:
                 self._send_control(tunnel, message)

@@ -313,7 +313,8 @@ class Tunnel:
     # -- traffic -------------------------------------------------------------------
 
     def _acquire_send_lock(self) -> None:
-        """Take the send lock, but never by blocking an event-loop thread.
+        """Wait for the send lock a try found taken, but never by blocking
+        an event-loop thread.
 
         A worker blocked in backpressure holds the lock for up to the
         channel's send timeout; if a loop thread (heartbeat timer, inline
@@ -323,12 +324,10 @@ class Tunnel:
         fast with :class:`TunnelBusy` and let the caller retry.
         """
         if on_reactor_thread():
-            if not self._send_lock.acquire(blocking=False):
-                raise TunnelBusy(
-                    f"tunnel {self.local_name}->{self.peer_name} send "
-                    f"refused: channel busy on event-loop thread"
-                )
-            return
+            raise TunnelBusy(
+                f"tunnel {self.local_name}->{self.peer_name} send "
+                f"refused: channel busy on event-loop thread"
+            )
         self._send_lock.acquire()
 
     def send(self, frame: Frame) -> None:
@@ -351,9 +350,12 @@ class Tunnel:
             raise TunnelError(
                 f"tunnel {self.local_name}->{self.peer_name} is down"
             )
-        self._acquire_send_lock()
+        if not self._send_lock.acquire(blocking=False):
+            self._acquire_send_lock()  # contended
         try:
             write(payload)
+            if self._m_sent is not None:
+                self._m_sent.inc(count)
         except ChannelBusy as exc:
             # Backpressure: the tunnel is congested, not broken.
             if self._m_busy is not None:
@@ -366,8 +368,6 @@ class Tunnel:
             raise TunnelError(f"tunnel send failed: {exc}") from exc
         finally:
             self._send_lock.release()
-        if self._m_sent is not None:
-            self._m_sent.inc(count)
 
     @property
     def alive(self) -> bool:

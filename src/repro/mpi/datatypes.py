@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import reduce as _functools_reduce
 from typing import Any, Callable
 
-from repro.transport.frames import encode_value
+from repro.transport.frames import encoded_size
 
 __all__ = [
     "BAND",
@@ -43,7 +43,7 @@ class Envelope:
         object over without serialising it; a tunnel crossing counts the
         blob it actually encodes instead.
         """
-        return len(encode_value(self.payload))
+        return encoded_size(self.payload)
 
 
 class ReduceOp:

@@ -21,10 +21,11 @@ of magnitude cheaper per byte from the standard library alone; an AES
 suite would need a third-party dependency.  The same construction seals
 session tickets (:func:`keystream_xor`).
 
-The data path XORs the whole buffer as one big integer and clones a
-pre-keyed HMAC template per record (two hash updates instead of a full
-key schedule).  ``benchmarks/e2e`` reports the measured cost per
-workload as the ``security.cipher.*`` metrics.
+The data path XORs the whole buffer as one big integer and computes the
+HMAC from pre-keyed SHA-256 inner and outer states, copied per record
+(byte-identical to ``hmac.new(mac_key, seq + ciphertext, sha256)``).
+``benchmarks/e2e`` reports the measured cost per workload as the
+``security.cipher.*`` metrics.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
 
 _SEQ = struct.Struct("!Q")
 _MAC_LEN = 32
+_SHA256_BLOCK = 64
 _HEADER_LEN = _SEQ.size + _MAC_LEN
 
 #: Largest ciphertext a well-formed peer can produce: a record body is an
@@ -117,9 +119,11 @@ class RecordCipher:
         self.keys = keys
         self._send_seq = 0
         self._recv_seq = -1
-        # Pre-keyed templates: cloning skips the HMAC key schedule (two
-        # SHA-256 inits + key XORs) and the keystream prefix hash per record.
-        self._mac_template = hmac.new(keys.mac_key, digestmod=hashlib.sha256)
+        # HMAC-SHA-256 (RFC 2104) as its two pre-keyed SHA-256 states, and
+        # the pre-hashed keystream prefix: a record only copies them.
+        block = keys.mac_key.ljust(_SHA256_BLOCK, b"\0")
+        self._mac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in block))
+        self._mac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in block))
         self._ks_base = hashlib.shake_128(keys.encrypt_key)
 
     def _keystream(self, seq: int, nbytes: int) -> bytes:
@@ -131,10 +135,12 @@ class RecordCipher:
         return h.digest(nbytes)
 
     def _mac(self, seq_raw: bytes, ciphertext: bytes) -> bytes:
-        m = self._mac_template.copy()
-        m.update(seq_raw)
-        m.update(ciphertext)
-        return m.digest()
+        inner = self._mac_inner.copy()
+        inner.update(seq_raw)
+        inner.update(ciphertext)
+        outer = self._mac_outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def seal(self, plaintext: bytes) -> bytes:
         """Encrypt and authenticate one record."""

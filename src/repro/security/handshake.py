@@ -44,7 +44,7 @@ import hashlib
 import hmac
 import secrets
 import threading
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.obs.racesan import shared_state
 from repro.security.certs import Certificate, CertificateError
@@ -122,38 +122,33 @@ class SecureChannel(Channel):
         #: Ticket for the *next* dial to this server, when one issued.
         self.resumption_ticket: Optional["ResumptionTicket"] = None
 
+    # The record sequences already need sends (a Tunnel's send lock) and
+    # opens (one thread) serialised, so stats are booked without a lock.
+
     def send(self, frame: Frame) -> None:
         record = self._send_cipher.seal(encode_frame(frame))
-        self._inner.send(Frame(FrameKind.DATA, frame.channel, {}, record))
+        self._inner.send_records([(frame.channel, record)])
         self.stats.on_send(len(record))
 
-    def send_many(self, frames) -> None:
+    def send_many(self, frames: Iterable[Frame]) -> None:
         """Seal a burst of frames and hand the records down as one batch.
 
         Each frame still becomes its own record (the wire format is the
         same as :meth:`send`); the win is that the inner transport writes
-        all carriers with one vectored syscall.
+        all of them with one vectored syscall.
         """
-        carriers = []
-        sizes = []
-        for frame in frames:
-            record = self._send_cipher.seal(encode_frame(frame))
-            carriers.append(Frame(FrameKind.DATA, frame.channel, {}, record))
-            sizes.append(len(record))
-        if not carriers:
+        seal = self._send_cipher.seal
+        records = [(frame.channel, seal(encode_frame(frame))) for frame in frames]
+        if not records:
             return
-        self._inner.send_many(carriers)
-        for size in sizes:
-            self.stats.on_send(size)
+        self._inner.send_records(records)
+        self.stats.frames_sent += len(records)
+        self.stats.bytes_sent += sum([len(record) for _, record in records])
 
     def recv(self, timeout: Optional[float] = None) -> Frame:
         carrier = self._inner.recv(timeout=timeout)
-        return self._open_record(carrier)
-
-    def _open_record(self, carrier: Frame) -> Frame:
         try:
-            plaintext = self._recv_cipher.open(carrier.payload)
-            frame = decode_frame(plaintext)
+            frame = decode_frame(self._recv_cipher.open(carrier.payload))
         except Exception as exc:
             raise HandshakeError(f"record verification failed: {exc}") from exc
         self.stats.on_receive(len(carrier.payload))
@@ -161,11 +156,28 @@ class SecureChannel(Channel):
 
     # -- reactor protocol: records open wherever the inner transport polls --
 
-    def poll_recv(self) -> Optional[Frame]:
-        carrier = self._inner.poll_recv()
-        if carrier is None:
-            return None
-        return self._open_record(carrier)
+    poll_recv = Channel._poll_one
+
+    def poll_batch(self, limit: int) -> tuple[list[Frame], Optional[Exception]]:
+        """Open one batch of the inner transport's records.  A record that
+        fails ends it: the frames before it come back with the error, and
+        the records behind it, on an untrustworthy stream, are dropped."""
+        carriers, error = self._inner.poll_batch(limit)
+        frames: list[Frame] = []
+        open_record = self._recv_cipher.open
+        nbytes = 0
+        for carrier in carriers:
+            try:
+                frames.append(decode_frame(open_record(carrier.payload)))
+            except Exception as exc:
+                error = HandshakeError(f"record verification failed: {exc}")
+                error.__cause__ = exc
+                break
+            nbytes += len(carrier.payload)
+        if frames:
+            self.stats.frames_received += len(frames)
+            self.stats.bytes_received += nbytes
+        return frames, error
 
     def set_ready_callback(self, callback) -> None:
         self._inner.set_ready_callback(callback)

@@ -15,30 +15,28 @@ import abc
 import threading
 from typing import Callable, Iterable, Optional
 
-from repro.transport.frames import Frame
+from repro.transport.frames import Frame, FrameKind
 
 __all__ = ["Channel", "Listener", "ChannelStats"]
 
 
 class ChannelStats:
-    """Thread-safe per-channel traffic accounting."""
+    """Per-channel traffic accounting, booked by the channel under the
+    lock (or on the one thread) that already orders that direction."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
 
     def on_send(self, nbytes: int) -> None:
-        with self._lock:
-            self.frames_sent += 1
-            self.bytes_sent += nbytes
+        self.frames_sent += 1
+        self.bytes_sent += nbytes
 
     def on_receive(self, nbytes: int) -> None:
-        with self._lock:
-            self.frames_received += 1
-            self.bytes_received += nbytes
+        self.frames_received += 1
+        self.bytes_received += nbytes
 
 
 class Channel(abc.ABC):
@@ -61,6 +59,12 @@ class Channel(abc.ABC):
         """
         for frame in frames:
             self.send(frame)
+
+    def send_records(self, records: list[tuple[int, bytes]]) -> None:
+        """Send sealed ``(channel id, record)`` pairs, each as the payload
+        of a header-less DATA frame; TCP writes them behind a
+        :func:`~repro.transport.frames.carrier_prefix`, with no frame."""
+        self.send_many([Frame(FrameKind.DATA, ch, {}, rec) for ch, rec in records])
 
     @abc.abstractmethod
     def recv(self, timeout: Optional[float] = None) -> Frame:
@@ -100,8 +104,30 @@ class Channel(abc.ABC):
         The callback must be cheap and thread-safe: it is invoked from
         whatever thread delivered the data (a peer's send, the event
         loop's socket reader, a close).  Spurious invocations are fine —
-        the consumer drains with :meth:`poll_recv` until None.
+        the consumer drains with :meth:`poll_batch`.  A transport's own
+        loop read calls ``callback.readable()`` instead, if it exists, to
+        drain in place; a sender's signal never may.
         """
+
+    def poll_batch(self, limit: int) -> tuple[list[Frame], Optional[Exception]]:
+        """Up to ``limit`` ready frames, then what :meth:`poll_recv` would
+        raise next (returned, so the frames before it are delivered
+        first): the loop's one receive call per drain.  Layered
+        transports override it to pass one batch through each layer."""
+        frames: list[Frame] = []
+        try:
+            while len(frames) < limit and (frame := self.poll_recv()) is not None:
+                frames.append(frame)
+        except Exception as exc:  # ChannelClosed, FrameError, record MAC…
+            return frames, exc
+        return frames, None
+
+    def _poll_one(self) -> Optional[Frame]:
+        """``poll_recv`` for a transport that overrides ``poll_batch``."""
+        frames, error = self.poll_batch(1)
+        if error is not None:
+            raise error
+        return frames[0] if frames else None
 
     def __enter__(self) -> "Channel":
         return self

@@ -40,11 +40,13 @@ __all__ = [
     "FrameKind",
     "MAX_FRAME_PAYLOAD",
     "MAX_FRAME_WIRE_SIZE",
+    "carrier_prefix",
     "decode_frame",
     "decode_value",
     "encode_frame",
     "encode_frame_views",
     "encode_value",
+    "encoded_size",
 ]
 
 _MAGIC = b"GX"
@@ -192,6 +194,44 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
             _encode_into(item, out, depth + 1)
     else:
         raise CodecError(f"cannot encode type {type(value).__name__}")
+
+
+def encoded_size(value: Any) -> int:
+    """``len(encode_value(value))`` without building the bytes (only a
+    non-ASCII string is encoded, to count it); the same CodecErrors."""
+    return _size_of(value, 0)
+
+
+def _size_of(value: Any, depth: int) -> int:
+    # _encode_into's walk, branch for branch, so the errors match.
+    if depth > _MAX_DEPTH:
+        raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
+    if isinstance(value, dict):
+        if len(value) > _MAX_CONTAINER:
+            raise CodecError(f"container too large: {len(value)}")
+        if value and depth == _MAX_DEPTH:
+            raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
+        size = 5
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise CodecError(f"dict keys must be str, got {type(key).__name__}")
+            size += _size_of(key, depth + 1) + _size_of(item, depth + 1)
+        return size
+    if value is None or value is True or value is False:
+        return 1
+    if isinstance(value, int):
+        return 6 + (value.bit_length() + 8) // 8
+    if isinstance(value, float):
+        return 1 + _F64.size
+    if isinstance(value, str):
+        return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return 5 + memoryview(value).nbytes
+    if isinstance(value, (list, tuple)):
+        if len(value) > _MAX_CONTAINER:
+            raise CodecError(f"container too large: {len(value)}")
+        return 5 + sum([_size_of(item, depth + 1) for item in value])
+    raise CodecError(f"cannot encode type {type(value).__name__}")
 
 
 def decode_value(data: "bytes | bytearray | memoryview") -> Any:
@@ -369,6 +409,18 @@ def encode_frame_views(frame: Frame) -> list[bytes]:
     return [prefix + header_blob, frame.payload]
 
 
+#: a sealed record's carrier: a header-less DATA frame
+_CARRIER = struct.Struct("!4sIII5s")
+_CARRIER_HEAD = _MAGIC + bytes((_VERSION, FrameKind.DATA))
+
+
+def carrier_prefix(channel: int, record_len: int) -> bytes:
+    """``encode_frame_views(Frame(DATA, channel, {}, record))[0]``, no frame built."""
+    if record_len > MAX_FRAME_PAYLOAD:
+        raise FrameError(f"payload too large: {record_len}")
+    return _CARRIER.pack(_CARRIER_HEAD, channel, len(_NO_HEADERS), record_len, _NO_HEADERS)
+
+
 def encode_frame(frame: Frame) -> bytes:
     """Serialise a frame to its wire representation."""
     return b"".join(encode_frame_views(frame))
@@ -376,7 +428,7 @@ def encode_frame(frame: Frame) -> bytes:
 
 def decode_frame(data: bytes) -> Frame:
     """Decode exactly one frame; rejects trailing bytes."""
-    frame, consumed = _decode_frame_prefix(data)
+    frame, consumed = _decode_frame_at(data, 0)
     if frame is None:
         raise FrameError("truncated frame")
     if consumed != len(data):
@@ -439,25 +491,21 @@ def _decode_frame_at(
         else:
             payload = b""  # empty views would pin the buffer for nothing
     if header_blob == _NO_HEADERS:
-        return Frame(kind, channel, {}, payload), total
-    try:
-        headers = decode_value(header_blob)
-    except CodecError as exc:
-        # Corrupt header bytes are a framing error: the stream cannot be
-        # resynchronised, so the decoder must poison itself, not leak a
-        # CodecError past its FrameError contract.
-        raise FrameError(f"corrupt frame headers: {exc}") from exc
-    if not isinstance(headers, dict):
-        raise FrameError("frame headers are not a dict")
-    return Frame(kind, channel, headers, payload), total
-
-
-def _decode_frame_prefix(data: bytes) -> tuple[Optional[Frame], int]:
-    """Try to decode a frame from the start of ``data``.
-
-    Returns (frame, bytes_consumed) or (None, 0) when more bytes are needed.
-    """
-    return _decode_frame_at(data, 0)
+        headers: Any = {}
+    else:
+        try:
+            headers = decode_value(header_blob)
+        except CodecError as exc:
+            # Corrupt header bytes are a framing error: the stream cannot be
+            # resynchronised, so the decoder must poison itself, not leak a
+            # CodecError past its FrameError contract.
+            raise FrameError(f"corrupt frame headers: {exc}") from exc
+        if not isinstance(headers, dict):
+            raise FrameError("frame headers are not a dict")
+    # Every field is validated above, so Frame.__post_init__ is skipped.
+    frame = object.__new__(Frame)
+    frame.kind, frame.channel, frame.headers, frame.payload = kind, channel, headers, payload
+    return frame, total
 
 
 #: Consumed prefix beyond which the decoder buffer is compacted eagerly;

@@ -51,9 +51,6 @@ class InprocChannel(Channel):
         #: bound on buffered inbound frames (0 = unbounded)
         self.maxsize = maxsize
         self.send_timeout = send_timeout
-        #: count wire bytes as the encoded frame size so in-proc and TCP
-        #: report comparable traffic volumes
-        self._measure_wire = True
 
     def _bind(self, peer: "InprocChannel") -> None:
         self._peer = peer
@@ -70,6 +67,8 @@ class InprocChannel(Channel):
             None if self.send_timeout is None
             else time.monotonic() + self.send_timeout
         )
+        # Wire bytes are the encoded frame size, as TCP counts them.
+        nbytes = len(encode_frame(frame))
         with peer._cond:
             while peer.maxsize and len(peer._buf) >= peer.maxsize:
                 if peer._eof or peer._closed.is_set():
@@ -88,8 +87,7 @@ class InprocChannel(Channel):
             peer._buf.append(frame)
             peer._cond.notify_all()
             cb = peer._ready_cb
-        nbytes = len(encode_frame(frame)) if self._measure_wire else len(frame.payload)
-        self.stats.on_send(nbytes)
+            self.stats.on_send(nbytes)  # every sender on self holds peer._cond
         if cb is not None:
             cb()
 
@@ -109,8 +107,7 @@ class InprocChannel(Channel):
                 self._cond.wait(timeout=remaining)
             frame = self._buf.popleft()
             self._cond.notify_all()  # a bounded buffer just freed a slot
-        nbytes = len(encode_frame(frame)) if self._measure_wire else len(frame.payload)
-        self.stats.on_receive(nbytes)
+        self.stats.on_receive(len(encode_frame(frame)))  # one consumer
         return frame
 
     def poll_recv(self) -> Optional[Frame]:
@@ -121,8 +118,7 @@ class InprocChannel(Channel):
                 return None
             frame = self._buf.popleft()
             self._cond.notify_all()
-        nbytes = len(encode_frame(frame)) if self._measure_wire else len(frame.payload)
-        self.stats.on_receive(nbytes)
+        self.stats.on_receive(len(encode_frame(frame)))
         return frame
 
     def set_ready_callback(self, callback: Optional[Callable[[], None]]) -> None:

@@ -53,7 +53,12 @@ from repro.transport.errors import (
     FrameError,
     TransportTimeout,
 )
-from repro.transport.frames import Frame, FrameDecoder, encode_frame_views
+from repro.transport.frames import (
+    Frame,
+    FrameDecoder,
+    carrier_prefix,
+    encode_frame_views,
+)
 from repro.transport.tcp import TcpListener, _set_nodelay, connect_tcp
 
 __all__ = [
@@ -72,7 +77,6 @@ __all__ = [
 _RECV_CHUNK = 64 * 1024
 #: iovec entries per ``sendmsg`` (Linux ``IOV_MAX``)
 _IOV_MAX = 1024
-_EOF = object()
 #: frames delivered per drain pass before yielding to other channels
 _DRAIN_BATCH = 128
 _timer_seq = itertools.count()
@@ -149,7 +153,9 @@ class TimerHandle:
 
 
 class _Registration:
-    """One channel's membership on a loop: ready-flag + drain bookkeeping."""
+    """One channel's membership on a loop, and its ready callback:
+    calling it (any thread) schedules one drain; :meth:`readable` (the
+    loop's own socket read) drains in place."""
 
     __slots__ = ("channel", "on_batch", "on_close", "_loop",
                  "_lock", "_scheduled", "_closed")
@@ -172,32 +178,29 @@ class _Registration:
             self._scheduled = True
         self._loop.schedule(self._drain)
 
+    __call__ = ready
+
     # -- loop side -------------------------------------------------------
 
-    def _drain(self) -> None:
-        """Collect the whole decoder backlog, deliver it as one batch.
+    def readable(self) -> None:
+        # Never a sender's ready signal: a handler's in-process send must
+        # not nest that channel's delivery inside its own.
+        self._drain()
 
-        One loop wakeup → one ``on_batch(frames)`` call → one dispatch
-        pass downstream, so per-frame scheduling overhead (ready-flag
-        churn, handler indirection, reply syscalls) is paid per burst.
-        Frames already drained are always delivered before a terminal
-        condition is surfaced — a death notice must not eat data.
+    def _drain(self) -> None:
+        """Take the channel's backlog in one call, deliver it as one batch.
+
+        One ``poll_batch`` → one ``on_batch(frames)`` → one dispatch
+        pass downstream, so per-frame overhead (ready-flag churn, layer
+        calls, handler indirection, reply syscalls) is paid per burst.
+        Frames drained before a terminal condition are always delivered
+        before it is surfaced — a death notice must not eat data.
         """
         with self._lock:
             self._scheduled = False
             if self._closed:
                 return
-        batch: list = []
-        error: Optional[Exception] = None
-        for _ in range(_DRAIN_BATCH):
-            try:
-                frame = self.channel.poll_recv()
-            except Exception as exc:  # ChannelClosed, FrameError, record MAC…
-                error = exc
-                break
-            if frame is None:
-                break
-            batch.append(frame)
+        batch, error = self.channel.poll_batch(_DRAIN_BATCH)
         if batch:
             try:
                 self.on_batch(batch)
@@ -470,11 +473,6 @@ class Reactor:
         """The event loop, restarted first if the reactor was stopped."""
         return self.start()._loop
 
-    @staticmethod
-    def current_owner() -> Optional[str]:
-        """Hook form of :func:`current_owner` (racesan's resolver)."""
-        return current_owner()
-
     # -- timers ----------------------------------------------------------
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
@@ -510,7 +508,7 @@ class Reactor:
         record MAC failure).
         """
         registration = _Registration(channel, on_batch, on_close, self.loop)
-        channel.set_ready_callback(registration.ready)
+        channel.set_ready_callback(registration)
         registration.ready()  # drain anything buffered before we attached
         return registration
 
@@ -535,13 +533,13 @@ class ReactorTcpChannel(Channel):
 
     Inbound is the **zero-copy receive path**: the loop only
     ``recv_into``'s the decoder's reassembly buffer (kernel→buffer is the
-    sole copy) and notifies consumers; frames are decoded lazily at
-    :meth:`poll_recv` / :meth:`recv` time.  ``poll_recv`` on the owning
-    loop thread returns frames whose payload is a memoryview into the
+    sole copy), then runs the consumer's drain in place; frames are
+    decoded lazily, a whole backlog per :meth:`poll_batch`.  On the
+    owning loop thread those frames' payloads are memoryviews into the
     decoder buffer — valid until the loop's next read, which is safe
     because reads and loop-side consumption are the same thread and
     layered consumers (the record cipher) open each frame before the
-    drain continues.  Cross-thread blocking ``recv`` always copies.
+    drain returns.  Cross-thread blocking ``recv`` always copies.
 
     Outbound has **one write rule**: frames are encoded to iovec views,
     and a sender — loop thread or not — that finds the write queue empty
@@ -575,16 +573,21 @@ class ReactorTcpChannel(Channel):
         self.max_write_queue = max_write_queue
         self.send_timeout = send_timeout
         # inbound: raw bytes land in the decoder on the loop thread;
-        # decode happens at consumption time under _rx_cond.
+        # decode happens at consumption time under _rx_lock.  _rx_cond
+        # over it is notified only while a blocking recv waits.
         self._decoder = FrameDecoder()
-        self._rx_cond = threading.Condition()
+        self._rx_lock = threading.Lock()
+        self._rx_cond = threading.Condition(self._rx_lock)
+        self._rx_waiters = 0
         self._rx_eof = False
         self._rx_error: Optional[Exception] = None
         self._ready_cb: Optional[Callable[[], None]] = None
-        # outbound
+        self._read_cb: Optional[Callable[[], None]] = None
+        # outbound: the same split, _wq_cond for senders in backpressure
         self._wq: deque = deque()  # (views, frame_size)
         self._wq_bytes = 0
-        self._wq_cond = threading.Condition()
+        self._wq_lock = threading.Lock()
+        self._wq_cond = threading.Condition(self._wq_lock)
         # Process-level backlog gauge: the sum of every channel's pending
         # write bytes.  A rising value means peers are not keeping up.
         self._m_wq_gauge = get_global_registry().gauge("reactor.write_queue_bytes")
@@ -613,7 +616,7 @@ class ReactorTcpChannel(Channel):
             self._on_readable()
 
     def _on_readable(self) -> None:
-        with self._rx_cond:
+        with self._rx_lock:
             try:
                 n = self._decoder.feed_into(self._sock.recv_into, _RECV_CHUNK)
             except (BlockingIOError, InterruptedError):
@@ -623,23 +626,23 @@ class ReactorTcpChannel(Channel):
                 # was poisoned by a consumer-side decode; either way the
                 # stream is over.
                 n = 0
-            if n:
-                self._rx_cond.notify_all()
-            else:
+            if not n:
                 self._rx_eof = True
+            if self._rx_waiters:
                 self._rx_cond.notify_all()
-            # Read under _rx_cond (its publication lock); call outside —
-            # the callback re-enters poll_recv, which takes _rx_cond.
-            cb = self._ready_cb
+            # Read under _rx_lock (its publication lock); call outside —
+            # the drain re-enters poll_batch, which takes _rx_lock.
+            cb = self._read_cb
         if not n:
             self.reactor_loop.unregister_fd(self._sock)
         if cb is not None:
             cb()
 
     def _mark_eof(self) -> None:
-        with self._rx_cond:
+        with self._rx_lock:
             self._rx_eof = True
-            self._rx_cond.notify_all()
+            if self._rx_waiters:
+                self._rx_cond.notify_all()
             cb = self._ready_cb
         if cb is not None:
             cb()
@@ -648,103 +651,125 @@ class ReactorTcpChannel(Channel):
 
     def recv(self, timeout: Optional[float] = None) -> Frame:
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._rx_cond:
+        with self._rx_lock:
             while True:
-                frame = self._try_decode()
-                if frame is not None:
-                    return frame
+                frames = self._decode_locked(1, self._decoder.next_frame)
+                if frames:
+                    return frames[0]
                 if self._rx_error is not None or self._rx_eof:
-                    self._raise_terminal()
+                    raise self._terminal()
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
                 if remaining is not None and remaining <= 0:
                     raise TransportTimeout(f"{self.name}: recv timed out")
-                self._rx_cond.wait(timeout=remaining)
+                self._rx_waiters += 1
+                try:
+                    self._rx_cond.wait(timeout=remaining)
+                finally:
+                    self._rx_waiters -= 1
 
-    def poll_recv(self) -> Optional[Frame]:
-        with self._rx_cond:
-            frame = self._try_decode()
-            if frame is not None:
-                return frame
-            if self._rx_error is not None or self._rx_eof:
-                self._raise_terminal()
-            return None
+    poll_recv = Channel._poll_one
 
-    def _try_decode(self) -> Optional[Frame]:
-        """Decode the next buffered frame; caller holds ``_rx_cond``.
-
-        Zero-copy (memoryview payload) only on the owning loop thread,
-        where decode is serialised with the loop's own reads; any other
-        thread gets a copying decode, immune to later buffer reuse.
-        """
-        if self._rx_error is not None:
-            return None
-        zero = self.reactor_loop.on_loop_thread()
-        try:
-            frame = (
-                self._decoder.next_frame_view()
-                if zero
-                else self._decoder.next_frame()
+    def poll_batch(self, limit: int) -> tuple[list[Frame], Optional[Exception]]:
+        """Decode up to ``limit`` buffered frames under one lock hold:
+        zero-copy only on the owning loop thread, where decode is
+        serialised with the loop's own reads; other threads copy."""
+        decoder = self._decoder
+        with self._rx_lock:
+            frames = self._decode_locked(
+                limit,
+                decoder.next_frame_view
+                if self.reactor_loop.on_loop_thread()
+                else decoder.next_frame,
             )
+            if len(frames) < limit and (self._rx_error is not None or self._rx_eof):
+                return frames, self._terminal()  # drained: now the end
+        return frames, None
+
+    def _decode_locked(
+        self, limit: int, next_frame: Callable[[], Optional[Frame]]
+    ) -> list[Frame]:
+        """Up to ``limit`` frames; a framing error is kept for
+        :meth:`_terminal`.  Caller holds ``_rx_lock``."""
+        frames: list[Frame] = []
+        if self._rx_error is not None:
+            return frames
+        nbytes = 0
+        try:
+            while len(frames) < limit:
+                frame = next_frame()
+                if frame is None:
+                    break
+                frames.append(frame)
+                nbytes += self._decoder.last_frame_wire_size
         except FrameError as exc:
             self._rx_error = exc
             self.reactor_loop.schedule(self._detach_read)
-            return None
-        if frame is not None:
-            self.stats.on_receive(self._decoder.last_frame_wire_size)
-        return frame
+        if frames:
+            self.stats.frames_received += len(frames)
+            self.stats.bytes_received += nbytes
+        return frames
 
-    def _raise_terminal(self):
-        # Caller holds _rx_cond; decoder is drained.
+    def _terminal(self) -> Exception:
+        # Caller holds _rx_lock; decoder is drained.
         if self._rx_error is not None:
             exc, self._rx_error = self._rx_error, None
             self._rx_eof = True  # later recvs see a closed channel
-            raise exc
-        raise ChannelClosed(f"{self.name}: connection closed")
+            return exc
+        return ChannelClosed(f"{self.name}: connection closed")
 
     def _detach_read(self) -> None:
         self.reactor_loop.unregister_fd(self._sock)
 
     def set_ready_callback(self, callback) -> None:
         # Registration thread publishes; the loop thread reads in
-        # _on_readable/_mark_eof.  _rx_cond is the publication lock —
+        # _on_readable/_mark_eof.  _rx_lock is the publication lock —
         # add_channel's immediate ready() drain covers frames that
         # landed before the callback became visible.
-        with self._rx_cond:
+        with self._rx_lock:
             self._ready_cb = callback
+            self._read_cb = getattr(callback, "readable", callback)
 
     # -- writes -----------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
-        self._enqueue([encode_frame_views(frame)])
+        self.send_many((frame,))
 
     def send_many(self, frames: Iterable[Frame]) -> None:
         batch = [encode_frame_views(frame) for frame in frames]
         if batch:
             self._enqueue(batch)
 
-    def _enqueue(self, frame_views: list) -> None:
-        sizes = [sum(map(len, views)) for views in frame_views]
-        need = sum(sizes)
-        # Any loop thread — not just our own — must fail fast rather than
-        # wait: blocking loop A on loop B's queue stalls all of A's channels.
-        on_loop = on_reactor_thread()
-        deadline = (
-            None if self.send_timeout is None
-            else time.monotonic() + self.send_timeout
-        )
-        with self._wq_cond:
+    def send_records(self, records: list[tuple[int, bytes]]) -> None:
+        # The record itself is the second iovec: sealed once, never copied.
+        batch = [[carrier_prefix(ch, len(record)), record] for ch, record in records]
+        if batch:
+            self._enqueue(batch)
+
+    def _enqueue(self, batch: list) -> None:
+        entries = []
+        need = 0
+        for views in batch:  # [head, body]: an encoded frame or a carrier
+            size = len(views[0]) + len(views[1])
+            entries.append((views, size))
+            need += size
+        deadline = None
+        with self._wq_lock:
             if self._closed.is_set():
                 raise ChannelClosed(f"{self.name}: send on closed channel")
             while (
                 self._wq_bytes and self._wq_bytes + need > self.max_write_queue
             ):
-                if on_loop:
+                # Any loop thread — not just our own — must fail fast rather
+                # than wait: blocking loop A on loop B's queue stalls A.
+                if on_reactor_thread():
                     raise ChannelBusy(
                         f"{self.name}: write queue full "
                         f"({self._wq_bytes}B) on loop thread"
                     )
+                if deadline is None and self.send_timeout is not None:
+                    deadline = time.monotonic() + self.send_timeout
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
@@ -760,10 +785,11 @@ class ReactorTcpChannel(Channel):
             # loop, so this sender writes its frames itself; behind a
             # tail it only appends, and the loop's flush keeps the order.
             before = self._wq_bytes
-            for views, size in zip(frame_views, sizes):
-                self._wq.append((views, size))
-                self.stats.on_send(size)
-            self._wq_bytes += need
+            self._wq.extend(entries)
+            self._wq_bytes = before + need
+            stats = self.stats  # booked under _wq_lock, once per burst
+            stats.frames_sent += len(entries)
+            stats.bytes_sent += need
             error = None if before else self._write_locked()
             if self._wq_bytes != before:
                 self._m_wq_gauge.add(self._wq_bytes - before)
@@ -781,7 +807,7 @@ class ReactorTcpChannel(Channel):
         """Hand the queue to the kernel until it is empty or refused.
 
         The only ``sendmsg`` on this socket.  Lock discipline: the caller
-        holds ``_wq_cond`` — an inline sender on any thread, or the owning
+        holds ``_wq_lock`` — an inline sender on any thread, or the owning
         loop finishing a tail — so two writers never interleave the bytes
         of their frames, and the queue is trimmed in the same critical
         section that wrote it.  The socket is non-blocking, so the lock

@@ -49,8 +49,8 @@ class TestProxyFailure:
 
     def test_peer_loss_callbacks_fire_on_both_sides(self, grid):
         lost_a, lost_b = [], []
-        grid.proxy_of("A").on_peer_lost.append(lost_a.append)
-        grid.proxy_of("B").on_peer_lost.append(lost_b.append)
+        grid.proxy_of("A").health.on_dead.append(lost_a.append)
+        grid.proxy_of("B").health.on_dead.append(lost_b.append)
         grid.proxy_of("C").shutdown()
         deadline = time.monotonic() + 10.0
         while (not lost_a or not lost_b) and time.monotonic() < deadline:
@@ -142,6 +142,48 @@ class TestProxyFailure:
             release_b.set()
         threads["proxy.B"].join(timeout=10.0)
         assert outcome["proxy.B"].body == {"held": True}
+
+    def test_closing_a_redials_old_tunnel_spares_requests_on_the_new(self, grid):
+        """A redials B, so its requests to B ride the new tunnel; closing
+        the replaced one must not cancel them (nor mark B dead)."""
+        proxy_a = grid.proxy_of("A")
+        old = proxy_a.tunnel_to("proxy.B")
+        address = grid.directory.address_of_proxy("proxy.B")
+        new = proxy_a.connect_to_peer(dial=lambda: grid._dial(address), peer="proxy.B")
+        assert proxy_a.tunnel_to("proxy.B") is new
+        at_b, release_b = threading.Event(), threading.Event()
+
+        def held_at_b(msg, peer):
+            at_b.set()
+            release_b.wait(timeout=10.0)
+            return msg.reply(Op.STATUS_REPORT, {"held": True})
+
+        grid.proxy_of("B").pipeline.register(Op.STATUS_QUERY, held_at_b, blocking=True)
+        dead = []
+        proxy_a.health.on_dead.append(dead.append)
+        outcome = []
+
+        def ask():
+            try:
+                outcome.append(proxy_a.request("proxy.B", Op.STATUS_QUERY, timeout=30.0))
+            except ProxyError as exc:
+                outcome.append(exc)
+
+        closed = threading.Event()
+        old.on_close(lambda tunnel: closed.set())  # runs after A's own callback
+        asker = threading.Thread(target=ask)
+        asker.start()
+        try:
+            assert at_b.wait(timeout=10.0)
+            old.close()
+            assert closed.wait(timeout=10.0)
+            asker.join(timeout=0.1)  # a cancelled request returns at once
+            assert asker.is_alive() and not outcome
+        finally:
+            release_b.set()
+        asker.join(timeout=10.0)
+        assert outcome[0].body == {"held": True}
+        assert dead == [] and proxy_a.tunnel_to("proxy.B") is new
 
 
 class TestNodeFailure:

@@ -1,8 +1,14 @@
 """Property-based tests for the wire codec and frame format."""
 
-from hypothesis import given, settings
+import array
+import enum
+import re
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.transport.errors import CodecError
 from repro.transport.frames import (
     Frame,
     FrameDecoder,
@@ -11,6 +17,7 @@ from repro.transport.frames import (
     decode_value,
     encode_frame,
     encode_value,
+    encoded_size,
 )
 
 # Values the codec supports (floats restricted to non-NaN: NaN != NaN
@@ -138,3 +145,78 @@ def test_chunking_is_invisible(frames_spec, random_chunks):
             assert got.channel == a.channel
             assert got.headers == a.headers
             assert got.payload == a.payload
+
+
+# -- encoded_size: the byte count of encode_value, without the bytes ---------
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 70000
+
+
+class _Name(str):
+    pass
+
+
+#: what encode_value accepts in more shapes than it decodes back to, and
+#: what it refuses (foreign leaves, non-str dict keys)
+sized_leaves = st.one_of(
+    scalars,
+    st.integers(-70000, 70000),
+    st.binary(max_size=16).map(bytearray),
+    st.binary(max_size=16).map(memoryview),
+    st.lists(st.integers(-(2**31), 2**31 - 1), max_size=4).map(
+        lambda xs: memoryview(array.array("i", xs))
+    ),
+    st.sampled_from(list(_Level)),
+    st.text(max_size=8).map(_Name),
+    st.sampled_from([object(), {1, 2}, 1j]),
+)
+
+sized_values = st.recursive(
+    sized_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(
+            st.one_of(st.text(max_size=8), st.text(max_size=8).map(_Name), st.integers(0, 3)),
+            children,
+            max_size=5,
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+def _same_outcome(value):
+    try:
+        expected = len(encode_value(value))
+    except CodecError as exc:
+        with pytest.raises(CodecError, match=re.escape(str(exc))):
+            encoded_size(value)
+    else:
+        assert encoded_size(value) == expected
+
+
+@given(sized_values)
+@example(0)
+@example({"k": [-1, 127, 128, 255, -129, 2**63, "é", b""]})
+def test_encoded_size_is_the_encoded_length(value):
+    _same_outcome(value)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from(["list", "tuple", "dict"]), min_size=28, max_size=36),
+    st.one_of(scalars, st.just([]), st.just({})),
+)
+def test_encoded_size_keeps_the_depth_bound(shells, leaf):
+    value = leaf
+    for shell in shells:
+        value = {"k": value} if shell == "dict" else [value] if shell == "list" else (value,)
+    _same_outcome(value)
+
+
+def test_encoded_size_keeps_the_container_bound():
+    _same_outcome([None] * 1_000_001)

@@ -198,12 +198,13 @@ class TestRequestTracker:
         with pytest.raises(ProtocolError, match="no outstanding"):
             tracker.wait(12345, timeout=0.1)
 
-    def test_cancel_peer_wakes_only_that_peers_waiters(self):
+    def test_cancel_tunnel_wakes_only_that_tunnels_waiters(self):
         tracker = RequestTracker()
         to_c, to_b = ControlMessage(op=Op.PING), ControlMessage(op=Op.PING)
-        tracker.expect(to_c, "proxy.C")
-        tracker.expect(to_b, "proxy.B")
-        tracker.cancel_peer("proxy.C", "link down")
+        tunnel_c, tunnel_b = object(), object()
+        tracker.expect(to_c, tunnel_c)
+        tracker.expect(to_b, tunnel_b)
+        tracker.cancel_tunnel(tunnel_c, "link down")
         reply = tracker.wait(to_c.message_id, timeout=1.0)
         assert reply.op == Op.ERROR
         assert reply.body["error"] == "link down"
@@ -212,10 +213,11 @@ class TestRequestTracker:
         assert tracker.fulfil(to_b.reply(Op.PONG))
         assert tracker.wait(to_b.message_id, timeout=1.0).op == Op.PONG
 
-    def test_cancel_peer_keeps_a_reply_that_already_arrived(self):
+    def test_cancel_tunnel_keeps_a_reply_that_already_arrived(self):
         tracker = RequestTracker()
         request = ControlMessage(op=Op.PING)
-        tracker.expect(request, "proxy.C")
+        tunnel = object()
+        tracker.expect(request, tunnel)
         assert tracker.fulfil(request.reply(Op.PONG, {"n": 1}))
-        tracker.cancel_peer("proxy.C")
+        tracker.cancel_tunnel(tunnel)
         assert tracker.wait(request.message_id, timeout=1.0).body == {"n": 1}

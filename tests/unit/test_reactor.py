@@ -499,6 +499,116 @@ class TestBatchDelivery:
             listener.close()
 
 
+class TestOnePassDrain:
+    """One drain: one ``poll_batch`` down the layers, delivered in order,
+    the terminal error last; in place only from the loop's own read."""
+
+    def test_bad_record_in_a_batch_delivers_the_good_ones_then_one_close(self, reactor):
+        from repro.security.cipher import RecordCipher, derive_session_keys
+        from repro.security.handshake import HandshakeError, PeerIdentity, SecureChannel
+
+        keys = derive_session_keys(b"m" * 32, "client")
+        sender = RecordCipher(keys)
+        listener = ReactorTcpListener(reactor=reactor)
+        raw = socket.create_connection((listener.host, listener.port))
+        server = listener.accept(timeout=5.0)
+        secure = SecureChannel(server, RecordCipher(keys), RecordCipher(keys), PeerIdentity(None))
+        records = [sender.seal(encode_frame(_frame(b"r%d" % i))) for i in range(4)]
+        tampered = bytearray(records[2])
+        tampered[10] ^= 0xFF  # a MAC byte
+        records[2] = bytes(tampered)
+        wire = b"".join(encode_frame(Frame(FrameKind.DATA, 0, {}, r)) for r in records)
+        events = []
+        closed = threading.Event()
+        try:
+            raw.sendall(wire)
+            # The loop reads the bytes with no consumer yet; registering
+            # then drains all four records in one poll_batch.
+            deadline = time.monotonic() + 5.0
+            while True:
+                with server._rx_lock:  # the decoder's lock
+                    if server._decoder.pending_bytes == len(wire):
+                        break
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            reactor.add_channel(
+                secure,
+                on_batch=lambda fs: events.append([bytes(f.payload) for f in fs]),
+                on_close=lambda ch, exc: (events.append(type(exc)), closed.set()),
+            )
+            assert closed.wait(timeout=5.0)
+            time.sleep(0.05)
+            assert events == [[b"r0", b"r1"], HandshakeError]
+        finally:
+            server.close()
+            raw.close()
+            listener.close()
+
+    def test_a_channel_with_only_poll_recv_still_drains(self, reactor):
+        from repro.transport.channel import Channel
+
+        class PollOnly(Channel):
+            def __init__(self, frames):
+                super().__init__(name="poll-only")
+                self._frames = list(frames)
+
+            def send(self, frame):
+                raise NotImplementedError
+
+            def recv(self, timeout=None):
+                raise NotImplementedError
+
+            def poll_recv(self):
+                if self._frames:
+                    return self._frames.pop(0)
+                raise ChannelClosed("poll-only: done")
+
+            def set_ready_callback(self, callback):
+                pass
+
+            def close(self):
+                pass
+
+            @property
+            def closed(self):
+                return False
+
+        assert "poll_batch" not in PollOnly.__dict__
+        order = []
+        closed = threading.Event()
+        reactor.add_channel(
+            PollOnly([_frame(b"p%d" % i) for i in range(3)]),
+            on_batch=lambda fs: order.append([f.payload for f in fs]),
+            on_close=lambda ch, exc: (order.append(type(exc)), closed.set()),
+        )
+        assert closed.wait(timeout=2.0)
+        assert order == [[b"p0", b"p1", b"p2"], ChannelClosed]
+
+    def test_a_handlers_inproc_send_is_not_delivered_inside_it(self, reactor):
+        """A handler on the loop sends on a second in-process channel; that
+        channel's frames arrive after the handler returned, not within."""
+        first_a, first_b = channel_pair("first")
+        second_a, second_b = channel_pair("second")
+        inside = [False]
+        seen = []
+        done = threading.Event()
+
+        def handler(frames):
+            inside[0] = True
+            try:
+                second_a.send(_frame(b"from-handler"))  # a nested drain would run here
+            finally:
+                inside[0] = False
+
+        reactor.add_channel(first_b, handler)
+        reactor.add_channel(
+            second_b, lambda fs: (seen.append((inside[0], fs[0].payload)), done.set())
+        )
+        first_a.send(_frame(b"go"))
+        assert done.wait(timeout=2.0)
+        assert seen == [(False, b"from-handler")]
+
+
 class TestWriteCoalescing:
     def test_send_many_burst_rejects_eagerly_without_partial_queue(self, reactor):
         """Satellite regression: under a full write queue a burst must

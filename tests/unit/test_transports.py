@@ -1,12 +1,13 @@
 """Unit tests for the in-process and TCP transports."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.transport.errors import ChannelClosed, TransportTimeout
-from repro.transport.frames import Frame, FrameKind
+from repro.transport.frames import Frame, FrameKind, encode_frame
 from repro.transport.inproc import InprocFabric, channel_pair
 from repro.transport.reactor import ReactorTcpListener, connect_tcp_reactor
 from repro.transport.tcp import TcpListener
@@ -107,6 +108,29 @@ class TestInprocChannel:
             a.send(data_frame(seq=i))
         thread.join(timeout=5.0)
         assert received == list(range(100))
+
+    def test_concurrent_senders_lose_no_stats(self):
+        """Stats are booked under the lock every sender on a channel holds,
+        so a lost update would show as a short count."""
+        a, b = channel_pair()
+        n_threads, per_thread = 8, 300
+        frame = data_frame(b"s" * 10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: [a.send(frame) for _ in range(per_thread)])
+                for _ in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert a.stats.frames_sent == n_threads * per_thread == b.pending_frames()
+        assert a.stats.bytes_sent == n_threads * per_thread * len(encode_frame(frame))
 
 
 class TestInprocFabric:
