@@ -12,8 +12,9 @@ callers guessed at timeouts.  :class:`RetryPolicy` centralises the rules:
   it cannot afford;
 * **idempotency guards** — a non-idempotent operation is executed at
   most once: :meth:`RetryPolicy.call` refuses to re-run it no matter how
-  retryable the failure looks.  Callers declare idempotency explicitly
-  (see ``IDEMPOTENT_OPS`` in :mod:`repro.core.protocol`).
+  retryable the failure looks.  Callers declare idempotency explicitly;
+  for a control request it is the ``idempotent`` column of the op's
+  row in :data:`repro.core.protocol.OP_SPECS`.
 
 Jitter randomness is injectable (``rng``) so chaos tests can replay the
 exact backoff schedule from a seed.

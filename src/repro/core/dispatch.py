@@ -17,7 +17,8 @@ safe to run:
 2. **authorize** — registered guards run before any handler; a guard can
    veto a message with a reply (e.g. "proxy is shutting down") or raise,
    which becomes an ERROR reply.  This stage is where per-request auth
-   lives: :class:`TokenAuthGuard`
+   lives: :class:`TokenAuthGuard` reads the scope an op needs from its
+   :data:`~repro.core.protocol.OP_SPECS` row (one dict lookup) and
    verifies the bearer token riding the control header (at worst one
    HMAC + a revocation-epoch check, at best a hit in the token service's
    cache of verified blobs — the guard keeps none of its own — and never
@@ -26,7 +27,8 @@ safe to run:
    also how a new op from :func:`~repro.core.protocol.register_op`
    gets served); ops registered ``blocking=True`` (job execution,
    password login) are bounced to a **sized worker pool** so the event
-   loop never stalls.
+   loop never stalls.  ``blocking`` belongs to the registration, not to
+   the op's row: a test may register a held handler for any op.
 4. **respond** — the handler's reply (or the ERROR built from its
    exception) goes back through the caller-supplied ``respond`` sink;
    handlers returning ``None`` answer nothing (HELLO, notifications).
@@ -42,7 +44,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.core.protocol import ControlMessage, Op, ProtocolError
+from repro.core.protocol import OP_SPECS, UNLISTED, ControlMessage, Op, ProtocolError
 from repro.obs.metrics import enabled as obs_enabled
 from repro.obs.trace import TraceContext, swap_trace
 from repro.security.tokens import TokenError, TokenService
@@ -55,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DROP",
     "DispatchPipeline",
-    "GUARDED_OP_SCOPES",
     "Handler",
     "TokenAuthGuard",
 ]
@@ -350,27 +351,9 @@ class DispatchPipeline:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-#: Which ops require which token scope.
-#: Everything that executes or mutates work is here; pure liveness and
-#: telemetry ops (PING, STATUS_QUERY, OBS_DUMP, …) stay open — they are
-#: how the grid notices problems, auth problems included.  AUTH_LOGIN /
-#: AUTH_REFRESH / AUTH_RLIST stay open by construction: they are how a
-#: principal *gets* a token.  AUTH_REVOKE requires a scope so a stolen
-#: user token cannot be used to revoke everyone else's.
-GUARDED_OP_SCOPES: dict[int, str] = {
-    Op.JOB_SUBMIT: "jobs:submit",
-    Op.JOB_QSUBMIT: "wms:submit",
-    Op.JOB_CLAIM: "wms:claim",
-    Op.JOB_STATUS: "wms:read",
-    Op.JOB_DONE: "wms:done",
-    Op.MPI_START: "mpi:start",
-    Op.MPI_END: "mpi:end",
-    Op.AUTH_REVOKE: "auth:revoke",
-}
-
-
 class TokenAuthGuard:
-    """Authorize-stage bearer-token check for guarded ops.
+    """Authorize-stage bearer-token check for guarded ops: those whose
+    :data:`~repro.core.protocol.OP_SPECS` row names a ``scope``.
 
     Every proxy installs one with :meth:`DispatchPipeline.add_guard`
     over its :class:`~repro.security.tokens.TokenService`.  The guard
@@ -390,13 +373,9 @@ class TokenAuthGuard:
     """
 
     def __init__(
-        self,
-        service: TokenService,
-        scopes: Optional[dict[int, str]] = None,
-        obs: Optional["ObsHub"] = None,
+        self, service: TokenService, obs: Optional["ObsHub"] = None
     ) -> None:
         self.service = service
-        self.scopes = dict(GUARDED_OP_SCOPES if scopes is None else scopes)
         self.obs = obs
         # Instruments resolved once at construction (GL301).
         metrics = obs.metrics if obs is not None else None
@@ -413,7 +392,7 @@ class TokenAuthGuard:
     def __call__(
         self, message: ControlMessage, peer: str
     ) -> Optional[ControlMessage]:
-        required = self.scopes.get(message.op)
+        required = OP_SPECS.get(message.op, UNLISTED).scope
         if required is None:
             return None
         blob = message.auth

@@ -405,7 +405,7 @@ class Grid:
         return self._compile(
             "telemetry", via_site, allow_partial,
             lambda origin: origin.observability(trace_id=trace_id, max_spans=max_spans),
-            lambda origin, peer: origin.request(peer, Op.OBS_DUMP, dict(body)).body.get("obs"),
+            lambda origin, peer: origin._call(peer, Op.OBS_DUMP, dict(body))["obs"],
         )
 
     def _compile(

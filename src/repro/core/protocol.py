@@ -7,6 +7,8 @@ expanded to deal with a new situation."  This module implements that:
 * :class:`Op` — the operation-code registry.  Core codes are predefined;
   :func:`register_op` adds new ones at runtime without touching the
   dispatcher, which is the expandability the paper calls for.
+* :data:`OP_SPECS` — the op table: one :class:`OpSpec` row per request
+  op, the only place its reply, retry, scope and stamp are written.
 * :class:`ControlMessage` — a request or reply with a correlation id,
   carried in a CONTROL frame.
 * :class:`RequestTracker` — matches replies to outstanding requests on a
@@ -19,16 +21,18 @@ import itertools
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.transport.frames import Frame, FrameKind, decode_value, encode_value
 
 __all__ = [
     "ControlMessage",
-    "IDEMPOTENT_OPS",
+    "OP_SPECS",
     "Op",
+    "OpSpec",
     "ProtocolError",
     "RequestTracker",
+    "UNLISTED",
     "register_op",
 ]
 
@@ -110,31 +114,61 @@ Op._names = {
     if isinstance(value, int) and not name.startswith("_")
 }
 
-#: Ops a retry policy may transparently re-send.  Pure reads (status,
-#: resource location) are idempotent; a duplicated JOB_SUBMIT would
-#: execute the job twice and MPI_START / MPI_END mutate address-space
-#: state, so those are excluded and a caller must treat their timeouts
-#: as indeterminate rather than retry blindly.
-#: The workload-manager ops mutate state but carry their own dedup keys
-#: (JOB_QSUBMIT: job_id; JOB_CLAIM: claim_id; JOB_DONE: per-attempt
-#: token), so a duplicated delivery is absorbed at the authority.
-#: The token-control-plane ops are idempotent too: AUTH_LOGIN and
-#: AUTH_REFRESH mint a *fresh* token on every call (re-sending yields
-#: another equally-valid token, never a broken state), AUTH_REVOKE adds
-#: to a grow-only set, and AUTH_RLIST is a pure read — so retry policies
-#: may re-send all four blindly.
-IDEMPOTENT_OPS = frozenset(
-    {Op.HELLO, Op.PING, Op.STATUS_QUERY, Op.LOCATE_RESOURCE, Op.OBS_DUMP,
-     Op.JOB_QSUBMIT, Op.JOB_CLAIM, Op.JOB_STATUS, Op.JOB_DONE,
-     Op.AUTH_LOGIN, Op.AUTH_REFRESH, Op.AUTH_REVOKE, Op.AUTH_RLIST}
-)
+
+class OpSpec(NamedTuple):
+    """One request op's row: the ``reply`` a served request gets (``None``:
+    a notification, answered with nothing), whether the request path may
+    re-send it (``idempotent``), the token ``scope`` a peer's guard
+    demands (``None``: open), and whether the request path ``stamp``s the
+    proxy's own service token on it when the caller passes none."""
+
+    reply: Optional[int] = None
+    idempotent: bool = False
+    scope: Optional[str] = None
+    stamp: bool = False
+
+
+#: The row of an op the table does not list (a reply op): no reply owed,
+#: never re-sent, open, unstamped.
+UNLISTED = OpSpec()
+
+#: The op table: the only place an op's reply, retry, scope and stamp are
+#: written.  Reads re-send safely; the WMS ops carry their own dedup keys
+#: (job_id, claim_id, the per-attempt token); a repeated AUTH_LOGIN or
+#: AUTH_REFRESH mints another valid token and AUTH_REVOKE grows a
+#: grow-only set.  A repeated JOB_SUBMIT would run the job twice and
+#: MPI_START / MPI_END change address spaces, so their timeouts are
+#: indeterminate.  What executes or mutates work is guarded; liveness and
+#: telemetry stay open (they are how the grid notices problems), as do
+#: the ops that get a principal a token.  Every guarded op but JOB_SUBMIT
+#: is stamped: a job carries the user's delegated token, and a service
+#: stamp would launder it into proxy identity.
+OP_SPECS: dict[int, OpSpec] = {
+    Op.HELLO: OpSpec(None, idempotent=True),
+    Op.PING: OpSpec(Op.PONG, idempotent=True),
+    Op.STATUS_QUERY: OpSpec(Op.STATUS_REPORT, idempotent=True),
+    Op.LOCATE_RESOURCE: OpSpec(Op.RESOURCE_FOUND, idempotent=True),
+    Op.OBS_DUMP: OpSpec(Op.OBS_DATA, idempotent=True),
+    Op.AUTH_LOGIN: OpSpec(Op.AUTH_TOKEN, idempotent=True),
+    Op.AUTH_REFRESH: OpSpec(Op.AUTH_TOKEN, idempotent=True),
+    Op.AUTH_REVOKE: OpSpec(Op.AUTH_REVOKED, idempotent=True, scope="auth:revoke", stamp=True),
+    Op.AUTH_RLIST: OpSpec(Op.AUTH_RLIST_DATA, idempotent=True),
+    Op.JOB_SUBMIT: OpSpec(Op.JOB_RESULT, scope="jobs:submit"),
+    Op.JOB_QSUBMIT: OpSpec(Op.JOB_QUEUED, idempotent=True, scope="wms:submit", stamp=True),
+    Op.JOB_CLAIM: OpSpec(Op.JOB_ASSIGN, idempotent=True, scope="wms:claim", stamp=True),
+    Op.JOB_STATUS: OpSpec(Op.JOB_STATE, idempotent=True, scope="wms:read", stamp=True),
+    Op.JOB_DONE: OpSpec(Op.JOB_DONE_ACK, idempotent=True, scope="wms:done", stamp=True),
+    Op.MPI_START: OpSpec(Op.MPI_STARTED, scope="mpi:start", stamp=True),
+    Op.MPI_END: OpSpec(Op.MPI_ENDED, scope="mpi:end", stamp=True),
+}
 
 _extension_codes = itertools.count(1000)
 _registry_lock = threading.Lock()
 
 
-def register_op(name: str, code: Optional[int] = None) -> int:
-    """Register an extension op-code; returns the assigned code.
+def register_op(name: str, code: Optional[int] = None, spec: OpSpec = UNLISTED) -> int:
+    """Register an extension op-code and its :data:`OP_SPECS` row;
+    returns the assigned code.
 
     New situations get new codes without modifying the core protocol —
     the paper's expandability requirement.
@@ -149,6 +183,7 @@ def register_op(name: str, code: Optional[int] = None) -> int:
         if not name:
             raise ProtocolError("empty op name")
         Op._names[code] = name
+        OP_SPECS[code] = spec
         return code
 
 

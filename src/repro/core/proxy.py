@@ -35,15 +35,11 @@ from typing import Any, Callable, Iterator, Optional
 from repro.control.failure import FailureDetector, PeerState
 from repro.control.retry import RetryError, RetryPolicy
 from repro.control.wms import JobSpec, site_capability
-from repro.core.dispatch import (
-    DROP,
-    GUARDED_OP_SCOPES,
-    DispatchPipeline,
-    TokenAuthGuard,
-)
+from repro.core.dispatch import DROP, DispatchPipeline, TokenAuthGuard
 from repro.core.multiplexer import GridRouter
 from repro.core.protocol import (
-    IDEMPOTENT_OPS,
+    OP_SPECS,
+    UNLISTED,
     ControlMessage,
     Op,
     ProtocolError,
@@ -70,7 +66,7 @@ from repro.transport.channel import Channel, Listener
 from repro.transport.errors import TransportError
 from repro.transport.frames import Frame, FrameKind
 
-__all__ = ["PeerUnavailable", "ProxyError", "ProxyServer", "RequestTimeout"]
+__all__ = ["PeerUnavailable", "ProxyError", "ProxyServer", "Refused", "RequestTimeout"]
 
 
 class ProxyError(Exception):
@@ -85,6 +81,15 @@ class PeerUnavailable(ProxyError):
     paths (job submission, status queries, MPI forwarding) react to by
     trying the site's next proxy.
     """
+
+
+class Refused(ProxyError):
+    """A peer answered AUTH_DENIED or JOB_REJECTED: final, never failed
+    over.  ``reason`` is the peer's own text."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class RequestTimeout(ProxyError):
@@ -117,12 +122,6 @@ DISPATCH_WORKERS = 4
 #: Most jobs one JOB_CLAIM grants: the claim runs on the event loop, so
 #: its length is bounded however large a ``count`` the pilot asks for.
 MAX_CLAIM_PER_REQUEST = 64
-
-#: Guarded ops the request path stamps with this proxy's *service* token
-#: automatically.  JOB_SUBMIT is excluded: it carries end-user identity,
-#: so callers must supply the user's (delegated) token explicitly — a
-#: service stamp there would launder user jobs into proxy identity.
-_AUTO_STAMP_OPS = frozenset(GUARDED_OP_SCOPES) - {Op.JOB_SUBMIT}
 
 
 class ProxyServer:
@@ -424,16 +423,18 @@ class ProxyServer:
     ) -> ControlMessage:
         """Send a control request to a peer and wait for the reply.
 
-        Idempotent ops (see :data:`~repro.core.protocol.IDEMPOTENT_OPS`)
-        are retried under :data:`DEFAULT_REQUEST_RETRY` on per-attempt
-        timeouts and tunnel send failures; ``timeout`` is the *total*
-        deadline budget across attempts.  Everything else runs exactly
-        once — a duplicated JOB_SUBMIT would execute twice.
+        Ops whose :data:`~repro.core.protocol.OP_SPECS` row is
+        ``idempotent`` are retried under :data:`DEFAULT_REQUEST_RETRY` on
+        per-attempt timeouts and tunnel send failures; ``timeout`` is the
+        *total* deadline budget across attempts.  Everything else runs
+        exactly once — a duplicated JOB_SUBMIT would execute twice.
 
         ``auth`` is an opaque token blob stamped on the outgoing message
-        for the peer's :class:`TokenAuthGuard`.  When omitted and this
-        proxy has a token service, guarded infrastructure ops are
-        stamped with the proxy's own service token automatically.
+        for the peer's :class:`TokenAuthGuard`.  When omitted, ops whose
+        row says ``stamp`` carry this proxy's own service token.
+
+        The reply comes back as the peer sent it, refusals included; the
+        typed wrappers read it through :meth:`_call`.
 
         A head-sampled request (the ambient trace's decision, or per op
         at this proxy outside any trace) runs inside a span whose context
@@ -467,7 +468,7 @@ class ProxyServer:
         timeout: float,
         auth: Optional[bytes] = None,
     ) -> ControlMessage:
-        if op not in IDEMPOTENT_OPS:
+        if not OP_SPECS.get(op, UNLISTED).idempotent:
             return self._request_once(peer_proxy, op, body, timeout, auth)
         # Each attempt gets an equal slice of the budget so a swallowed
         # request leaves room for its retries within ``timeout``.  The
@@ -519,7 +520,7 @@ class ProxyServer:
             self._m_req_unavailable.inc()
             raise
         message = ControlMessage(op=op, body=body or {}, sender=self.name)
-        if auth is None and op in _AUTO_STAMP_OPS:
+        if auth is None and OP_SPECS.get(op, UNLISTED).stamp:
             auth = self._service_token_blob()
         if auth is not None:
             message.auth = auth
@@ -556,6 +557,27 @@ class ProxyServer:
                 f"peer {peer_proxy!r} reported error: {reply.body.get('error')}"
             )
         return reply
+
+    def _call(
+        self,
+        peer_proxy: str,
+        op: int,
+        body: Optional[dict] = None,
+        timeout: float = 30.0,
+        auth: Optional[bytes] = None,
+    ) -> dict[str, Any]:
+        """:meth:`request`, checked against the op's table row: the body of
+        the reply the row declares, :class:`Refused` with the peer's
+        reason on AUTH_DENIED or JOB_REJECTED, :class:`ProxyError` on any
+        other op."""
+        reply = self.request(peer_proxy, op, body, timeout=timeout, auth=auth)
+        if reply.op == OP_SPECS[op].reply:
+            return reply.body
+        name = Op.name_of(op)
+        if reply.op != Op.AUTH_DENIED and reply.op != Op.JOB_REJECTED:
+            raise ProxyError(f"{peer_proxy!r} answered {name} with {Op.name_of(reply.op)}")
+        reason = str(reply.body.get("reason") or reply.body.get("error"))
+        raise Refused(f"{name} rejected by {peer_proxy!r}: {reason}", reason)
 
     def _on_control(self, tunnel: Tunnel, frame: Frame) -> None:
         # No caller: control frames arrive through _on_control_batch.  Kept
@@ -638,9 +660,7 @@ class ProxyServer:
         pipe.register(Op.AUTH_REVOKE, self._handle_auth_revoke, blocking=True)
         pipe.register(Op.AUTH_RLIST, self._handle_auth_rlist)
         pipe.register(Op.JOB_SUBMIT, self._handle_job_submit, blocking=True)
-        pipe.register(
-            Op.MPI_START, lambda message, peer: self._handle_mpi_start(message)
-        )
+        pipe.register(Op.MPI_START, self._handle_mpi_start)
         pipe.register(Op.MPI_END, self._handle_mpi_end)
         pipe.set_default(
             lambda message, peer: message.reply(
@@ -661,22 +681,16 @@ class ProxyServer:
             return DROP
         return None
 
-    def _handle_locate(
-        self, message: ControlMessage, peer: str
-    ) -> ControlMessage:
+    def _handle_locate(self, message: ControlMessage, peer: str) -> ControlMessage:
         node = message.body.get("node", "")
         site = self.directory.find_node(node)
         return message.reply(Op.RESOURCE_FOUND, {"node": node, "site": site})
 
-    def _handle_mpi_end(
-        self, message: ControlMessage, peer: str
-    ) -> ControlMessage:
+    def _handle_mpi_end(self, message: ControlMessage, peer: str) -> ControlMessage:
         self.end_app(message.body.get("app", ""))
         return message.reply(Op.MPI_ENDED, {})
 
-    def _handle_obs_dump(
-        self, message: ControlMessage, peer: str
-    ) -> ControlMessage:
+    def _handle_obs_dump(self, message: ControlMessage, peer: str) -> ControlMessage:
         dump = self.observability(
             trace_id=message.body.get("trace"),
             max_spans=message.body.get("max_spans"),
@@ -812,18 +826,14 @@ class ProxyServer:
         )
 
     def _handle_auth_revoke(self, message: ControlMessage, peer: str) -> ControlMessage:
+        # A TokenError (an unparsable blob) becomes the ERROR reply.
         body = message.body
-        try:
-            if "token" in body:
-                changed = self.tokens.revoke(body["token"])
-            elif "userid" in body:
-                changed = self.tokens.revoke_user(body["userid"])
-            else:
-                return message.reply(
-                    Op.ERROR, {"error": "revoke needs a token or a userid"}
-                )
-        except TokenError as exc:
-            return message.reply(Op.ERROR, {"error": str(exc)})
+        if "token" in body:
+            changed = self.tokens.revoke(body["token"])
+        elif "userid" in body:
+            changed = self.tokens.revoke_user(body["userid"])
+        else:
+            raise ProxyError("revoke needs a token or a userid")
         if changed:
             # Push the bumped epoch out now rather than waiting for the
             # next heartbeat tick: peers see it and pull within one round
@@ -848,25 +858,14 @@ class ProxyServer:
         body: dict[str, Any] = {"userid": userid, "password": password}
         if scopes is not None:
             body["scopes"] = list(scopes)
-        reply = self.request(peer_proxy, Op.AUTH_LOGIN, body, timeout=timeout)
-        if reply.op != Op.AUTH_TOKEN:
-            raise AuthenticationError(
-                str(reply.body.get("reason", "login denied"))
-            )
-        return reply.body["token"]
+        return self._auth_call(peer_proxy, Op.AUTH_LOGIN, body, timeout)["token"]
 
     def auth_refresh(
         self, peer_proxy: str, token_blob: bytes, timeout: float = 30.0
     ) -> bytes:
         """Swap a live token for a fresh one at the issuing proxy."""
-        reply = self.request(
-            peer_proxy, Op.AUTH_REFRESH, {"token": token_blob}, timeout=timeout
-        )
-        if reply.op != Op.AUTH_TOKEN:
-            raise AuthenticationError(
-                str(reply.body.get("reason", "refresh denied"))
-            )
-        return reply.body["token"]
+        body = {"token": token_blob}
+        return self._auth_call(peer_proxy, Op.AUTH_REFRESH, body, timeout)["token"]
 
     def auth_revoke(
         self,
@@ -885,12 +884,15 @@ class ProxyServer:
             body["token"] = token_blob
         if userid is not None:
             body["userid"] = userid
-        reply = self.request(peer_proxy, Op.AUTH_REVOKE, body, timeout=timeout)
-        if reply.op != Op.AUTH_REVOKED:
-            # The peer's token guard answers {"error": …}, its handlers {"reason": …}.
-            reason = reply.body.get("reason") or reply.body.get("error")
-            raise AuthenticationError(str(reason or "revoke denied"))
-        return int(reply.body.get("epoch", 0))
+        return int(self._auth_call(peer_proxy, Op.AUTH_REVOKE, body, timeout)["epoch"])
+
+    def _auth_call(self, peer_proxy: str, op: int, body: dict, timeout: float) -> dict:
+        """:meth:`_call` for the token plane, whose refusals are
+        :class:`AuthenticationError`."""
+        try:
+            return self._call(peer_proxy, op, body, timeout)
+        except Refused as exc:
+            raise AuthenticationError(exc.reason) from exc
 
     def _schedule_rlist_pull(self, peer: str) -> None:
         """Bounce a revocation-list pull off the delivery thread.
@@ -918,10 +920,9 @@ class ProxyServer:
                 return
             self._m_auth_pulls.inc()
             try:
-                reply = self.request(peer, Op.AUTH_RLIST, timeout=10.0)
+                wire = self._call(peer, Op.AUTH_RLIST, timeout=10.0).get("rlist")
             except ProxyError:
                 return  # peer died mid-pull; the next heartbeat retriggers
-            wire = reply.body.get("rlist")
             if isinstance(wire, dict):
                 try:
                     if self.tokens.merge_rlist(wire):
@@ -953,8 +954,7 @@ class ProxyServer:
         ]
 
     def query_peer_status(self, peer_proxy: str, timeout: float = 30.0) -> list[dict]:
-        reply = self.request(peer_proxy, Op.STATUS_QUERY, timeout=timeout)
-        return reply.body["status"]
+        return self._call(peer_proxy, Op.STATUS_QUERY, timeout=timeout)["status"]
 
     def pick_node(self) -> str:
         """Least-loaded alive node at this site."""
@@ -991,35 +991,25 @@ class ProxyServer:
         delegated = service.delegate(
             claims, delegate_to=self.name, scopes=("jobs:submit",)
         )
-        body = {
-            "task": task,
-            "params": params or {},
-            "origin": self.site.name,
-        }
+        body = {"task": task, "params": params or {}, "origin": self.site.name}
         # Sites may run several proxies; fail over on connectivity errors
-        # (a policy rejection from a live proxy is final, not retried).
+        # (a refusal from a live proxy is final, not retried).
         # Peers the failure detector has declared dead are tried last, so
         # a degraded site is routed around without waiting for errors.
         last_error: Optional[ProxyError] = None
         for peer in self.ranked_peers(self.directory.proxies_of_site(target_site)):
             try:
-                reply = self.request(
-                    peer,
-                    Op.JOB_SUBMIT,
-                    body,
-                    timeout=timeout,
-                    auth=delegated.to_bytes(),
+                reply = self._call(
+                    peer, Op.JOB_SUBMIT, body, timeout=timeout, auth=delegated.to_bytes()
                 )
+            except Refused:
+                # It may know of a revocation we do not: never re-send this child.
+                service.forget_delegation(delegated)
+                raise
             except ProxyError as exc:
                 last_error = exc
                 continue
-            if reply.op in (Op.JOB_REJECTED, Op.AUTH_DENIED):
-                if reply.op == Op.AUTH_DENIED:
-                    # It may know of a revocation we do not: never re-send this child.
-                    service.forget_delegation(delegated)
-                reason = reply.body.get("reason") or reply.body.get("error")
-                raise ProxyError(f"job rejected by {peer!r}: {reason}")
-            return reply.body.get("result")
+            return reply.get("result")
         raise ProxyError(
             f"no proxy of site {target_site!r} reachable: {last_error}"
         )
@@ -1118,8 +1108,7 @@ class ProxyServer:
         self, authority: str, spec: JobSpec, timeout: float = 30.0
     ) -> dict[str, Any]:
         """Enqueue a job at the authority proxy (idempotent on job_id)."""
-        reply = self.request(authority, Op.JOB_QSUBMIT, spec.to_wire(), timeout=timeout)
-        return reply.body
+        return self._call(authority, Op.JOB_QSUBMIT, spec.to_wire(), timeout=timeout)
 
     def wms_claim(
         self,
@@ -1143,8 +1132,7 @@ class ProxyServer:
         }
         if gap is not None:
             body["gap"] = gap
-        reply = self.request(authority, Op.JOB_CLAIM, body, timeout=timeout)
-        return reply.body["assigned"]
+        return self._call(authority, Op.JOB_CLAIM, body, timeout=timeout)["assigned"]
 
     def wms_done(
         self,
@@ -1159,8 +1147,7 @@ class ProxyServer:
         body: dict[str, Any] = {"job_id": job_id, "token": token, "ok": ok}
         if error:
             body["error"] = error
-        reply = self.request(authority, Op.JOB_DONE, body, timeout=timeout)
-        return reply.body
+        return self._call(authority, Op.JOB_DONE, body, timeout=timeout)
 
     def wms_status(
         self,
@@ -1170,8 +1157,7 @@ class ProxyServer:
     ) -> dict[str, Any]:
         """Queue counters (default) or one job's state from the authority."""
         body = {} if job_id is None else {"job_id": job_id}
-        reply = self.request(authority, Op.JOB_STATUS, body, timeout=timeout)
-        return reply.body
+        return self._call(authority, Op.JOB_STATUS, body, timeout=timeout)
 
     # ------------------------------------------------------------------
     # Layer 4: MPI multiplexing
@@ -1189,36 +1175,34 @@ class ProxyServer:
         Called on the originating proxy; with ``announce`` it sends
         MPI_START to every other participating site's proxy so they build
         their own address spaces before any rank starts talking.  If a
-        site refuses, the spaces this call created go before it raises.
+        site refuses (:class:`Refused`, final) or no proxy of a site
+        answers, the spaces this call created go before it raises.
         """
         router = self._create_space(app_id, rank_to_site, rank_to_node)
         if not announce:
             return router
         participating = {s for s in rank_to_site.values() if s != self.site.name}
-        wire_sites = {str(r): s for r, s in rank_to_site.items()}
-        wire_nodes = {str(r): n for r, n in rank_to_node.items()}
+        body = {
+            "app": app_id,
+            "sites": {str(r): s for r, s in rank_to_site.items()},
+            "nodes": {str(r): n for r, n in rank_to_node.items()},
+        }
         started: list[str] = []
         try:
             for site in sorted(participating):
                 # Announce to *every* proxy of the site, not just the
                 # primary: backups then hold the address space too, so
                 # MPI traffic can fail over to them mid-application.
-                site_started = False
-                last_error: Optional[ProxyError] = None
+                before, last_error = len(started), None
                 for peer in self.directory.proxies_of_site(site):
                     try:
-                        reply = self.request(
-                            peer,
-                            Op.MPI_START,
-                            {"app": app_id, "sites": wire_sites, "nodes": wire_nodes},
-                        )
+                        self._call(peer, Op.MPI_START, body)
+                        started.append(peer)
+                    except Refused:
+                        raise
                     except ProxyError as exc:
                         last_error = exc
-                        continue
-                    if reply.op == Op.MPI_STARTED:
-                        started.append(peer)
-                        site_started = True
-                if not site_started:
+                if len(started) == before:
                     raise ProxyError(
                         f"no proxy of site {site!r} started app {app_id!r}: "
                         f"{last_error}"
@@ -1249,7 +1233,7 @@ class ProxyServer:
         self.site.register_app_router(app_id, router)
         return router
 
-    def _handle_mpi_start(self, message: ControlMessage) -> ControlMessage:
+    def _handle_mpi_start(self, message: ControlMessage, peer: str) -> ControlMessage:
         app_id = message.body["app"]
         rank_to_site = {int(r): s for r, s in message.body["sites"].items()}
         rank_to_node = {int(r): n for r, n in message.body["nodes"].items()}
@@ -1365,7 +1349,7 @@ class ProxyServer:
     def _end_at(self, app_id: str, peers: list[str]) -> None:
         for peer in peers:
             try:
-                self.request(peer, Op.MPI_END, {"app": app_id})
+                self._call(peer, Op.MPI_END, {"app": app_id})
             except Exception:
                 pass  # best-effort teardown
 

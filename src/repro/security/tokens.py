@@ -46,11 +46,13 @@ from repro.transport.frames import decode_value, encode_value
 
 __all__ = [
     "DEFAULT_TOKEN_LIFETIME",
+    "MAX_CLOCK_SKEW",
     "MAX_DELEGATION_DEPTH",
     "RevocationList",
     "Token",
     "TokenError",
     "TokenService",
+    "USER_SCOPES",
     "auth_mode",
     "scope_grants",
 ]
@@ -65,6 +67,13 @@ DEFAULT_TOKEN_LIFETIME = 900.0
 #: Delegation chains are bounded: user → origin proxy → destination
 #: proxy is depth 2; one spare hop covers proxy-of-proxies federation.
 MAX_DELEGATION_DEPTH = 3
+
+#: Scopes every login grants; :meth:`TokenService.grant_group_scopes` adds more per group.
+USER_SCOPES = ("jobs:submit", "wms:read")
+
+#: Seconds a token's issue time may lie ahead of this proxy's clock, and
+#: the least life a reused delegation must have left.
+MAX_CLOCK_SKEW = 60.0
 _CACHE_ENTRIES = 4096  #: LRU bound of each TokenService cache
 _Lru = OrderedDict[object, "tuple[int, Token]"]  #: key → (epoch stored under, token)
 
@@ -359,10 +368,6 @@ class TokenService:
         *,
         key: Optional[bytes] = None,
         issuer: str = "grid",
-        lifetime: float = DEFAULT_TOKEN_LIFETIME,
-        max_delegation_depth: int = MAX_DELEGATION_DEPTH,
-        user_scopes: Iterable[str] = ("jobs:submit", "wms:read"),
-        max_clock_skew: float = 60.0,
     ) -> None:
         self.directory = directory
         self.clock = clock
@@ -370,10 +375,6 @@ class TokenService:
         if len(self.key) < 16:
             raise ValueError("token key must be at least 16 bytes")
         self.issuer = issuer
-        self.lifetime = float(lifetime)
-        self.max_delegation_depth = int(max_delegation_depth)
-        self.user_scopes = tuple(user_scopes)
-        self.max_clock_skew = float(max_clock_skew)
         self.revocations = RevocationList()
         self._group_scopes: dict[str, tuple[str, ...]] = {}
         self._seq_lock = threading.Lock()
@@ -390,7 +391,7 @@ class TokenService:
         self._group_scopes[group] = tuple(sorted(merged))
 
     def _scopes_for(self, userid: str, groups: Iterable[str]) -> tuple[str, ...]:
-        scopes = set(self.user_scopes)
+        scopes = set(USER_SCOPES)
         for group in groups:
             scopes.update(self._group_scopes.get(group, ()))
         return tuple(sorted(scopes))
@@ -415,7 +416,7 @@ class TokenService:
         expires_cap: Optional[float] = None,
     ) -> Token:
         now = self.clock()
-        expires = now + (self.lifetime if lifetime is None else float(lifetime))
+        expires = now + (DEFAULT_TOKEN_LIFETIME if lifetime is None else float(lifetime))
         if expires_cap is not None:
             expires = min(expires, expires_cap)
         return Token.mint(
@@ -431,16 +432,11 @@ class TokenService:
         )
 
     def login(
-        self,
-        userid: str,
-        password: str,
-        *,
-        scopes: Optional[Iterable[str]] = None,
-        lifetime: Optional[float] = None,
+        self, userid: str, password: str, *, scopes: Optional[Iterable[str]] = None
     ) -> Token:
         """Password login: the one place a user pays the PBKDF2 cost."""
         self.directory.authenticate_password(userid, password)
-        return self._login_common(userid, scopes, lifetime)
+        return self._login_common(userid, scopes)
 
     def login_signature(
         self,
@@ -449,18 +445,12 @@ class TokenService:
         signature: bytes,
         *,
         scopes: Optional[Iterable[str]] = None,
-        lifetime: Optional[float] = None,
     ) -> Token:
         """Signature login: the one place a user pays the RSA cost."""
         self.directory.verify_signature(userid, message, signature)
-        return self._login_common(userid, scopes, lifetime)
+        return self._login_common(userid, scopes)
 
-    def _login_common(
-        self,
-        userid: str,
-        scopes: Optional[Iterable[str]],
-        lifetime: Optional[float],
-    ) -> Token:
+    def _login_common(self, userid: str, scopes: Optional[Iterable[str]]) -> Token:
         groups = sorted(self.directory.groups_of(userid))
         granted = self._scopes_for(userid, groups)
         if scopes is not None:
@@ -471,19 +461,16 @@ class TokenService:
                         f"scope {scope!r} not grantable to {userid!r}"
                     )
             granted = requested
-        return self._mint(userid, groups, granted, lifetime)
+        return self._mint(userid, groups, granted, None)
 
-    def mint_service_token(
-        self, subject: str, *, scopes: Iterable[str] = ("*",),
-        lifetime: Optional[float] = None,
-    ) -> Token:
+    def mint_service_token(self, subject: str) -> Token:
         """Identity for grid infrastructure (proxies).
 
         Proxies are the trusted base — they hold the HMAC key anyway —
         so a wildcard-scope token is a statement of identity for audit
         and uniform guard handling, not a privilege escalation.
         """
-        return self._mint(subject, ("service",), scopes, lifetime)
+        return self._mint(subject, ("service",), ("*",), None)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -511,26 +498,25 @@ class TokenService:
 
         Attenuation is enforced, never trusted: requested scopes must be
         covered by the parent's, expiry is capped at the parent's, and
-        the chain depth is bounded by ``max_delegation_depth``.
+        the chain depth is bounded by :data:`MAX_DELEGATION_DEPTH`.
 
         ``parent`` is a blob or the token :meth:`verify_blob` returned
         for it (a cache hit, never trusted unproven).  The child minted
         earlier for the same arguments is reused while the epoch stands,
         the parent passes :meth:`check_claims` and the child has more
-        than ``max_clock_skew`` left — its users share its id and hop time.
+        than :data:`MAX_CLOCK_SKEW` left — its users share its id and hop time.
         """
         epoch = self.revocations.epoch
         parent = self.verify_blob(parent.to_bytes() if isinstance(parent, Token) else parent)
-        if parent.depth >= self.max_delegation_depth:
+        if parent.depth >= MAX_DELEGATION_DEPTH:
             raise TokenError(
-                f"delegation depth {parent.depth} at bound "
-                f"{self.max_delegation_depth}"
+                f"delegation depth {parent.depth} at bound {MAX_DELEGATION_DEPTH}"
             )
         requested = tuple(sorted(set(scopes)))
         # Verified parents share a signature only if they are one token.
         key = (parent.signature, delegate_to, requested, lifetime)
         child = self._cache_get(self._delegations, key, epoch)
-        if child is not None and child.expires_at - self.clock() > self.max_clock_skew:
+        if child is not None and child.expires_at - self.clock() > MAX_CLOCK_SKEW:
             return child
         for scope in requested:
             if not scope_grants(parent.scopes, scope):
@@ -631,12 +617,11 @@ class TokenService:
         now = self.clock()
         if now > token.expires_at:
             raise TokenError(f"token {token.token_id} expired")
-        if token.issued_at - now > self.max_clock_skew:
+        if token.issued_at - now > MAX_CLOCK_SKEW:
             raise TokenError(f"token {token.token_id} issued in the future")
-        if token.depth > self.max_delegation_depth:
+        if token.depth > MAX_DELEGATION_DEPTH:
             raise TokenError(
-                f"delegation chain of {token.depth} exceeds bound "
-                f"{self.max_delegation_depth}"
+                f"delegation chain of {token.depth} exceeds bound {MAX_DELEGATION_DEPTH}"
             )
         if self.revocations.is_revoked(token):
             raise TokenError(f"token {token.token_id} is revoked")

@@ -220,6 +220,12 @@ class _Registration:
             self.channel.set_ready_callback(None)
         except Exception:
             pass
+        # A dead stream is closed here, once for every consumer: the loop
+        # stops reading it and the peer sees EOF.  close() is idempotent.
+        try:
+            self.channel.close()
+        except Exception:
+            pass
         if self.on_close is not None:
             try:
                 self.on_close(self.channel, exc)

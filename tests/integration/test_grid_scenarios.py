@@ -569,11 +569,55 @@ def test_refused_revocation_is_not_reported_as_done():
         grid.shutdown()
 
 
+def test_refusals_reach_every_typed_wrapper_with_the_peers_reason():
+    """A's service token no longer verifies at B (A holds another key):
+    each wrapper of a stamped op raises :class:`Refused` carrying B's
+    reason instead of returning the refusal as a result."""
+    from repro.control.wms import JobSpec
+    from repro.core.proxy import ProxyError, Refused
+
+    def scenario(grid: Grid):
+        grid.add_site("A", nodes=1)
+        grid.add_site("B", nodes=1)
+        grid.connect_all()
+        wms = grid.attach_workload_manager("B")
+        a, b = grid.proxy_of("A"), grid.proxy_of("B")
+        a.tokens.key = b"another grid's key".ljust(32, b".")
+        calls = {
+            "wms_submit": lambda: a.wms_submit(b.name, JobSpec(job_id="j1")),
+            "wms_claim": lambda: a.wms_claim(b.name),
+            "wms_done": lambda: a.wms_done(b.name, "j1", "j1#1"),
+            "wms_status": lambda: a.wms_status(b.name),
+            "start_app": lambda: a.start_app(
+                "app1", {0: "A", 1: "B"}, {0: "A.n0", 1: "B.n0"}
+            ),
+        }
+        outcomes = {}
+        for name, call in calls.items():
+            try:
+                outcomes[name] = ("returned", call())
+            except Refused as exc:
+                outcomes[name] = (type(exc).__name__, exc.reason)
+        counts = wms.status()
+        with pytest.raises(ProxyError, match="no app 'app1'"):
+            a.app_space("app1")  # start_app undid its own space
+        return outcomes, (counts["submitted"], counts["pending"], counts["claimed"])
+
+    outcomes, queue = _run(scenario)
+    assert outcomes == dict.fromkeys(
+        ["wms_submit", "wms_claim", "wms_done", "wms_status", "start_app"],
+        ("Refused", "token signature mismatch"),
+    )
+    assert queue == (0, 0, 0)
+
+
 def test_default_grid_refuses_guarded_ops_without_a_token():
     """No grid runs unguarded: a plain ``Grid()`` answers AUTH_DENIED to
     every guarded op that carries no token, and serves its own API."""
     from repro.control.wms import JobSpec
-    from repro.core.dispatch import GUARDED_OP_SCOPES
+    from repro.core.protocol import OP_SPECS
+
+    guarded = [op for op, spec in OP_SPECS.items() if spec.scope is not None]
 
     def scenario(grid: Grid):
         grid.add_site("A", nodes=1)
@@ -586,7 +630,7 @@ def test_default_grid_refuses_guarded_ops_without_a_token():
         # auth=b"" bypasses the service-token auto-stamp of a.request
         bare = {
             Op.name_of(op): Op.name_of(a.request(b.name, op, {}, auth=b"").op)
-            for op in GUARDED_OP_SCOPES
+            for op in guarded
         }
         unstamped = a.request(b.name, Op.JOB_SUBMIT, {"task": "noop"})
         return {
@@ -601,7 +645,7 @@ def test_default_grid_refuses_guarded_ops_without_a_token():
         }
 
     assert _run(scenario) == {
-        "bare": {Op.name_of(op): "AUTH_DENIED" for op in GUARDED_OP_SCOPES},
+        "bare": {Op.name_of(op): "AUTH_DENIED" for op in guarded},
         "unstamped_submit": "AUTH_DENIED",
         "submit_job": "ok",
         "wms_submit": {"job_id": "j0", "state": "pending"},

@@ -8,7 +8,7 @@ from repro.core.dispatch import DROP, DispatchPipeline, TokenAuthGuard
 from repro.core.protocol import ControlMessage, Op
 from repro.obs import ObsHub
 from repro.security.auth import UserDirectory
-from repro.security.tokens import Token, TokenService
+from repro.security.tokens import DEFAULT_TOKEN_LIFETIME, Token, TokenService
 from repro.transport.frames import Frame, FrameKind
 
 
@@ -307,7 +307,7 @@ class TestTokenAuthGuard:
         assert guard(self._submit(blob), "peer") is None
         reply = guard(self._submit(blob, Op.AUTH_REVOKE), "peer")
         assert reply.op == Op.AUTH_DENIED and "lacks scope" in reply.body["error"]
-        now[0] += service.lifetime + 1.0
+        now[0] += DEFAULT_TOKEN_LIFETIME + 1.0
         reply = guard(self._submit(blob), "peer")
         assert reply.op == Op.AUTH_DENIED and "expired" in reply.body["error"]
         assert len(hmacs) == 1 and count("cache_hits") == 0

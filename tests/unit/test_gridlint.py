@@ -212,7 +212,7 @@ class Op:
     HELLO = 100
     PING = 100
 
-IDEMPOTENT_OPS = frozenset({Op.HELLO, Op.MISSING})
+OP_SPECS = {Op.HELLO: OpSpec(None), Op.MISSING: OpSpec(None)}
 """
 }
 
@@ -221,8 +221,9 @@ _GL201_NEGATIVE = {
 class Op:
     HELLO = 100
     PING = 200
+    PONG = 201
 
-IDEMPOTENT_OPS = frozenset({Op.HELLO, Op.PING})
+OP_SPECS = {Op.HELLO: OpSpec(None, idempotent=True), Op.PING: OpSpec(Op.PONG)}
 """
 }
 
@@ -232,7 +233,7 @@ class Op:
     HELLO = 100
     PING = 100  # gridlint: disable=GL201 -- fixture alias kept for wire compatibility
 
-IDEMPOTENT_OPS = frozenset({Op.HELLO})
+OP_SPECS = {Op.HELLO: OpSpec(None)}
 """
 }
 
@@ -749,7 +750,7 @@ def test_gl201_register_of_undeclared_op(tmp_path):
 class Op:
     HELLO = 100
 
-IDEMPOTENT_OPS = frozenset({Op.HELLO})
+OP_SPECS = {Op.HELLO: OpSpec(None)}
 """,
         "repro/core/wiring.py": """\
 def wire(pipe, handler):
@@ -762,6 +763,30 @@ def wire(pipe, handler):
     messages = [finding.message for finding in result.findings]
     assert any("Op.BOGUS" in message for message in messages), messages
     assert any("more than once" in message for message in messages), messages
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        ("{Op.HELLO: OpSpec(None), Op.HELLO: OpSpec(Op.PONG)}", "two rows"),
+        ("{Op.PING: OpSpec(Op.PONGG)}", "replies with Op.PONGG"),
+        ("{Op.PING: OpSpec(reply=Op.PONGG)}", "replies with Op.PONGG"),
+    ],
+)
+def test_gl201_op_table_rows(tmp_path, table, expected):
+    files = {
+        "repro/core/protocol.py": f"""\
+class Op:
+    HELLO = 100
+    PING = 101
+    PONG = 102
+
+OP_SPECS: dict[int, OpSpec] = {table}
+""",
+    }
+    result = lint(tmp_path, files, select={"GL201"})
+    messages = [finding.message for finding in result.findings]
+    assert len(messages) == 1 and expected in messages[0], messages
 
 
 def test_gl103_reports_interprocedural_cycles(tmp_path):

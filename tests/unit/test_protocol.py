@@ -1,5 +1,6 @@
 """Unit tests for the inter-proxy control protocol."""
 
+import ast
 import queue
 import re
 import threading
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.protocol import (
+    OP_SPECS,
     ControlMessage,
     Op,
+    OpSpec,
     ProtocolError,
     RequestTracker,
     _ReplyWaiter,
@@ -67,6 +70,81 @@ class TestOpRegistry:
             if isinstance(value, int) and not name.startswith("_")
         }
         assert declared - spoken == set()
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+class TestOpTable:
+    """``OP_SPECS`` is the one place an op's reply, retry, scope and
+    stamp are written; these pin its rows and police the "one"."""
+
+    @staticmethod
+    def _names(predicate):
+        return {Op.name_of(op) for op, spec in OP_SPECS.items() if predicate(spec)}
+
+    def test_rows_state_the_retry_guard_and_stamp_rules(self):
+        assert self._names(lambda spec: spec.idempotent) == {
+            "HELLO", "PING", "STATUS_QUERY", "LOCATE_RESOURCE", "OBS_DUMP",
+            "JOB_QSUBMIT", "JOB_CLAIM", "JOB_STATUS", "JOB_DONE",
+            "AUTH_LOGIN", "AUTH_REFRESH", "AUTH_REVOKE", "AUTH_RLIST",
+        }
+        assert {
+            Op.name_of(op): spec.scope for op, spec in OP_SPECS.items() if spec.scope
+        } == {
+            "JOB_SUBMIT": "jobs:submit", "JOB_QSUBMIT": "wms:submit",
+            "JOB_CLAIM": "wms:claim", "JOB_STATUS": "wms:read",
+            "JOB_DONE": "wms:done", "MPI_START": "mpi:start",
+            "MPI_END": "mpi:end", "AUTH_REVOKE": "auth:revoke",
+        }
+        guarded = self._names(lambda spec: spec.scope is not None)
+        assert self._names(lambda spec: spec.stamp) == guarded - {"JOB_SUBMIT"}
+
+    def test_every_served_op_has_a_row_with_a_declared_reply(self):
+        from repro import Grid
+
+        grid = Grid()
+        try:
+            grid.add_site("A", nodes=1)
+            grid.attach_workload_manager("A")
+            served = grid.proxy_of("A").pipeline.registered_ops()
+        finally:
+            grid.shutdown()
+        # Codes 1000+ are extensions other tests registered.
+        assert set(served) == {op for op in OP_SPECS if op < 1000}
+        replies = {OP_SPECS[op].reply for op in served}
+        assert all(Op.is_known(reply) for reply in replies - {None})
+        assert not replies & set(OP_SPECS)  # an op is a request or a reply
+        assert [Op.name_of(op) for op in served if OP_SPECS[op].reply is None] == ["HELLO"]
+
+    def test_no_module_outside_protocol_defines_a_collection_of_ops(self):
+        """A set, list, tuple or dict keyed by ``Op`` members anywhere else
+        in ``src/`` is a second definition of some op property."""
+
+        def is_op(node):
+            return (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "Op"
+            )
+
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path == SRC / "core" / "protocol.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                members = node.keys if isinstance(node, ast.Dict) else getattr(
+                    node, "elts", ()
+                )
+                if any(is_op(member) for member in members):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert found == []
+
+    def test_an_extension_op_declares_its_row_at_registration(self):
+        reply = register_op("TEST_TABLE_OP_DONE")
+        code = register_op("TEST_TABLE_OP", spec=OpSpec(reply, idempotent=True))
+        assert OP_SPECS[code] == OpSpec(reply, idempotent=True)
+        assert OP_SPECS[register_op("TEST_TABLE_OP_BARE")] == OpSpec()
 
 
 class TestControlMessage:

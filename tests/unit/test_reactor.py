@@ -539,6 +539,10 @@ class TestOnePassDrain:
             assert closed.wait(timeout=5.0)
             time.sleep(0.05)
             assert events == [[b"r0", b"r1"], HandshakeError]
+            # The dead stream is closed for the consumer: the peer reads EOF.
+            assert server.closed
+            raw.settimeout(5.0)
+            assert raw.recv(1) == b""
         finally:
             server.close()
             raw.close()

@@ -14,6 +14,8 @@ import pytest
 from repro.security.auth import AuthenticationError, UserDirectory
 from repro.security.rsa import RsaKeyPair
 from repro.security.tokens import (
+    DEFAULT_TOKEN_LIFETIME,
+    MAX_CLOCK_SKEW,
     MAX_DELEGATION_DEPTH,
     RevocationList,
     Token,
@@ -88,7 +90,7 @@ class TestLoginAndExpiry:
         claims = service.verify_blob(token.to_bytes())
         assert claims.userid == "alice"
         assert claims.grants("jobs:submit")
-        assert claims.expires_at == clock.now + service.lifetime
+        assert claims.expires_at == clock.now + DEFAULT_TOKEN_LIFETIME
 
     def test_wrong_password_raises(self, service):
         with pytest.raises(AuthenticationError):
@@ -119,13 +121,13 @@ class TestLoginAndExpiry:
 
     def test_expired_token_rejected(self, service, clock):
         blob = service.login("alice", "wonder").to_bytes()
-        clock.advance(service.lifetime + 1.0)
+        clock.advance(DEFAULT_TOKEN_LIFETIME + 1.0)
         with pytest.raises(TokenError, match="expired"):
             service.verify_blob(blob)
 
     def test_future_issued_token_rejected(self, service, clock):
         blob = service.login("alice", "wonder").to_bytes()
-        clock.advance(-(service.max_clock_skew + 5.0))
+        clock.advance(-(MAX_CLOCK_SKEW + 5.0))
         with pytest.raises(TokenError, match="future"):
             service.verify_blob(blob)
 
@@ -139,7 +141,7 @@ class TestLoginAndExpiry:
 class TestRefresh:
     def test_refresh_extends_lifetime_same_claims(self, service, clock):
         old = service.login("alice", "wonder", scopes=["jobs:submit"])
-        clock.advance(service.lifetime / 2)
+        clock.advance(DEFAULT_TOKEN_LIFETIME / 2)
         fresh = service.refresh(old.to_bytes())
         assert fresh.userid == old.userid
         assert fresh.scopes == old.scopes
@@ -148,7 +150,7 @@ class TestRefresh:
 
     def test_expired_token_cannot_refresh(self, service, clock):
         blob = service.login("alice", "wonder").to_bytes()
-        clock.advance(service.lifetime + 1.0)
+        clock.advance(DEFAULT_TOKEN_LIFETIME + 1.0)
         with pytest.raises(TokenError):
             service.refresh(blob)
 
@@ -362,7 +364,7 @@ class TestVerifiedCache:
         # Scope and expiry are read off the cached claims on every use.
         with pytest.raises(TokenError, match="lacks scope"):
             service.verify_blob(blob, required_scope="wms:read")
-        clock.advance(service.lifetime + 1.0)
+        clock.advance(DEFAULT_TOKEN_LIFETIME + 1.0)
         with pytest.raises(TokenError, match="expired"):
             service.verify_blob(blob, required_scope="jobs:submit")
         assert len(hmacs) == 1
@@ -421,7 +423,7 @@ class TestVerifiedCache:
         with pytest.raises(TokenError, match="signature"):
             service.revoke(forged)
         assert service.epoch == 0
-        clock.advance(service.lifetime + 1.0)
+        clock.advance(DEFAULT_TOKEN_LIFETIME + 1.0)
         assert service.revoke(blob) is True
 
     def test_both_caches_are_bounded(self, service):
@@ -448,9 +450,9 @@ class TestDelegationReuse:
         for parent in (blob, service.verify_blob(blob)):  # blob or parsed
             assert self._child(service, parent) is first
         assert len(hmacs) == 1  # the parent, once; children are never checked
-        clock.advance(first.expires_at - service.max_clock_skew - 1.0 - clock.now)
+        clock.advance(first.expires_at - MAX_CLOCK_SKEW - 1.0 - clock.now)
         assert self._child(service, blob).to_bytes() == first.to_bytes()
-        clock.advance(2.0)  # ≤ max_clock_skew left to live
+        clock.advance(2.0)  # ≤ MAX_CLOCK_SKEW left to live
         fresh = self._child(service, blob)
         assert fresh.token_id != first.token_id
         assert fresh.expires_at <= first.expires_at  # still capped at parent's
@@ -494,7 +496,7 @@ class TestDelegationReuse:
     def test_expired_parent_never_reuses(self, service, clock):
         blob = service.login("alice", "wonder").to_bytes()
         self._child(service, blob)
-        clock.advance(service.lifetime + 1.0)
+        clock.advance(DEFAULT_TOKEN_LIFETIME + 1.0)
         with pytest.raises(TokenError, match="expired"):
             self._child(service, blob)
 

@@ -454,19 +454,41 @@ class LockOrderCycles(Rule):
         return None
 
 
+def _op_member(node: Optional[ast.expr]) -> Optional[str]:
+    """``X`` for an ``Op.X`` expression, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Op"
+    ):
+        return node.attr
+    return None
+
+
+def _spec_reply(row: ast.expr) -> Optional[ast.Attribute]:
+    """The ``Op.X`` an ``OpSpec(...)`` row names as its reply, if any."""
+    if not isinstance(row, ast.Call):
+        return None
+    reply = row.args[0] if row.args else next(
+        (kw.value for kw in row.keywords if kw.arg == "reply"), None
+    )
+    return reply if isinstance(reply, ast.Attribute) and _op_member(reply) else None
+
+
 @rule
 class OpRegistryConsistency(Rule):
     """Op codes are unique and every dispatched op is classified.
 
     ``protocol.py`` is the single source of truth for the control
-    protocol: each op name maps to exactly one code, ``IDEMPOTENT_OPS``
-    only names real ops (a typo there silently disables retry safety),
-    and every ``pipeline.register(Op.X, ...)`` in the tree refers to a
-    declared op and registers it at most once per module.
+    protocol: each op name maps to exactly one code, the ``OP_SPECS``
+    table has at most one row per op and its rows and replies name only
+    real ops (a typo there silently drops an op's retry, guard or reply
+    check), and every ``pipeline.register(Op.X, ...)`` in the tree refers
+    to a declared op and registers it at most once per module.
     """
 
     code = "GL201"
-    title = "op registry / idempotency classification inconsistency"
+    title = "op registry / op table inconsistency"
 
     def check(self, project: Project) -> Iterator[Finding]:
         protocols = project.find_sources("core/protocol.py") or project.find_sources(
@@ -504,47 +526,53 @@ class OpRegistryConsistency(Rule):
                 )
             else:
                 by_value[value] = name
-        yield from self._check_idempotent(protocol, op_codes)
+        yield from self._check_table(protocol, op_codes)
         yield from self._check_registrations(project, op_codes)
 
-    def _check_idempotent(
+    def _check_table(
         self, protocol: Source, op_codes: dict[str, int]
     ) -> Iterator[Finding]:
-        for node in ast.walk(protocol.tree):
+        for node in protocol.tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target: ast.expr = node.targets[0]
+            elif isinstance(node, ast.AnnAssign):
+                target = node.target
+            else:
+                continue
             if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "IDEMPOTENT_OPS"
+                isinstance(target, ast.Name)
+                and target.id == "OP_SPECS"
+                and isinstance(node.value, ast.Dict)
             ):
                 continue
             seen: set[str] = set()
-            for member in ast.walk(node.value):
-                if (
-                    isinstance(member, ast.Attribute)
-                    and isinstance(member.value, ast.Name)
-                    and member.value.id == "Op"
-                ):
-                    if member.attr not in op_codes:
-                        yield Finding(
-                            code=self.code,
-                            path=protocol.path,
-                            line=member.lineno,
-                            message=(
-                                f"IDEMPOTENT_OPS names Op.{member.attr}, "
-                                "which is not a declared op"
-                            ),
-                        )
-                    elif member.attr in seen:
-                        yield Finding(
-                            code=self.code,
-                            path=protocol.path,
-                            line=member.lineno,
-                            message=(
-                                f"Op.{member.attr} listed twice in IDEMPOTENT_OPS"
-                            ),
-                        )
-                    seen.add(member.attr)
+            for key, row in zip(node.value.keys, node.value.values):
+                name = _op_member(key)
+                if name is None:
+                    continue
+                if name not in op_codes:
+                    yield self._finding(
+                        protocol, key, f"OP_SPECS has a row for Op.{name}, "
+                        "which is not a declared op"
+                    )
+                elif name in seen:
+                    # a dict literal keeps the last row without a word
+                    yield self._finding(
+                        protocol, key, f"Op.{name} has two rows in OP_SPECS"
+                    )
+                seen.add(name)
+                reply = _spec_reply(row)
+                if reply is not None and reply.attr not in op_codes:
+                    yield self._finding(
+                        protocol, reply, f"the OP_SPECS row of Op.{name} replies "
+                        f"with Op.{reply.attr}, which is not a declared op"
+                    )
+
+    def _finding(self, source: Source, node: Optional[ast.AST], message: str) -> Finding:
+        return Finding(
+            code=self.code, path=source.path, line=getattr(node, "lineno", 1),
+            message=message,
+        )
 
     def _check_registrations(
         self, project: Project, op_codes: dict[str, int]
@@ -559,34 +587,30 @@ class OpRegistryConsistency(Rule):
                     and node.args
                 ):
                     continue
-                target = node.args[0]
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "Op"
-                ):
+                name = _op_member(node.args[0])
+                if name is None:
                     continue
-                if target.attr not in op_codes:
+                if name not in op_codes:
                     yield Finding(
                         code=self.code,
                         path=source.path,
                         line=node.lineno,
                         message=(
-                            f"register() refers to Op.{target.attr}, "
+                            f"register() refers to Op.{name}, "
                             "which is not declared in protocol.py"
                         ),
                     )
-                elif target.attr in registered:
+                elif name in registered:
                     yield Finding(
                         code=self.code,
                         path=source.path,
                         line=node.lineno,
                         message=(
-                            f"Op.{target.attr} registered more than once "
+                            f"Op.{name} registered more than once "
                             "in this module"
                         ),
                     )
-                registered.add(target.attr)
+                registered.add(name)
 
 
 @rule
