@@ -133,12 +133,12 @@ def _dispatch_rate(instrumented: bool, count: int, traced: bool = False) -> floa
             for _ in range(count)
         ]
 
-        def sink(reply):
+        def sink(replies):
             pass
 
         start = time.perf_counter()
         for message in messages:
-            pipeline.dispatch(message, "bench", sink)
+            pipeline.dispatch_batch([message], "bench", sink)
         elapsed = time.perf_counter() - start
         pipeline.close()
         return count / elapsed

@@ -29,8 +29,12 @@ safe to run:
    password login) are bounced to a **sized worker pool** so the event
    loop never stalls.  ``blocking`` belongs to the registration, not to
    the op's row: a test may register a held handler for any op.
-4. **respond** — the handler's reply (or the ERROR built from its
-   exception) goes back through the caller-supplied ``respond`` sink;
+4. **respond** — one sink, ``respond(replies)``, sends every burst.
+   :meth:`DispatchPipeline.dispatch` *returns* the reply to send now
+   (a guard's veto, an inline handler's answer, or the ERROR built from
+   a fault or from an op nobody registered); :meth:`dispatch_batch`
+   sends a backlog's replies, in arrival order, as one call.  A
+   blocking handler answers later from the pool with ``respond([reply])``;
    handlers returning ``None`` answer nothing (HELLO, notifications).
 
 The pipeline is transport-agnostic: it never touches tunnels or sockets.
@@ -68,7 +72,7 @@ DROP = object()
 #: Guards and handlers both take (message, peer); a guard returning a
 #: reply (or DROP) short-circuits the pipeline (the message is vetoed).
 Guard = Callable[[ControlMessage, str], Optional[ControlMessage]]
-Respond = Callable[[ControlMessage], None]
+Respond = Callable[[list], None]
 
 
 class Handler:
@@ -115,7 +119,6 @@ class DispatchPipeline:
         self._op_instruments: dict[int, tuple[str, Any]] = {}
         self._handlers: dict[int, Handler] = {}
         self._guards: list[Guard] = []
-        self._default: Optional[Handler] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = threading.Event()
@@ -139,12 +142,6 @@ class DispatchPipeline:
     def unregister(self, op: int) -> None:
         self._handlers.pop(op, None)
 
-    def set_default(
-        self, fn: Callable[[ControlMessage, str], Optional[ControlMessage]]
-    ) -> None:
-        """Handler for ops with no registration (the ERROR-reply fallback)."""
-        self._default = Handler(fn, blocking=False)
-
     def add_guard(self, guard: Guard) -> None:
         """Install an authorize-stage check run before every handler."""
         self._guards.append(guard)
@@ -165,15 +162,18 @@ class DispatchPipeline:
 
     def dispatch(
         self, message: ControlMessage, peer: str, respond: Respond
-    ) -> None:
+    ) -> Optional[ControlMessage]:
         """Run one decoded request through guards and its handler.
 
-        Never raises: handler faults become ERROR replies, and respond
-        failures (peer vanished mid-reply) are swallowed — the control
-        plane's callers retry on timeout, not on our exceptions.
+        Returns the reply to send now: a guard's veto, an inline
+        handler's answer, or the ERROR built from a fault or from an
+        unhandled op.  A blocking handler returns ``None`` here and
+        sends its own reply with ``respond([reply])`` from the pool.
+        Never raises — the control plane's callers retry on timeout,
+        not on our exceptions.
         """
         if self._closed.is_set():
-            return
+            return None
         if self._m_messages is not None:
             self._m_messages.inc()
         for guard in self._guards:
@@ -181,85 +181,50 @@ class DispatchPipeline:
                 veto = guard(message, peer)
             except Exception as exc:
                 veto = message.reply(Op.ERROR, {"error": str(exc)})
-            if veto is DROP:
-                if self._m_vetoed is not None:
-                    self._m_vetoed.inc()
-                return
             if veto is not None:
                 if self._m_vetoed is not None:
                     self._m_vetoed.inc()
-                self._respond(veto, respond)
-                return
-        handler = self._handlers.get(message.op, self._default)
+                return None if veto is DROP else veto
+        handler = self._handlers.get(message.op)
         if handler is None:
-            return
-        if handler.blocking:
-            try:
-                self._ensure_pool().submit(
-                    self._run_handler, handler, message, peer, respond
-                )
-            except RuntimeError:
-                pass  # pool shut down mid-dispatch: the proxy is closing
-        else:
-            self._run_handler(handler, message, peer, respond)
+            return message.reply(
+                Op.ERROR, {"error": f"unhandled op {Op.name_of(message.op)}"}
+            )
+        if not handler.blocking:
+            return self._run_handler(handler, message, peer)
+        try:
+            self._ensure_pool().submit(
+                self._run_handler, handler, message, peer, respond
+            )
+        except RuntimeError:
+            pass  # pool shut down mid-dispatch: the proxy is closing
+        return None
 
-    def dispatch_batch(
-        self,
-        messages: list,
-        peer: str,
-        respond: Respond,
-        respond_many: Optional[Callable[[list], None]] = None,
-    ) -> None:
+    def dispatch_batch(self, messages: list, peer: str, respond: Respond) -> None:
         """Dispatch a drained backlog of requests in one pass.
 
-        Semantics are identical to calling :meth:`dispatch` per message;
-        the optimisation is reply **group commit**: replies produced
-        inline (non-blocking handlers, guard vetoes) are collected and
-        flushed through ``respond_many`` as one burst — one vectored
-        socket write for the whole backlog.  Blocking handlers finish on
-        the worker pool after this call returns and respond singly, as
-        they always did.  If the burst flush fails, every reply falls
-        back to the per-reply path (which retries once off-loop), so no
-        reply is lost that ``dispatch`` would have delivered.
+        The replies :meth:`dispatch` returns leave in arrival order as
+        one ``respond`` call — one vectored socket write for the whole
+        backlog.  Blocking handlers finish on the pool after this call
+        returns and send their replies in calls of their own.
         """
-        if respond_many is None or len(messages) <= 1:
-            for message in messages:
-                self.dispatch(message, peer, respond)
-            return
-        window_open = True
-        window_lock = threading.Lock()
-        batch: list = []
-
-        def sink(reply: ControlMessage) -> None:
-            # Inline replies land in the batch; late replies (a blocking
-            # handler completing after the flush) go out singly.  The
-            # lock closes the window atomically — a pool thread racing
-            # the flush either makes the batch or responds itself, never
-            # falls between.
-            with window_lock:
-                if window_open:
-                    batch.append(reply)
-                    return
-            respond(reply)
-
+        replies = []
         for message in messages:
-            self.dispatch(message, peer, sink)
-        with window_lock:
-            window_open = False
-        if not batch:
-            return
-        if len(batch) == 1:
-            self._respond(batch[0], respond)
-            return
-        try:
-            respond_many(batch)
-        except Exception:
-            for reply in batch:
-                self._respond(reply, respond)
+            reply = self.dispatch(message, peer, respond)
+            if reply is not None:
+                replies.append(reply)
+        if replies:
+            self._respond(replies, respond)
 
     def _run_handler(
-        self, handler: Handler, message: ControlMessage, peer: str, respond: Respond
-    ) -> None:
+        self,
+        handler: Handler,
+        message: ControlMessage,
+        peer: str,
+        respond: Optional[Respond] = None,
+    ) -> Optional[ControlMessage]:
+        """Run ``handler``; return its reply, or — on the pool, where
+        ``respond`` is given — send the reply itself."""
         # Obs on: a per-op latency histogram for every message, and for a
         # sampled one (it carries a trace header) a child span whose context
         # nested requests inherit; an unsampled handler's start new roots.
@@ -296,28 +261,31 @@ class DispatchPipeline:
             histogram.observe(time.perf_counter() - start)
         if span is not None:
             span.finish()
+        if respond is None:
+            return reply
         if reply is not None:
-            self._respond(reply, respond)
+            self._respond([reply], respond)
+        return None
 
     def _respond(
-        self, reply: ControlMessage, respond: Respond, requeued: bool = False
+        self, replies: list, respond: Respond, requeued: bool = False
     ) -> None:
         try:
-            respond(reply)
+            respond(replies)
         except Exception:
             # Tunnels refuse to block an event-loop thread: an inline
-            # handler's reply fails fast (TunnelBusy) whenever a worker
-            # momentarily holds the send lock.  That is congestion, not
-            # failure — dropping the reply here silently costs the peer
-            # its full request timeout (fatal for non-idempotent ops,
-            # which never retry).  Retry once from the worker pool,
-            # where a blocking send is safe; a failure there (peer
+            # burst fails fast (TunnelBusy) whenever a worker momentarily
+            # holds the send lock.  That is congestion, not failure —
+            # dropping the replies here silently costs each peer its
+            # full request timeout (fatal for non-idempotent ops, which
+            # never retry).  Retry the same burst once from the worker
+            # pool, where a blocking send is safe; a failure there (peer
             # vanished mid-reply) stays swallowed — callers retry on
             # timeout, not on our exceptions.
             if requeued or not on_reactor_thread():
                 return
             try:
-                self._ensure_pool().submit(self._respond, reply, respond, True)
+                self._ensure_pool().submit(self._respond, replies, respond, True)
             except RuntimeError:
                 pass  # pool shut down mid-dispatch: the proxy is closing
 

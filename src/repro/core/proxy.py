@@ -273,17 +273,15 @@ class ProxyServer:
 
     def connect_to_peer(
         self,
-        raw: Optional[Channel] = None,
         *,
-        dial: Optional[Callable[[], Channel]] = None,
+        dial: Callable[[], Channel],
         retry: Optional[RetryPolicy] = None,
         peer: Optional[str] = None,
     ) -> Tunnel:
         """Dial a peer proxy.
 
-        Pass an established ``raw`` channel for a single handshake
-        attempt, or a ``dial`` factory to retry interrupted handshakes on
-        a fresh channel per attempt (see :meth:`Tunnel.dial_with_retry`).
+        ``dial`` makes a fresh channel per attempt, so an interrupted
+        handshake is retried (see :meth:`Tunnel.dial_with_retry`).
 
         ``peer`` is an optional *hint* naming who we expect to reach: if
         a resumption ticket from an earlier handshake with that peer is
@@ -292,34 +290,20 @@ class ProxyServer:
         tunnel still authenticates the peer — a hint can never pick the
         wrong certificate, only waste one ticket offer.
         """
-        if (raw is None) == (dial is None):
-            raise ProxyError("connect_to_peer needs exactly one of raw/dial")
-        resumption = self._resumption.get(peer) if peer else None
-        if dial is not None:
-            tunnel = Tunnel.dial_with_retry(
-                dial,
-                self.name,
-                self.keypair,
-                self.certificate,
-                self.trust_anchor,
-                self.clock,
-                retry=retry,
-                resumption=resumption,
-            )
-        else:
-            tunnel = Tunnel.establish_client(
-                raw,
-                self.name,
-                self.keypair,
-                self.certificate,
-                self.trust_anchor,
-                self.clock,
-                resumption=resumption,
-            )
+        tunnel = Tunnel.dial_with_retry(
+            dial,
+            self.name,
+            self.keypair,
+            self.certificate,
+            self.trust_anchor,
+            self.clock,
+            retry=retry,
+            resumption=self._resumption.get(peer) if peer else None,
+        )
         self._install_tunnel(tunnel)
         # Introduce ourselves so the peer can map tunnel -> proxy name.
         self._send_control(
-            tunnel, ControlMessage(op=Op.HELLO, body={"site": self.site.name}, sender=self.name)
+            tunnel, [ControlMessage(op=Op.HELLO, body={"site": self.site.name})]
         )
         return tunnel
 
@@ -401,14 +385,8 @@ class ProxyServer:
     # Control protocol
     # ------------------------------------------------------------------
 
-    def _send_control(self, tunnel: Tunnel, message: ControlMessage) -> None:
-        message.sender = self.name
-        tunnel.send(message.to_frame())
-
-    def _send_control_many(
-        self, tunnel: Tunnel, messages: list
-    ) -> None:
-        """Group-commit a burst of replies: one vectored write for all."""
+    def _send_control(self, tunnel: Tunnel, messages: list) -> None:
+        """Send control messages as one burst: one vectored write for all."""
         for message in messages:
             message.sender = self.name
         tunnel.send_many([message.to_frame() for message in messages])
@@ -530,7 +508,7 @@ class ProxyServer:
         self._tracker.expect(message, tunnel)
         try:
             try:
-                self._send_control(tunnel, message)
+                self._send_control(tunnel, [message])
             except TunnelError as exc:
                 self._m_req_unavailable.inc()
                 raise PeerUnavailable(
@@ -582,25 +560,14 @@ class ProxyServer:
     def _on_control(self, tunnel: Tunnel, frame: Frame) -> None:
         # No caller: control frames arrive through _on_control_batch.  Kept
         # only while benchmarks/e2e/trace.py names it as a trace target.
-        message = self.pipeline.decode(frame)
-        if message is None:
-            return  # corrupt control traffic is discarded
-        self.health.heard_from(tunnel.peer_name)
-        if message.is_reply():
-            self._tracker.fulfil(message)
-            return
-        self.pipeline.dispatch(
-            message,
-            tunnel.peer_name,
-            respond=lambda reply: self._send_control(tunnel, reply),
-        )
+        self._on_control_batch(tunnel, [frame])
 
     def _on_control_batch(self, tunnel: Tunnel, frames: list) -> None:
         """One drained backlog of control frames → one dispatch pass.
 
         Liveness bookkeeping is amortised over the burst, replies and
         fulfilments happen in arrival order, and every inline reply goes
-        back through one ``send_many`` group commit instead of a syscall
+        back through one :meth:`_send_control` burst instead of a syscall
         per message.
         """
         requests: list = []
@@ -622,15 +589,18 @@ class ProxyServer:
         self.pipeline.dispatch_batch(
             requests,
             tunnel.peer_name,
-            respond=lambda reply: self._send_control(tunnel, reply),
-            respond_many=lambda replies: self._send_control_many(tunnel, replies),
+            lambda replies: self._send_control(tunnel, replies),
         )
 
     def _register_handlers(self) -> None:
         """Wire the op registry (built-ins) and the authorize guards.
 
         The :class:`TokenAuthGuard` makes every guarded op (jobs, WMS,
-        MPI control, revoke) require a valid bearer token.
+        MPI control, revoke) require a valid bearer token.  An op with
+        no registration needs nothing here: the pipeline itself answers
+        it with an ``unhandled op`` ERROR.  Every handler *returns* its
+        reply; :meth:`_on_control_batch` sends a backlog's replies as
+        one :meth:`_send_control` burst.
         The rule for ``blocking=True`` is "runs user code or costs
         milliseconds".  ``JOB_SUBMIT`` runs user task code, which must
         never stall the shared event loop (and could deadlock it by
@@ -662,11 +632,6 @@ class ProxyServer:
         pipe.register(Op.JOB_SUBMIT, self._handle_job_submit, blocking=True)
         pipe.register(Op.MPI_START, self._handle_mpi_start)
         pipe.register(Op.MPI_END, self._handle_mpi_end)
-        pipe.set_default(
-            lambda message, peer: message.reply(
-                Op.ERROR, {"error": f"unhandled op {Op.name_of(message.op)}"}
-            )
-        )
 
     def _guard_sender_identity(self, message: ControlMessage, peer: str):
         """Authorize stage: the claimed sender must be the handshake peer.

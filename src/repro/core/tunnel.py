@@ -20,6 +20,7 @@ that arrived behind it — the paper's containment rule at the border.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Callable, Optional
 
@@ -152,14 +153,8 @@ class Tunnel:
         """
         retry = retry or RetryPolicy(retryable=(TunnelError,))
         if TunnelError not in retry.retryable:
-            retry = RetryPolicy(
-                max_attempts=retry.max_attempts,
-                base_delay=retry.base_delay,
-                multiplier=retry.multiplier,
-                max_delay=retry.max_delay,
-                jitter=retry.jitter,
-                deadline=retry.deadline,
-                retryable=retry.retryable + (TunnelError,),
+            retry = dataclasses.replace(
+                retry, retryable=retry.retryable + (TunnelError,)
             )
 
         def attempt(_deadline) -> "Tunnel":

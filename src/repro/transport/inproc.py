@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.transport.channel import Channel, Listener
 from repro.transport.errors import ChannelBusy, ChannelClosed, TransportTimeout
-from repro.transport.frames import Frame, encode_frame
+from repro.transport.frames import Frame
 
 __all__ = ["InprocChannel", "InprocFabric", "InprocListener", "channel_pair"]
 
@@ -42,7 +42,8 @@ class InprocChannel(Channel):
         send_timeout: Optional[float] = 10.0,
     ):
         super().__init__(name=name)
-        self._buf: deque[Frame] = deque()
+        #: inbound (frame, wire size) pairs: the size is measured once, at send
+        self._buf: deque[tuple[Frame, int]] = deque()
         self._cond = threading.Condition()
         self._eof = False  # peer is gone; drain _buf then report closure
         self._peer: Optional["InprocChannel"] = None
@@ -68,7 +69,7 @@ class InprocChannel(Channel):
             else time.monotonic() + self.send_timeout
         )
         # Wire bytes are the encoded frame size, as TCP counts them.
-        nbytes = len(encode_frame(frame))
+        nbytes = frame.wire_size()
         with peer._cond:
             while peer.maxsize and len(peer._buf) >= peer.maxsize:
                 if peer._eof or peer._closed.is_set():
@@ -84,7 +85,7 @@ class InprocChannel(Channel):
                 peer._cond.wait(timeout=remaining)
             if peer._closed.is_set() or peer._eof:
                 raise ChannelClosed(f"{self.name}: peer has closed")
-            peer._buf.append(frame)
+            peer._buf.append((frame, nbytes))
             peer._cond.notify_all()
             cb = peer._ready_cb
             self.stats.on_send(nbytes)  # every sender on self holds peer._cond
@@ -105,9 +106,9 @@ class InprocChannel(Channel):
                 if remaining is not None and remaining <= 0:
                     raise TransportTimeout(f"{self.name}: recv timed out")
                 self._cond.wait(timeout=remaining)
-            frame = self._buf.popleft()
+            frame, nbytes = self._buf.popleft()
             self._cond.notify_all()  # a bounded buffer just freed a slot
-        self.stats.on_receive(len(encode_frame(frame)))  # one consumer
+        self.stats.on_receive(nbytes)  # one consumer
         return frame
 
     def poll_recv(self) -> Optional[Frame]:
@@ -116,9 +117,9 @@ class InprocChannel(Channel):
                 if self._eof:
                     raise ChannelClosed(f"{self.name}: peer closed")
                 return None
-            frame = self._buf.popleft()
+            frame, nbytes = self._buf.popleft()
             self._cond.notify_all()
-        self.stats.on_receive(len(encode_frame(frame)))
+        self.stats.on_receive(nbytes)
         return frame
 
     def set_ready_callback(self, callback: Optional[Callable[[], None]]) -> None:

@@ -24,14 +24,17 @@ def _message(op=Op.PING, body=None, sender="peer") -> ControlMessage:
 
 
 class _Sink:
-    """Collects replies, with an event for cross-thread completions."""
+    """Collects each ``respond`` call's burst of replies, with an event
+    for cross-thread completions."""
 
     def __init__(self):
+        self.calls = []
         self.replies = []
         self.arrived = threading.Event()
 
-    def __call__(self, reply):
-        self.replies.append(reply)
+    def __call__(self, replies):
+        self.calls.append(list(replies))
+        self.replies.extend(replies)
         self.arrived.set()
 
 
@@ -64,7 +67,7 @@ class TestRegistry:
             Op.PING, lambda message, peer: message.reply(Op.PONG, {"peer": peer})
         )
         sink = _Sink()
-        pipeline.dispatch(_message(), "proxy.A", sink)
+        pipeline.dispatch_batch([_message()], "proxy.A", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.PONG
         assert sink.replies[0].body["peer"] == "proxy.A"
@@ -114,7 +117,7 @@ class TestRegistry:
 
         pipeline.register(Op.PING, explode)
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.ERROR
         assert "handler blew up" in sink.replies[0].body["error"]
@@ -122,34 +125,30 @@ class TestRegistry:
     def test_none_reply_answers_nothing(self, pipeline):
         pipeline.register(Op.HELLO, lambda message, peer: None)
         sink = _Sink()
-        pipeline.dispatch(_message(op=Op.HELLO), "p", sink)
+        pipeline.dispatch_batch([_message(op=Op.HELLO)], "p", sink)
         assert not sink.arrived.wait(timeout=0.1)
 
     def test_default_handler_catches_unknown_ops(self, pipeline):
-        pipeline.set_default(
-            lambda message, peer: message.reply(Op.ERROR, {"error": "unhandled"})
-        )
         sink = _Sink()
-        pipeline.dispatch(_message(op=Op.STATUS_QUERY), "p", sink)
+        pipeline.dispatch_batch([_message(op=Op.STATUS_QUERY)], "p", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.ERROR
 
     def test_unregister_falls_back_to_default(self, pipeline):
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
-        pipeline.set_default(lambda m, p: m.reply(Op.ERROR, {"error": "gone"}))
         pipeline.unregister(Op.PING)
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.ERROR
 
     def test_respond_failure_is_swallowed(self, pipeline):
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
 
-        def broken_sink(reply):
+        def broken_sink(replies):
             raise OSError("peer vanished")
 
-        pipeline.dispatch(_message(), "p", broken_sink)  # must not raise
+        pipeline.dispatch_batch([_message()], "p", broken_sink)  # must not raise
 
     def test_busy_inline_reply_retries_off_loop(self, pipeline, monkeypatch):
         """A respond that fails on the event-loop thread is retried once
@@ -168,13 +167,13 @@ class TestRegistry:
         delivered = _Sink()
         attempts = []
 
-        def contended_sink(reply):
+        def contended_sink(replies):
             attempts.append(threading.get_ident())
             if threading.get_ident() == loop_ident:
                 raise OSError("send refused: channel busy on event-loop thread")
-            delivered(reply)
+            delivered(replies)
 
-        pipeline.dispatch(_message(), "p", contended_sink)
+        pipeline.dispatch_batch([_message()], "p", contended_sink)
         assert delivered.arrived.wait(timeout=5.0)
         assert len(attempts) == 2
         assert attempts[1] != loop_ident  # the retry ran off-loop
@@ -189,11 +188,11 @@ class TestRegistry:
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
         attempts = []
 
-        def broken_sink(reply):
-            attempts.append(reply)
+        def broken_sink(replies):
+            attempts.append(replies)
             raise OSError("peer vanished")
 
-        pipeline.dispatch(_message(), "p", broken_sink)  # must not raise
+        pipeline.dispatch_batch([_message()], "p", broken_sink)  # must not raise
         assert len(attempts) == 1
 
 
@@ -207,7 +206,7 @@ class TestGuards:
         pipeline.add_guard(lambda message, peer: None)
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.PONG
 
@@ -218,7 +217,7 @@ class TestGuards:
         ran = []
         pipeline.register(Op.PING, lambda m, p: ran.append(1))
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.AUTH_DENIED
         assert not ran
@@ -228,7 +227,7 @@ class TestGuards:
         ran = []
         pipeline.register(Op.PING, lambda m, p: ran.append(1))
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert not sink.arrived.wait(timeout=0.1)
         assert not ran
 
@@ -238,7 +237,7 @@ class TestGuards:
 
         pipeline.add_guard(angry)
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert sink.arrived.wait(timeout=2.0)
         assert sink.replies[0].op == Op.ERROR
         assert "forbidden" in sink.replies[0].body["error"]
@@ -338,7 +337,7 @@ class TestClose:
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
         pipeline.close()
         sink = _Sink()
-        pipeline.dispatch(_message(), "p", sink)
+        pipeline.dispatch_batch([_message()], "p", sink)
         assert not sink.arrived.wait(timeout=0.1)
 
     def test_close_is_idempotent(self, pipeline):
@@ -374,44 +373,25 @@ class TestDispatchBatch:
     def test_inline_replies_group_commit(self, pipeline):
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {"n": m.body["n"]}))
         messages = [_message(body={"n": i}) for i in range(5)]
-        singles, bursts = [], []
-        pipeline.dispatch_batch(
-            messages, "peer", singles.append, respond_many=bursts.append
-        )
-        # All five inline replies leave in ONE burst, none singly.
-        assert singles == []
+        bursts = []
+        pipeline.dispatch_batch(messages, "peer", bursts.append)
+        # All five inline replies leave in ONE burst.
         assert len(bursts) == 1
         assert [r.body["n"] for r in bursts[0]] == [0, 1, 2, 3, 4]
         assert [r.reply_to for r in bursts[0]] == [m.message_id for m in messages]
 
-    def test_single_message_skips_group_commit(self, pipeline):
-        pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
-        singles, bursts = [], []
-        pipeline.dispatch_batch(
-            [_message()], "peer", singles.append, respond_many=bursts.append
-        )
-        assert bursts == [] and len(singles) == 1
-
-    def test_without_respond_many_behaves_like_dispatch(self, pipeline):
-        pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
-        singles = []
-        pipeline.dispatch_batch([_message(), _message()], "peer", singles.append)
-        assert len(singles) == 2
-
     def test_single_inline_reply_in_batch_responds_singly(self, pipeline):
-        # Two requests, only one yields a reply: no burst for a batch of 1.
+        # Two requests, only one yields a reply: a burst of one.
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
         pipeline.register(Op.HELLO, lambda m, p: None)
-        singles, bursts = [], []
+        bursts = []
         pipeline.dispatch_batch(
-            [_message(), _message(op=Op.HELLO)], "peer",
-            singles.append, respond_many=bursts.append,
+            [_message(), _message(op=Op.HELLO)], "peer", bursts.append
         )
-        assert bursts == [] and len(singles) == 1
+        assert len(bursts) == 1 and len(bursts[0]) == 1
 
     def test_blocking_handler_replies_singly_after_window(self, pipeline):
         release = threading.Event()
-        done = threading.Event()
 
         def slow(m, p):
             release.wait(timeout=5.0)
@@ -419,32 +399,89 @@ class TestDispatchBatch:
 
         pipeline.register(Op.PING, slow, blocking=True)
         pipeline.register(Op.STATUS_QUERY, lambda m, p: m.reply(Op.STATUS_REPORT, {}))
-        singles, bursts = [], []
-
-        def single(reply):
-            singles.append(reply)
-            done.set()
-
+        sink = _Sink()
         pipeline.dispatch_batch(
             [_message(), _message(op=Op.STATUS_QUERY), _message(op=Op.STATUS_QUERY)],
-            "peer", single, respond_many=bursts.append,
+            "peer", sink,
         )
-        # The two inline replies group-committed while the slow one was
-        # still on the pool; its late reply goes out singly.
-        assert len(bursts) == 1 and len(bursts[0]) == 2
+        # The two inline replies left as one burst while the slow one was
+        # still on the pool; its late reply goes out in a call of its own.
+        assert [len(call) for call in sink.calls] == [2]
+        sink.arrived.clear()
         release.set()
-        assert done.wait(timeout=5.0)
-        assert singles[0].body == {"slow": True}
+        assert sink.arrived.wait(timeout=5.0)
+        assert len(sink.calls[1]) == 1
+        assert sink.calls[1][0].body == {"slow": True}
 
-    def test_burst_failure_falls_back_per_reply(self, pipeline):
+    def test_one_burst_carries_every_inline_answer_in_arrival_order(self, pipeline):
+        """A veto, an inline reply and the unhandled-op ERROR leave in one
+        ``respond`` call; DROP and a reply-less handler add nothing; a
+        blocking handler's reply comes later in a call of its own."""
+        def guard(message, peer):
+            if message.body.get("veto"):
+                return message.reply(Op.AUTH_DENIED, {"error": "no"})
+            return DROP if message.body.get("drop") else None
+
+        release = threading.Event()
+
+        def held(m, p):
+            release.wait(timeout=5.0)
+            return m.reply(Op.JOB_RESULT, {})
+
+        pipeline.add_guard(guard)
         pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {}))
-        singles = []
+        pipeline.register(Op.HELLO, lambda m, p: None)
+        pipeline.register(Op.JOB_SUBMIT, held, blocking=True)
+        vetoed = _message(body={"veto": True})
+        blocking = _message(op=Op.JOB_SUBMIT)
+        inline = _message()
+        unhandled = _message(op=Op.LOCATE_RESOURCE)
+        batch = [
+            vetoed, blocking, _message(body={"drop": True}), inline,
+            _message(op=Op.HELLO), unhandled,
+        ]
+        sink = _Sink()
+        pipeline.dispatch_batch(batch, "peer", sink)
+        [burst] = sink.calls
+        assert [r.op for r in burst] == [Op.AUTH_DENIED, Op.PONG, Op.ERROR]
+        assert [r.reply_to for r in burst] == [
+            vetoed.message_id, inline.message_id, unhandled.message_id
+        ]
+        assert burst[2].body == {"error": "unhandled op LOCATE_RESOURCE"}
+        sink.arrived.clear()
+        release.set()
+        assert sink.arrived.wait(timeout=5.0)
+        [late] = sink.calls[1:]
+        assert [(r.op, r.reply_to) for r in late] == [
+            (Op.JOB_RESULT, blocking.message_id)
+        ]
 
-        def broken_many(batch):
-            raise OSError("vectored send failed")
+    def test_refused_burst_is_retried_once_from_the_pool(self, pipeline, monkeypatch):
+        from repro.core import dispatch as dispatch_mod
 
-        pipeline.dispatch_batch(
-            [_message(), _message()], "peer",
-            singles.append, respond_many=broken_many,
+        loop_ident = threading.get_ident()
+        monkeypatch.setattr(
+            dispatch_mod,
+            "on_reactor_thread",
+            lambda: threading.get_ident() == loop_ident,
         )
-        assert len(singles) == 2  # no reply lost
+        pipeline.register(Op.PING, lambda m, p: m.reply(Op.PONG, {"n": m.body["n"]}))
+        messages = [_message(body={"n": i}) for i in range(3)]
+        delivered = _Sink()
+        attempts = []
+
+        def contended_sink(replies):
+            attempts.append((threading.get_ident(), replies))
+            if threading.get_ident() == loop_ident:
+                raise OSError("send refused: channel busy on event-loop thread")
+            delivered(replies)
+
+        pipeline.dispatch_batch(messages, "peer", contended_sink)
+        assert delivered.arrived.wait(timeout=5.0)
+        # The same burst, once more, off-loop: no reply lost, none split.
+        assert len(attempts) == 2
+        assert attempts[1][0] != loop_ident
+        assert attempts[1][1] is attempts[0][1]
+        assert [r.reply_to for r in delivered.replies] == [
+            m.message_id for m in messages
+        ]

@@ -114,13 +114,16 @@ def test_send_on_dead_peer_raises_channel_closed():
     sender, receiver = tcp_pair(limit=3)
     receiver.close()
     try:
+        # Wait for the peer's FIN: the sender's read side reports it.
         with pytest.raises(ChannelClosed):
-            # The first writes land in kernel buffers; keep pushing until
-            # the RST surfaces.  Bounded: the channel closes itself on
-            # the first OSError.
-            for _ in range(1000):
-                sender.send_many(make_frames(0, 5))
-                time.sleep(0.001)
+            sender.recv(timeout=10.0)
+        # A burst to the dead peer leaves a refused tail that can never
+        # drain (the read side already left the loop), so the channel
+        # closes itself; wait for that rather than for a send budget.
+        sender.send_many(make_frames(0, 5))
+        assert sender._closed.wait(timeout=10.0)
+        with pytest.raises(ChannelClosed):
+            sender.send_many(make_frames(0, 5))
     finally:
         sender.close()
 
