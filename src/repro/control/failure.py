@@ -81,10 +81,6 @@ class FailureDetector:
                 peer=peer, state=PeerState.ALIVE, last_heard=self.clock()
             )
 
-    def unwatch(self, peer: str) -> None:
-        with self._lock:
-            self._peers.pop(peer, None)
-
     def heard_from(self, peer: str) -> None:
         """Record a heartbeat or any authenticated traffic from ``peer``."""
         recovered = False

@@ -127,10 +127,6 @@ class GridDirectory:
         with self._lock:
             return dict(self._site_proxy)
 
-    def has_site(self, site: str) -> bool:
-        with self._lock:
-            return site in self._site_proxy
-
     def find_node(self, node: str) -> Optional[str]:
         """Site of node, or None — the resource-location soft query."""
         with self._lock:

@@ -184,7 +184,6 @@ class Tunnel:
         certificate: Certificate,
         trust_anchor: RsaPublicKey,
         clock: Callable[[], float],
-        revocation_check: Optional[Callable[[Certificate], bool]] = None,
         expected_peer_role: str = "proxy",
         ticket_keeper: Optional[SessionTicketKeeper] = None,
     ) -> "Tunnel":
@@ -203,7 +202,6 @@ class Tunnel:
                 trust_anchor,
                 clock,
                 expected_peer_role=expected_peer_role,
-                revocation_check=revocation_check,
                 ticket_keeper=ticket_keeper,
             )
         except HandshakeError as exc:

@@ -72,15 +72,10 @@ __all__ = [
 class ObsHub:
     """One owner's observability bundle: metrics + spans + dump."""
 
-    def __init__(
-        self,
-        name: str,
-        clock: Callable[[], float] = time.time,
-        span_capacity: int = 2048,
-    ) -> None:
+    def __init__(self, name: str, clock: Callable[[], float] = time.time) -> None:
         self.name = name
         self.metrics = MetricsRegistry(name=name)
-        self.spans = SpanRecorder(origin=name, capacity=span_capacity, clock=clock)
+        self.spans = SpanRecorder(origin=name, clock=clock)
 
     def dump(
         self,

@@ -114,6 +114,3 @@ class CertificationAuthority:
             raise CertificateError(
                 f"certificate for {cert.subject!r}: revoked (serial {cert.serial})"
             )
-
-    def issued_count(self) -> int:
-        return len(self._issued)

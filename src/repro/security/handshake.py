@@ -28,13 +28,15 @@ not payloads.
 **Session resumption** (TLS-session-ticket style, DESIGN.md §14): a
 server holding a :class:`SessionTicketKeeper` seals ``{master secret,
 peer certificate}`` into an opaque ticket issued inside its FINISH.  A
-later dial presents the ticket in HELLO; if the server redeems it, both
-ends derive fresh keys from the cached master plus the new randoms and
-exchange FINISH MACs — no DH, two messages fewer.  Any rejection
-(expired ticket or certificate, tampered, unknown STEK after a restart)
-falls back to the full handshake transparently, because a full HELLO
-is the same message with the ticket ignored.  Each resumption rotates
-in a fresh ticket sealing the *new* master, so secrets ratchet forward;
+later dial presents the ticket in HELLO.  A resumed handshake is the
+full one without the certificate, the DH exchange and KEYEX: the server
+answers a redeemed ticket with a bare ``{resumed, random}`` HELLO, both
+ends ratchet the cached master with the new randoms, and the same
+FINISH exchange follows.  Any rejection (expired ticket or certificate,
+tampered, unknown STEK after a restart) falls back to the full
+handshake transparently, because a full HELLO is the same message with
+the ticket ignored.  Each FINISH from a server with a keeper carries a
+fresh ticket sealing the *new* master, so secrets ratchet forward;
 neither side resumes on a certificate that has since expired.
 """
 
@@ -48,7 +50,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.obs.racesan import shared_state
 from repro.security.certs import Certificate, CertificateError
-from repro.security.cipher import RecordCipher, derive_session_keys, keystream_xor
+from repro.security.cipher import RecordCipher, SessionKeys, derive_session_keys, keystream_xor
 from repro.security.dh import DiffieHellman
 from repro.security.rsa import RsaKeyPair, RsaPublicKey
 from repro.transport.channel import Channel
@@ -68,6 +70,7 @@ __all__ = [
     "ResumptionTicket",
     "SecureChannel",
     "SessionTicketKeeper",
+    "TICKET_LIFETIME",
     "accept_secure",
     "connect_secure",
 ]
@@ -215,29 +218,28 @@ class ResumptionTicket:
         return f"ResumptionTicket(peer={self.peer_cert.subject!r}, {len(self.blob)}B)"
 
 
+#: Seconds a ticket can be redeemed after it was sealed.
+TICKET_LIFETIME = 3600.0
+
+
 @shared_state
 class SessionTicketKeeper:
-    """Server-side session-ticket encryption key (a STEK) plus policy.
+    """Server-side session-ticket encryption key (a STEK).
 
-    ``seal`` wraps ``{master, peer cert, issued_at}`` into an opaque,
-    authenticated blob, encrypted with the record layer's SHAKE-128
-    keystream (tickets carry the master secret across the cleartext
-    handshake, so they must be confidential); ``redeem`` opens one and
-    returns the state, or ``None`` for anything expired, tampered, or
-    sealed under a different key (e.g. before a server restart) — the
-    caller then simply runs the full handshake.  Stateless on the server
-    like TLS tickets: no session cache to size or shard.
+    The key is fresh random bytes, so a restarted server redeems none of
+    its old tickets.  ``seal`` wraps ``{master, peer cert, issued_at}``
+    into an opaque, authenticated blob, encrypted with the record
+    layer's SHAKE-128 keystream (tickets carry the master secret across
+    the cleartext handshake, so they must be confidential); ``redeem``
+    opens one and returns the state, or ``None`` for anything older
+    than :data:`TICKET_LIFETIME`, tampered, or sealed under a different
+    key — the caller then simply runs the full handshake.  Stateless on
+    the server like TLS tickets: no session cache to size or shard.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        lifetime: float = 3600.0,
-        key: Optional[bytes] = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.lifetime = float(lifetime)
-        self._key = key if key is not None else secrets.token_bytes(32)
+        self._key = secrets.token_bytes(32)
         # Counters feed the auth benchmarks and observability dumps.
         # One keeper serves every accept thread concurrently, so the
         # bumps below take this lock: `+= 1` is read-modify-write, and
@@ -270,7 +272,7 @@ class SessionTicketKeeper:
             state = decode_value(keystream_xor(self._key, nonce, sealed))
             if not isinstance(state, dict):
                 raise ValueError("ticket state is not a dict")
-            if self.clock() - float(state["iat"]) > self.lifetime:
+            if self.clock() - float(state["iat"]) > TICKET_LIFETIME:
                 raise ValueError("ticket expired")
         except Exception:
             # Hostile or stale input: never an error, always a fallback.
@@ -289,6 +291,42 @@ def _resumed_master(
     return hashlib.sha256(
         b"resume|" + master + client_random + server_random
     ).digest()
+
+
+def _redeem(
+    keeper: Optional[SessionTicketKeeper],
+    blob: object,
+    expected_role: Optional[str],
+    revocation_check: Optional[Callable[[Certificate], bool]],
+) -> Optional[tuple[Certificate, dict]]:
+    """The client certificate and ticket state to resume from, or ``None``.
+
+    This is the server's one veto point, and it runs before anything is
+    sent, so ``None`` simply means the full handshake.  The stored
+    certificate was CA-validated at the original handshake; within the
+    ticket lifetime this re-checks what can have changed since — the
+    expected role, the certificate's validity window and explicit
+    revocation.  An expired certificate thus meets the full handshake,
+    which refuses it.
+    """
+    if keeper is None or not isinstance(blob, bytes):
+        return None
+    state = keeper.redeem(blob)
+    if state is None:
+        return None
+    try:
+        cert = Certificate.from_bytes(state["cert"])
+    except Exception:
+        return None
+    if not isinstance(state.get("master"), bytes):
+        return None
+    if expected_role is not None and cert.role != expected_role:
+        return None
+    if not cert.is_valid_at(keeper.clock()):
+        return None
+    if revocation_check is not None and revocation_check(cert):
+        return None
+    return cert, state
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +387,12 @@ def _validate_peer_cert(
     return cert
 
 
+
+
+def _finish_mac(keys: SessionKeys, transcript: bytes) -> bytes:
+    return hmac.new(keys.mac_key, transcript, hashlib.sha256).digest()
+
+
 def connect_secure(
     channel: Channel,
     keypair: RsaKeyPair,
@@ -370,160 +414,84 @@ def connect_secure(
     definition.
     """
     try:
-        return _connect_secure(
-            channel,
-            keypair,
-            certificate,
-            trust_anchor,
-            clock,
-            expected_peer_role,
-            timeout,
-            resumption,
+        if resumption is not None and not resumption.peer_cert.is_valid_at(clock()):
+            resumption = None
+        client_random = secrets.token_bytes(32)
+        hello_body: dict = {"random": client_random}
+        if resumption is not None:
+            # A server that rejects the ticket continues the full handshake
+            # without a second round trip.
+            hello_body["ticket"] = resumption.blob
+        channel.send(_hs_frame("hello", hello_body))
+
+        server_hello = _expect(channel, "hello", timeout)
+        server_random = server_hello["random"]
+        ticket = resumption if server_hello.get("resumed") else None
+        if ticket is not None:
+            # Authentication is possession of the cached master on both
+            # sides: the server proved it by opening the ticket (sealed
+            # under its STEK), the client proves it by its FINISH MAC.  The
+            # server random rides this hello in the clear; the FINISH MACs
+            # cover the value each side *uses*.
+            server_cert = ticket.peer_cert
+            master = _resumed_master(ticket.master, client_random, server_random)
+            transcript = _transcript_digest(
+                b"resume", client_random, server_random, ticket.blob
+            )
+        else:
+            server_cert = _validate_peer_cert(
+                server_hello["certificate"], trust_anchor, clock(), expected_peer_role
+            )
+            server_dh_public = server_hello["dh_public"]
+            signed_blob = _transcript_digest(
+                client_random, server_random, encode_value(server_dh_public)
+            )
+            if not server_cert.public_key.verify(signed_blob, server_hello["signature"]):
+                raise HandshakeError("server key-exchange signature invalid")
+            dh = DiffieHellman()
+            pre_master = dh.shared_secret(server_dh_public)
+            transcript = _transcript_digest(
+                client_random,
+                server_random,
+                certificate.to_bytes(),
+                encode_value(dh.public),
+            )
+            channel.send(
+                _hs_frame(
+                    "keyex",
+                    {
+                        "certificate": certificate.to_bytes(),
+                        "dh_public": dh.public,
+                        "signature": keypair.sign(transcript),
+                    },
+                )
+            )
+            master = _master_secret(pre_master, client_random, server_random)
+
+        client_keys = derive_session_keys(master, "client")
+        server_keys = derive_session_keys(master, "server")
+        finish = _expect(channel, "finish", timeout)
+        if not hmac.compare_digest(finish["mac"], _finish_mac(server_keys, transcript)):
+            raise HandshakeError("server FINISH verification failed")
+        channel.send(_hs_frame("finish", {"mac": _finish_mac(client_keys, transcript)}))
+
+        secure = SecureChannel(
+            inner=channel,
+            send_cipher=RecordCipher(client_keys),
+            recv_cipher=RecordCipher(server_keys),
+            peer=PeerIdentity(server_cert),
+            name=f"secure:{certificate.subject}->{server_cert.subject}",
         )
+        secure.resumed = ticket is not None
+        ticket_blob = finish.get("ticket")
+        if isinstance(ticket_blob, bytes):
+            # Single-use rotation: the fresh ticket seals *this* master.
+            secure.resumption_ticket = ResumptionTicket(ticket_blob, master, server_cert)
+        return secure
     except HandshakeError:
         raise
     except Exception as exc:
         raise HandshakeError(f"handshake failed: {exc}") from exc
-
-
-def _connect_secure(
-    channel: Channel,
-    keypair: RsaKeyPair,
-    certificate: Certificate,
-    trust_anchor: RsaPublicKey,
-    clock: Callable[[], float],
-    expected_peer_role: Optional[str],
-    timeout: float,
-    resumption: Optional[ResumptionTicket],
-) -> SecureChannel:
-    if resumption is not None and not resumption.peer_cert.is_valid_at(clock()):
-        resumption = None
-    client_random = secrets.token_bytes(32)
-    hello_body: dict = {"random": client_random}
-    if resumption is not None:
-        # A server that rejects the ticket continues the full handshake
-        # without a second round trip.
-        hello_body["ticket"] = resumption.blob
-    channel.send(_hs_frame("hello", hello_body))
-
-    server_hello = _expect(channel, "hello", timeout)
-    if resumption is not None and server_hello.get("resumed"):
-        return _finish_resumed_client(
-            channel, resumption, certificate, client_random, server_hello,
-            timeout,
-        )
-    server_random = server_hello["random"]
-    server_cert = _validate_peer_cert(
-        server_hello["certificate"], trust_anchor, clock(), expected_peer_role
-    )
-    server_dh_public = server_hello["dh_public"]
-    signed_blob = _transcript_digest(
-        client_random, server_random, encode_value(server_dh_public)
-    )
-    if not server_cert.public_key.verify(signed_blob, server_hello["signature"]):
-        raise HandshakeError("server key-exchange signature invalid")
-    dh = DiffieHellman()
-    pre_master = dh.shared_secret(server_dh_public)
-
-    transcript = _transcript_digest(
-        client_random,
-        server_random,
-        certificate.to_bytes(),
-        encode_value(dh.public),
-    )
-    channel.send(
-        _hs_frame(
-            "keyex",
-            {
-                "certificate": certificate.to_bytes(),
-                "dh_public": dh.public,
-                "signature": keypair.sign(transcript),
-            },
-        )
-    )
-
-    master = _master_secret(pre_master, client_random, server_random)
-    client_keys = derive_session_keys(master, "client")
-    server_keys = derive_session_keys(master, "server")
-
-    finish = _expect(channel, "finish", timeout)
-    expected_mac = hmac.new(server_keys.mac_key, transcript, hashlib.sha256).digest()
-    if not hmac.compare_digest(finish["mac"], expected_mac):
-        raise HandshakeError("server FINISH verification failed")
-
-    channel.send(
-        _hs_frame(
-            "finish",
-            {"mac": hmac.new(client_keys.mac_key, transcript, hashlib.sha256).digest()},
-        )
-    )
-
-    secure = SecureChannel(
-        inner=channel,
-        send_cipher=RecordCipher(client_keys),
-        recv_cipher=RecordCipher(server_keys),
-        peer=PeerIdentity(server_cert),
-        name=f"secure:{certificate.subject}->{server_cert.subject}",
-    )
-    ticket_blob = finish.get("ticket")
-    if isinstance(ticket_blob, bytes):
-        secure.resumption_ticket = ResumptionTicket(ticket_blob, master, server_cert)
-    return secure
-
-
-def _finish_resumed_client(
-    channel: Channel,
-    resumption: ResumptionTicket,
-    certificate: Certificate,
-    client_random: bytes,
-    server_hello: dict,
-    timeout: float,
-) -> SecureChannel:
-    """Complete a ticket-accepted handshake: derive, MAC, done.
-
-    Authentication here is possession of the cached master on both
-    sides: the server proved it by opening the ticket (sealed under its
-    STEK), the client by its FINISH MAC — both chains of custody start
-    at the original, certificate-authenticated handshake.  The server
-    random rides the resumed hello in the clear; the FINISH MACs cover
-    the value each side *uses*, so tampering desyncs the transcripts.
-    """
-    server_random = server_hello["random"]
-    master = _resumed_master(resumption.master, client_random, server_random)
-    client_keys = derive_session_keys(master, "client")
-    server_keys = derive_session_keys(master, "server")
-    transcript = _transcript_digest(
-        b"resume", client_random, server_random, resumption.blob
-    )
-    finish = _expect(channel, "finish", timeout)
-    expected_mac = hmac.new(
-        server_keys.mac_key, transcript, hashlib.sha256
-    ).digest()
-    if not hmac.compare_digest(finish["mac"], expected_mac):
-        raise HandshakeError("server resumed-FINISH verification failed")
-    channel.send(
-        _hs_frame(
-            "finish",
-            {"mac": hmac.new(client_keys.mac_key, transcript, hashlib.sha256).digest()},
-        )
-    )
-    secure = SecureChannel(
-        inner=channel,
-        send_cipher=RecordCipher(client_keys),
-        recv_cipher=RecordCipher(server_keys),
-        peer=PeerIdentity(resumption.peer_cert),
-        name=(
-            f"secure:{certificate.subject}->{resumption.peer_cert.subject}"
-        ),
-    )
-    secure.resumed = True
-    new_blob = finish.get("ticket")
-    if isinstance(new_blob, bytes):
-        # Single-use rotation: the fresh ticket seals the *new* master.
-        secure.resumption_ticket = ResumptionTicket(
-            new_blob, master, resumption.peer_cert
-        )
-    return secure
 
 
 def accept_secure(
@@ -541,182 +509,85 @@ def accept_secure(
 
     ``revocation_check`` (cert → bool) lets a proxy consult the CA's
     revocation list for client certificates.  ``ticket_keeper`` enables
-    session resumption: full handshakes issue tickets, and a HELLO
-    presenting a redeemable ticket skips the asymmetric exchange.  All
-    failures surface as :class:`HandshakeError` (see
-    :func:`connect_secure`).
+    session resumption: every FINISH issues a ticket, and a HELLO
+    presenting a ticket that :func:`_redeem` accepts skips the
+    asymmetric exchange.  All failures surface as
+    :class:`HandshakeError` (see :func:`connect_secure`).
     """
     try:
-        return _accept_secure(
-            channel,
-            keypair,
-            certificate,
-            trust_anchor,
-            clock,
-            expected_peer_role,
-            timeout,
-            revocation_check,
-            ticket_keeper,
+        hello = _expect(channel, "hello", timeout)
+        client_random = hello["random"]
+        server_random = secrets.token_bytes(32)
+        resume = _redeem(
+            ticket_keeper, hello.get("ticket"), expected_peer_role, revocation_check
         )
+        if resume is not None:
+            client_cert, state = resume
+            client_cert_blob = state["cert"]
+            master = _resumed_master(state["master"], client_random, server_random)
+            transcript = _transcript_digest(
+                b"resume", client_random, server_random, hello["ticket"]
+            )
+            channel.send(_hs_frame("hello", {"resumed": True, "random": server_random}))
+        else:
+            dh = DiffieHellman()
+            channel.send(
+                _hs_frame(
+                    "hello",
+                    {
+                        "random": server_random,
+                        "certificate": certificate.to_bytes(),
+                        "dh_public": dh.public,
+                        "signature": keypair.sign(
+                            _transcript_digest(
+                                client_random, server_random, encode_value(dh.public)
+                            )
+                        ),
+                    },
+                )
+            )
+            keyex = _expect(channel, "keyex", timeout)
+            client_cert_blob = keyex["certificate"]
+            client_cert = _validate_peer_cert(
+                client_cert_blob, trust_anchor, clock(), expected_peer_role
+            )
+            if revocation_check is not None and revocation_check(client_cert):
+                raise HandshakeError(
+                    f"peer certificate rejected: revoked ({client_cert.subject!r})"
+                )
+            client_dh_public = keyex["dh_public"]
+            transcript = _transcript_digest(
+                client_random,
+                server_random,
+                client_cert_blob,
+                encode_value(client_dh_public),
+            )
+            if not client_cert.public_key.verify(transcript, keyex["signature"]):
+                raise HandshakeError("client transcript signature invalid")
+            pre_master = dh.shared_secret(client_dh_public)
+            master = _master_secret(pre_master, client_random, server_random)
+
+        client_keys = derive_session_keys(master, "client")
+        server_keys = derive_session_keys(master, "server")
+        finish_body: dict = {"mac": _finish_mac(server_keys, transcript)}
+        if ticket_keeper is not None:
+            # Issue, or on resumption rotate, the ticket for the next dial.
+            finish_body["ticket"] = ticket_keeper.seal(master, client_cert_blob)
+        channel.send(_hs_frame("finish", finish_body))
+        finish = _expect(channel, "finish", timeout)
+        if not hmac.compare_digest(finish["mac"], _finish_mac(client_keys, transcript)):
+            raise HandshakeError("client FINISH verification failed")
+
+        secure = SecureChannel(
+            inner=channel,
+            send_cipher=RecordCipher(server_keys),
+            recv_cipher=RecordCipher(client_keys),
+            peer=PeerIdentity(client_cert),
+            name=f"secure:{certificate.subject}->{client_cert.subject}",
+        )
+        secure.resumed = resume is not None
+        return secure
     except HandshakeError:
         raise
     except Exception as exc:
         raise HandshakeError(f"handshake failed: {exc}") from exc
-
-
-def _accept_secure(
-    channel: Channel,
-    keypair: RsaKeyPair,
-    certificate: Certificate,
-    trust_anchor: RsaPublicKey,
-    clock: Callable[[], float],
-    expected_peer_role: Optional[str],
-    timeout: float,
-    revocation_check: Optional[Callable[[Certificate], bool]],
-    ticket_keeper: Optional[SessionTicketKeeper] = None,
-) -> SecureChannel:
-    hello = _expect(channel, "hello", timeout)
-    client_random = hello["random"]
-    ticket_blob = hello.get("ticket")
-    if ticket_keeper is not None and isinstance(ticket_blob, bytes):
-        state = ticket_keeper.redeem(ticket_blob)
-        if state is not None:
-            resumed = _accept_resumed(
-                channel, certificate, state, client_random, ticket_blob,
-                ticket_keeper, expected_peer_role, revocation_check, timeout,
-            )
-            if resumed is not None:
-                return resumed
-            # Disqualified after redemption (role/expiry/revocation):
-            # nothing was sent yet, so the full handshake proceeds.
-
-    server_random = secrets.token_bytes(32)
-    dh = DiffieHellman()
-    channel.send(
-        _hs_frame(
-            "hello",
-            {
-                "random": server_random,
-                "certificate": certificate.to_bytes(),
-                "dh_public": dh.public,
-                "signature": keypair.sign(
-                    _transcript_digest(
-                        client_random, server_random, encode_value(dh.public)
-                    )
-                ),
-            },
-        )
-    )
-
-    keyex = _expect(channel, "keyex", timeout)
-    client_cert = _validate_peer_cert(
-        keyex["certificate"], trust_anchor, clock(), expected_peer_role
-    )
-    if revocation_check is not None and revocation_check(client_cert):
-        raise HandshakeError(
-            f"peer certificate rejected: revoked ({client_cert.subject!r})"
-        )
-    client_dh_public = keyex["dh_public"]
-    transcript = _transcript_digest(
-        client_random,
-        server_random,
-        keyex["certificate"],
-        encode_value(client_dh_public),
-    )
-    if not client_cert.public_key.verify(transcript, keyex["signature"]):
-        raise HandshakeError("client transcript signature invalid")
-    pre_master = dh.shared_secret(client_dh_public)
-
-    master = _master_secret(pre_master, client_random, server_random)
-    client_keys = derive_session_keys(master, "client")
-    server_keys = derive_session_keys(master, "server")
-
-    finish_body: dict = {
-        "mac": hmac.new(server_keys.mac_key, transcript, hashlib.sha256).digest()
-    }
-    if ticket_keeper is not None:
-        # Issue the resumption ticket for this peer's next dial.
-        finish_body["ticket"] = ticket_keeper.seal(master, keyex["certificate"])
-    channel.send(_hs_frame("finish", finish_body))
-    finish = _expect(channel, "finish", timeout)
-    expected_mac = hmac.new(client_keys.mac_key, transcript, hashlib.sha256).digest()
-    if not hmac.compare_digest(finish["mac"], expected_mac):
-        raise HandshakeError("client FINISH verification failed")
-
-    return SecureChannel(
-        inner=channel,
-        send_cipher=RecordCipher(server_keys),
-        recv_cipher=RecordCipher(client_keys),
-        peer=PeerIdentity(client_cert),
-        name=f"secure:{certificate.subject}->{client_cert.subject}",
-    )
-
-
-def _accept_resumed(
-    channel: Channel,
-    certificate: Certificate,
-    state: dict,
-    client_random: bytes,
-    ticket_blob: bytes,
-    ticket_keeper: SessionTicketKeeper,
-    expected_peer_role: Optional[str],
-    revocation_check: Optional[Callable[[Certificate], bool]],
-    timeout: float,
-) -> Optional[SecureChannel]:
-    """Serve a redeemed ticket; ``None`` (before any send) → full path.
-
-    The stored certificate was CA-validated at the original handshake;
-    within the ticket lifetime we re-check what can have changed since —
-    expected role, the certificate's validity window and explicit
-    revocation.  An expired certificate thus meets the full handshake,
-    which refuses it.
-    """
-    try:
-        client_cert = Certificate.from_bytes(state["cert"])
-        cached_master = state["master"]
-    except Exception:
-        return None
-    if not isinstance(cached_master, bytes):
-        return None
-    if expected_peer_role is not None and client_cert.role != expected_peer_role:
-        return None
-    if not client_cert.is_valid_at(ticket_keeper.clock()):
-        return None
-    if revocation_check is not None and revocation_check(client_cert):
-        return None
-
-    server_random = secrets.token_bytes(32)
-    master = _resumed_master(cached_master, client_random, server_random)
-    client_keys = derive_session_keys(master, "client")
-    server_keys = derive_session_keys(master, "server")
-    channel.send(_hs_frame("hello", {"resumed": True, "random": server_random}))
-    transcript = _transcript_digest(
-        b"resume", client_random, server_random, ticket_blob
-    )
-    channel.send(
-        _hs_frame(
-            "finish",
-            {
-                "mac": hmac.new(
-                    server_keys.mac_key, transcript, hashlib.sha256
-                ).digest(),
-                # Rotate: the next dial resumes from the new master.
-                "ticket": ticket_keeper.seal(master, state["cert"]),
-            },
-        )
-    )
-    finish = _expect(channel, "finish", timeout)
-    expected_mac = hmac.new(
-        client_keys.mac_key, transcript, hashlib.sha256
-    ).digest()
-    if not hmac.compare_digest(finish["mac"], expected_mac):
-        raise HandshakeError("client resumed-FINISH verification failed")
-    secure = SecureChannel(
-        inner=channel,
-        send_cipher=RecordCipher(server_keys),
-        recv_cipher=RecordCipher(client_keys),
-        peer=PeerIdentity(client_cert),
-        name=f"secure:{certificate.subject}->{client_cert.subject}",
-    )
-    secure.resumed = True
-    return secure

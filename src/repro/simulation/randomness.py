@@ -76,9 +76,6 @@ class RandomStream:
             raise ValueError("pareto parameters must be positive")
         return minimum * self._rng.paretovariate(shape)
 
-    def lognormal(self, mu: float, sigma: float) -> float:
-        return self._rng.lognormvariate(mu, sigma)
-
     def normal(self, mu: float, sigma: float) -> float:
         return self._rng.gauss(mu, sigma)
 

@@ -134,10 +134,6 @@ class FaultInjector:
         corrupted[position] ^= 0xFF
         return bytes(corrupted)
 
-    def faults_injected(self) -> int:
-        with self._lock:
-            return self._faults_done
-
 
 class FaultyChannel(Channel):
     """A channel that misbehaves on purpose.

@@ -9,7 +9,9 @@ without documentation and both fixture directions.
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from tools.gridlint import (
     write_baseline,
 )
 from tools.gridlint.__main__ import main as gridlint_main
+from tools.gridlint.callgraph import SEED_CALL_NAMES
 
 # ---------------------------------------------------------------------------
 # Fixture trees: {relative path: source text}
@@ -1015,3 +1018,18 @@ def test_repo_tree_is_clean():
         ("src/repro/transport/reactor.py", "GL101"),
         ("src/repro/ui/web.py", "GL102"),
     ]
+
+
+def test_every_seed_call_name_is_called_in_src():
+    """A seed name that nothing in the tree calls is stale: all it does
+    is make GL101 treat the arguments of a future call as callbacks."""
+    called = set()
+    for path in Path("src/repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+                elif isinstance(func, ast.Name):
+                    called.add(func.id)
+    assert sorted(SEED_CALL_NAMES - called) == []

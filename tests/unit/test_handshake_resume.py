@@ -15,15 +15,17 @@ from collections import Counter
 
 import pytest
 
+from repro.security import handshake
 from repro.security.ca import CertificationAuthority
 from repro.security.handshake import (
+    TICKET_LIFETIME,
     HandshakeError,
     ResumptionTicket,
     SessionTicketKeeper,
     accept_secure,
     connect_secure,
 )
-from repro.security.rsa import RsaKeyPair
+from repro.security.rsa import RsaKeyPair, RsaPublicKey
 from repro.transport.frames import Frame, FrameKind, decode_value, encode_value
 from repro.transport.inproc import channel_pair
 
@@ -244,7 +246,7 @@ class TestFallback:
         self, ca, clock, client_key, server_key, keeper
     ):
         first, _ = run_handshake(ca, clock, client_key, server_key, keeper)
-        clock.now += keeper.lifetime + 1.0
+        clock.now += TICKET_LIFETIME + 1.0
         client, server = run_handshake(
             ca, clock, client_key, server_key, keeper,
             resumption=first.resumption_ticket,
@@ -319,7 +321,8 @@ class TestFallback:
 
 
 def relay_handshake(
-    ca, clock, client_key, server_key, keeper, resumption=None, rewrite=None
+    ca, clock, client_key, server_key, keeper, resumption=None, rewrite=None,
+    probe=None,
 ):
     """Run a handshake through a relay that decodes every handshake body.
 
@@ -327,6 +330,7 @@ def relay_handshake(
     active attacker).  Returns ``(log, result)``: ``log`` lists
     ``(direction, step, keys)`` for each handshake frame as sent, and
     ``result`` holds ``client``/``server`` or ``client_error``/``server_error``.
+    ``probe(result)`` runs while the relay still carries frames.
     """
     client_cert = ca.issue("proxy.siteA", "proxy", client_key.public)
     server_cert = ca.issue("proxy.siteB", "proxy", server_key.public)
@@ -360,6 +364,8 @@ def relay_handshake(
             )
         except Exception as exc:
             result["server_error"] = exc
+            for ch in (c_a, c_b, s_a, s_b):
+                ch.close()  # unblock the client waiting on a dead server
 
     def client():
         try:
@@ -383,8 +389,12 @@ def relay_handshake(
         for ch in (c_a, c_b, s_a, s_b):
             ch.close()  # unblock the server waiting on a dead client
     threads[2].join(timeout=10.0)
-    for ch in (c_a, c_b, s_a, s_b):
-        ch.close()
+    try:
+        if probe is not None:
+            probe(result)
+    finally:
+        for ch in (c_a, c_b, s_a, s_b):
+            ch.close()
     return log, result
 
 
@@ -495,3 +505,134 @@ class TestKeeper:
         master = b"super-secret-master-secret-32byt"
         blob = keeper.seal(master, b"cert-bytes")
         assert master not in blob
+
+
+def _census_cases():
+    """Every field of every message, full and resumed, plus one ticket
+    offered to a server that holds no keeper (nothing rewritten)."""
+    for path, messages in (
+        ("full", TestHandshakeCensus.FULL),
+        ("resumed", TestHandshakeCensus.RESUMED),
+    ):
+        for direction, step, keys in sorted(messages, key=repr):
+            for key in sorted(keys):
+                yield pytest.param(
+                    path, direction, step, key, id=f"{path}-{direction}-{step}-{key}"
+                )
+    yield pytest.param("keeperless", None, None, None, id="keeperless-ticket")
+
+
+def _tampered(value):
+    """The same field with different content."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value ^ 1
+    return bytes([value[0] ^ 0xFF]) + value[1:]
+
+
+class TestTamperCensus:
+    """Rewriting any one handshake field in flight ends in a typed
+    failure or in a channel that works and names the right peers."""
+
+    #: Opaque to the side that receives it: a rewritten client ticket is
+    #: refused and the full handshake runs; a rewritten server ticket only
+    #: spoils the next resumption.
+    HARMLESS = {("c>s", "hello", "ticket"), ("s>c", "finish", "ticket")}
+
+    @pytest.mark.parametrize("path,direction,step,key", list(_census_cases()))
+    def test_rewriting_one_field(
+        self, ca, clock, client_key, server_key, keeper, path, direction, step, key
+    ):
+        ticket = None
+        if path != "full":
+            first, _ = run_handshake(ca, clock, client_key, server_key, keeper)
+            ticket = first.resumption_ticket
+        rewritten = []
+
+        def rewrite(d, s, body):
+            if (d, s) == (direction, step):
+                body[key] = _tampered(body[key])
+                rewritten.append(key)
+
+        def probe(result):
+            if "client" in result and "server" in result:
+                assert_round_trip(result["client"], result["server"])
+                assert result["client"].peer.subject == "proxy.siteB"
+                assert result["server"].peer.subject == "proxy.siteA"
+
+        _, result = relay_handshake(
+            ca, clock, client_key, server_key,
+            None if path == "keeperless" else keeper,
+            resumption=ticket, rewrite=rewrite, probe=probe,
+        )
+        for side in ("client", "server"):
+            error = result.get(f"{side}_error")
+            assert error is None or isinstance(error, HandshakeError), repr(error)
+        completed = "client" in result and "server" in result
+        if path == "keeperless":
+            assert completed and not result["client"].resumed
+            assert result["client"].resumption_ticket is None
+            return
+        assert rewritten == [key]
+        assert completed == ((direction, step, key) in self.HARMLESS)
+        if (direction, step, key) == ("c>s", "hello", "ticket"):
+            assert not result["client"].resumed and not result["server"].resumed
+
+
+class TestAsymmetricWork:
+    """A full handshake pays one DH keypair and one RSA signature per
+    side; a resumed one pays no public-key operation at all."""
+
+    @pytest.fixture()
+    def work(self, monkeypatch):
+        counts = Counter()
+
+        def side():
+            main = threading.current_thread() is threading.main_thread()
+            return "client" if main else "server"
+
+        class CountingDiffieHellman(handshake.DiffieHellman):
+            def __init__(self):
+                counts[side(), "dh"] += 1
+                super().__init__()
+
+        sign, verify = RsaKeyPair.sign, RsaPublicKey.verify
+
+        def counting_sign(self, message):
+            counts[side(), "sign"] += 1
+            return sign(self, message)
+
+        def counting_verify(self, message, signature):
+            counts[side(), "verify"] += 1
+            return verify(self, message, signature)
+
+        monkeypatch.setattr(handshake, "DiffieHellman", CountingDiffieHellman)
+        monkeypatch.setattr(RsaKeyPair, "sign", counting_sign)
+        monkeypatch.setattr(RsaPublicKey, "verify", counting_verify)
+        return counts
+
+    def test_full_then_resumed(self, ca, clock, client_key, server_key, keeper, work):
+        client_cert = ca.issue("proxy.siteA", "proxy", client_key.public)
+        server_cert = ca.issue("proxy.siteB", "proxy", server_key.public)
+        work.clear()  # the CA signed both certificates
+        first, _ = run_handshake(
+            ca, clock, client_key, server_key, keeper,
+            client_cert=client_cert, server_cert=server_cert,
+        )
+        assert first.resumed is False
+        # Each side: one DH keypair, one signature, and two verifications
+        # (the peer certificate's CA signature and the peer's own).
+        assert work == Counter({
+            (side, op): n
+            for side in ("client", "server")
+            for op, n in (("dh", 1), ("sign", 1), ("verify", 2))
+        })
+        work.clear()
+        second, server = run_handshake(
+            ca, clock, client_key, server_key, keeper,
+            resumption=first.resumption_ticket,
+            client_cert=client_cert, server_cert=server_cert,
+        )
+        assert second.resumed is True and server.resumed is True
+        assert work == Counter()

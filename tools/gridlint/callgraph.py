@@ -48,7 +48,6 @@ SEED_CALL_NAMES = frozenset(
         "on_frame_batch",
         "on_close",
         "add_guard",
-        "set_default",
     }
 )
 
