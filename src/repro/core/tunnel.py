@@ -126,7 +126,6 @@ class Tunnel:
                 resumption=resumption,
             )
         except HandshakeError as exc:
-            raw.close()
             raise TunnelError(f"tunnel handshake failed: {exc}") from exc
         return cls(secure, local_name)
 
@@ -205,7 +204,6 @@ class Tunnel:
                 ticket_keeper=ticket_keeper,
             )
         except HandshakeError as exc:
-            raw.close()
             raise TunnelError(f"tunnel handshake failed: {exc}") from exc
         return cls(secure, local_name)
 

@@ -21,9 +21,11 @@ of magnitude cheaper per byte from the standard library alone; an AES
 suite would need a third-party dependency.  The same construction seals
 session tickets (:func:`keystream_xor`).
 
-The data path XORs the whole buffer as one big integer and computes the
-HMAC from pre-keyed SHA-256 inner and outer states, copied per record
-(byte-identical to ``hmac.new(mac_key, seq + ciphertext, sha256)``).
+The data path XORs big integers, at most :data:`_XOR_SLICE` bytes at a
+time so that a large record's keystream and output are its only buffers
+of its size, and computes the HMAC from pre-keyed SHA-256 inner and outer
+states, copied per record (byte-identical to
+``hmac.new(mac_key, seq + ciphertext, sha256)``).
 ``benchmarks/e2e`` reports the measured cost per workload as the
 ``security.cipher.*`` metrics.
 """
@@ -35,6 +37,7 @@ import hmac
 import secrets
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.transport.frames import MAX_FRAME_WIRE_SIZE
 
@@ -51,6 +54,8 @@ _SEQ = struct.Struct("!Q")
 _MAC_LEN = 32
 _SHA256_BLOCK = 64
 _HEADER_LEN = _SEQ.size + _MAC_LEN
+#: Bytes XORed as one big integer; larger records are XORed in slices.
+_XOR_SLICE = 64 * 1024
 
 #: Largest ciphertext a well-formed peer can produce: a record body is an
 #: encoded frame, bounded by the frame wire format.  Anything larger is
@@ -88,7 +93,7 @@ def derive_session_keys(master_secret: bytes, direction: str) -> SessionKeys:
     return SessionKeys(encrypt_key=enc, mac_key=mac)
 
 
-def _xor_bytes(data: bytes, stream: bytes) -> bytes:
+def _xor_bytes(data: "bytes | memoryview", stream: "bytes | memoryview") -> bytes:
     """XOR two equal-length buffers as one big-integer operation."""
     n = len(data)
     if n == 0:
@@ -96,6 +101,14 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     return (int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")).to_bytes(
         n, "little"
     )
+
+
+def _xor_slices(data: "bytes | memoryview", stream: bytes) -> Iterator[bytes]:
+    """XOR two equal-length buffers one :data:`_XOR_SLICE` at a time."""
+    data_view, stream_view = memoryview(data), memoryview(stream)
+    for i in range(0, len(data_view), _XOR_SLICE):
+        j = i + _XOR_SLICE
+        yield _xor_bytes(data_view[i:j], stream_view[i:j])
 
 
 def keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -134,7 +147,7 @@ class RecordCipher:
         h.update(_SEQ.pack(seq))
         return h.digest(nbytes)
 
-    def _mac(self, seq_raw: bytes, ciphertext: bytes) -> bytes:
+    def _mac(self, seq_raw: "bytes | memoryview", ciphertext: "bytes | memoryview") -> bytes:
         inner = self._mac_inner.copy()
         inner.update(seq_raw)
         inner.update(ciphertext)
@@ -147,8 +160,19 @@ class RecordCipher:
         seq = self._send_seq
         self._send_seq += 1
         seq_raw = _SEQ.pack(seq)
-        ciphertext = _xor_bytes(plaintext, self._keystream(seq, len(plaintext)))
-        return seq_raw + self._mac(seq_raw, ciphertext) + ciphertext
+        if len(plaintext) <= _XOR_SLICE:
+            ciphertext = _xor_bytes(plaintext, self._keystream(seq, len(plaintext)))
+            return seq_raw + self._mac(seq_raw, ciphertext) + ciphertext
+        inner = self._mac_inner.copy()  # each slice is MACed as it is made
+        inner.update(seq_raw)
+        parts = [seq_raw, b""]
+        for ciphertext in _xor_slices(plaintext, self._keystream(seq, len(plaintext))):
+            inner.update(ciphertext)
+            parts.append(ciphertext)
+        outer = self._mac_outer.copy()
+        outer.update(inner.digest())
+        parts[1] = outer.digest()
+        return b"".join(parts)
 
     def open(self, record: bytes) -> bytes:
         """Verify and decrypt one record; raises CipherError on any fault."""
@@ -160,13 +184,17 @@ class RecordCipher:
             raise CipherError(f"record body too large: {body_len} bytes")
         seq = _SEQ.unpack_from(record, 0)[0]
         mac = record[_SEQ.size : _HEADER_LEN]
-        ciphertext = record[_HEADER_LEN:]
-        expected = self._mac(record[: _SEQ.size], ciphertext)
+        # Over one slice, MAC and decrypt a view of the record in place.
+        body = memoryview(record) if body_len > _XOR_SLICE else record
+        ciphertext = body[_HEADER_LEN:]
+        expected = self._mac(body[: _SEQ.size], ciphertext)
         if not hmac.compare_digest(mac, expected):
             raise CipherError("record MAC verification failed")
         if seq <= self._recv_seq:
             raise CipherError(f"replayed or reordered record: seq {seq}")
         self._recv_seq = seq
+        if body_len > _XOR_SLICE:
+            return b"".join(_xor_slices(ciphertext, self._keystream(seq, body_len)))
         return _xor_bytes(ciphertext, self._keystream(seq, body_len))
 
     @staticmethod

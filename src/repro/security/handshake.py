@@ -410,8 +410,8 @@ def connect_secure(
     back to the full handshake on the same connection.  A ticket whose
     cached server certificate has expired is not offered.  Every
     failure — protocol violation, malformed field, peer disconnect —
-    surfaces as :class:`HandshakeError`: handshake input is untrusted by
-    definition.
+    closes ``channel``, so the peer fails at once too, and surfaces as
+    :class:`HandshakeError`: handshake input is untrusted by definition.
     """
     try:
         if resumption is not None and not resumption.peer_cert.is_valid_at(clock()):
@@ -488,9 +488,10 @@ def connect_secure(
             # Single-use rotation: the fresh ticket seals *this* master.
             secure.resumption_ticket = ResumptionTicket(ticket_blob, master, server_cert)
         return secure
-    except HandshakeError:
-        raise
     except Exception as exc:
+        channel.close()  # the server's next read fails now, not at its timeout
+        if isinstance(exc, HandshakeError):
+            raise
         raise HandshakeError(f"handshake failed: {exc}") from exc
 
 
@@ -587,7 +588,8 @@ def accept_secure(
         )
         secure.resumed = resume is not None
         return secure
-    except HandshakeError:
-        raise
     except Exception as exc:
+        channel.close()  # the client's next read fails now, not at its timeout
+        if isinstance(exc, HandshakeError):
+            raise
         raise HandshakeError(f"handshake failed: {exc}") from exc

@@ -572,10 +572,20 @@ class FrameDecoder:
         kernel-to-decoder hop is the only copy on the receive path.
         Returns the byte count (0 means EOF).  A ``BlockingIOError`` or
         other exception from ``readinto`` leaves the decoder unchanged.
+
+        With a frame's header buffered and its lengths in bounds, the read
+        asks for the rest of that frame, up to ``4 * max_bytes``: the most
+        an unauthenticated header can make the decoder reserve ahead.
         """
         if self._poisoned:
             raise FrameError("decoder poisoned by earlier framing error")
         self._compact()
+        pending = self._len - self._offset
+        if pending >= _HEADER_STRUCT.size:
+            hlen, plen = _HEADER_STRUCT.unpack_from(self._buffer, self._offset)[4:]
+            if hlen <= _MAX_HEADER and plen <= MAX_FRAME_PAYLOAD:
+                rest = _HEADER_STRUCT.size + hlen + plen - pending
+                max_bytes = max(max_bytes, min(rest, 4 * max_bytes))
         self._reserve(max_bytes)
         with memoryview(self._buffer) as whole:
             n = readinto(whole[self._len : self._len + max_bytes])

@@ -11,10 +11,11 @@ import hashlib
 import hmac
 import socket
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.security.cipher import RecordCipher, SessionKeys
+from repro.security.cipher import CipherError, RecordCipher, SessionKeys
 from repro.security.handshake import PeerIdentity, SecureChannel
 from repro.transport.frames import Frame, FrameKind, encode_frame
 from repro.transport.reactor import Reactor, ReactorTcpListener
@@ -44,6 +45,32 @@ def test_record_mac_is_hmac_sha256(session_keys, plaintext):
     seq, mac, ciphertext = record[:8], record[8:40], record[40:]
     assert len(ciphertext) == len(plaintext)
     assert mac == hmac.new(session_keys.mac_key, seq + ciphertext, hashlib.sha256).digest()
+
+
+_SLICE = 64 * 1024
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys, st.integers(_SLICE + 1, 3 * _SLICE + 7), st.data())
+def test_large_record_rejects_a_flip_in_any_slice_and_a_replay(session_keys, size, data):
+    """A record over one 64 KiB XOR slice is MACed slice by slice; a flipped
+    byte in any slice, the short last one included, must still fail."""
+    plaintext = hashlib.shake_128(size.to_bytes(4, "big")).digest(size)
+    record = RecordCipher(session_keys).seal(plaintext)
+    seq, mac, ciphertext = record[:8], record[8:40], record[40:]
+    assert mac == hmac.new(session_keys.mac_key, seq + ciphertext, hashlib.sha256).digest()
+    last = (size - 1) // _SLICE
+    index = data.draw(st.one_of(st.just(last), st.integers(0, last)), label="slice")
+    start = 40 + index * _SLICE
+    pos = data.draw(st.integers(start, min(start + _SLICE, len(record)) - 1), label="pos")
+    tampered = bytearray(record)
+    tampered[pos] ^= data.draw(st.integers(1, 255), label="flip")
+    receiver = RecordCipher(session_keys)
+    with pytest.raises(CipherError):
+        receiver.open(bytes(tampered))
+    assert receiver.open(record) == plaintext
+    with pytest.raises(CipherError):
+        receiver.open(record)
 
 
 def _read_exactly(raw: socket.socket, nbytes: int) -> bytes:

@@ -8,6 +8,7 @@ a peer built before a change and one built after it interoperate.
 """
 
 import binascii
+import hashlib
 
 import pytest
 
@@ -91,6 +92,21 @@ GOLDEN_SHAKE_RECORDS = [
     "a466c7d6b9ce510f8caafbf2d0aa7199998db4d9a66613ab2f9289ffd2cb29f112",
 ]
 
+# SHA-256 of records sealed under GOLDEN_KEYS, sequences 0..4, around and
+# past the cipher's 64 KiB XOR slice: one byte short, exact, one over, a
+# short last slice, and a 1 MiB record.
+GOLDEN_LARGE_RECORDS = [
+    (65535, "9d9b108802348f2bdeca287ae2adffb264095bfd2238b9ef528bfba9f9b762f8"),
+    (65536, "81120fbea1f7958541a1759facdf032bf6a357da8be4f5886fd564198f750287"),
+    (65537, "2bc16f168d93074711ab2cd8e84f55fe197fff162038d532c41f37e7cbeaeb3a"),
+    (262204, "d2290ea9957442fc835f1b2d825c93fdb6d80c4e7f0b44353858e59feca2884d"),
+    (1048579, "74aa30366ad46893b09d3ba77b8c4ecd1939f8d153295a73604044db4d3190dc"),
+]
+
+
+def _large_plaintext(n):
+    return (bytes(range(251)) * (n // 251 + 1))[:n]
+
 
 def _golden_frame_blobs():
     for fields, *hex_parts in GOLDEN_FRAMES:
@@ -137,6 +153,23 @@ class TestGoldenRecords:
         receiver = RecordCipher(GOLDEN_KEYS)
         for plaintext, golden in zip(GOLDEN_PLAINTEXTS, GOLDEN_SHAKE_RECORDS):
             assert receiver.open(binascii.unhexlify(golden)) == plaintext
+
+    def test_large_seal_matches_golden_digests(self):
+        sender = RecordCipher(GOLDEN_KEYS)
+        for n, digest in GOLDEN_LARGE_RECORDS:
+            record = sender.seal(_large_plaintext(n))
+            assert len(record) == n + RecordCipher.overhead()
+            assert hashlib.sha256(record).hexdigest() == digest
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_large_open_accepts_any_buffer(self, wrap):
+        sender = RecordCipher(GOLDEN_KEYS)
+        receiver = RecordCipher(GOLDEN_KEYS)
+        for n, digest in GOLDEN_LARGE_RECORDS:
+            plaintext = _large_plaintext(n)
+            record = sender.seal(plaintext)
+            assert hashlib.sha256(record).hexdigest() == digest
+            assert receiver.open(wrap(bytearray(record))) == plaintext
 
     def test_open_accepts_sequence_gap(self):
         # Dropped carriers must not wedge the stream: only monotonicity

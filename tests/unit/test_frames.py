@@ -305,6 +305,84 @@ class TestZeroCopyDecoder:
         assert seen == [0, 1, 2, 3]
         assert decoder.feed_into(source.readinto) == 0  # EOF stays EOF
 
+    @staticmethod
+    def _recording_source(blob):
+        """A ``readinto`` over ``blob`` that records each request's size."""
+        import io
+
+        source = io.BytesIO(blob)
+        asked = []
+
+        def readinto(view):
+            asked.append(len(view))
+            return source.readinto(view)
+
+        return readinto, asked
+
+    def test_feed_into_reads_a_buffered_frames_rest_in_one_call(self):
+        chunk = 64 * 1024
+        frame = Frame(kind=FrameKind.DATA, payload=b"\x5a" * (300 * 1024))
+        blob = encode_frame(frame)
+        readinto, asked = self._recording_source(blob)
+        decoder = FrameDecoder()
+        while decoder.feed_into(readinto, chunk):
+            pass
+        # The first read finds no header; the second asks for the whole
+        # rest of the frame (under the cap); the third meets EOF.
+        assert asked[:2] == [chunk, len(blob) - chunk]
+        assert len(blob) - chunk <= 4 * chunk
+        assert decoder.next_frame().payload == frame.payload
+
+    def test_feed_into_caps_a_frame_sized_read(self):
+        chunk = 64 * 1024
+        frame = Frame(kind=FrameKind.DATA, payload=bytes(1024 * 1024))
+        readinto, asked = self._recording_source(encode_frame(frame))
+        decoder = FrameDecoder()
+        while decoder.feed_into(readinto, chunk):
+            pass
+        assert asked[0] == chunk
+        assert max(asked) == 4 * chunk
+        assert decoder.next_frame().payload == frame.payload
+
+    def test_hostile_header_reserves_at_most_the_cap(self):
+        import struct
+
+        chunk = 64 * 1024
+        # A well-formed 21-byte header claiming the largest legal payload.
+        def header(plen):
+            return struct.pack("!2sBBIII", b"GX", 1, int(FrameKind.DATA), 0, 0, plen)
+
+        decoder = FrameDecoder()
+        decoder.feed(header(MAX_FRAME_PAYLOAD))
+        before = len(decoder._buffer)
+        readinto, asked = self._recording_source(b"")
+        assert decoder.feed_into(readinto, chunk) == 0
+        assert asked == [4 * chunk]
+        assert len(decoder._buffer) - before <= 4 * chunk
+        # An over-long claim fails the header checks: no frame-sized read,
+        # and decoding raises.
+        decoder = FrameDecoder()
+        decoder.feed(header(MAX_FRAME_PAYLOAD + 1))
+        readinto, asked = self._recording_source(b"")
+        decoder.feed_into(readinto, chunk)
+        assert asked == [chunk]
+        with pytest.raises(FrameError):
+            decoder.next_frame()
+
+    def test_small_frames_read_in_chunk_sized_requests(self):
+        chunk = 64 * 1024
+        frames = [self._frame(n) for n in range(2000)]
+        blob = b"".join(encode_frame(f) for f in frames)
+        assert len(blob) > 2 * chunk
+        readinto, asked = self._recording_source(blob)
+        decoder = FrameDecoder()
+        seen = []
+        while decoder.feed_into(readinto, chunk):
+            seen.extend(f.headers["n"] for f in decoder)
+        assert seen == list(range(2000))
+        # A small frame's rest is under one chunk, so no read grows.
+        assert set(asked) == {chunk}
+
     def test_decoded_values_own_their_data(self):
         # decode_value over a memoryview must copy str/bytes leaves out:
         # the buffer is reused after the view dies.

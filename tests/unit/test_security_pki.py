@@ -256,6 +256,52 @@ class TestHandshake:
         thread.join(timeout=10.0)
         assert any("revoked" in e for e in errors)
 
+    @pytest.mark.parametrize("refuser", ["server", "client"])
+    def test_refused_handshake_fails_on_the_other_side_at_once(
+        self, ca, clock, proxy_key, node_key, refuser
+    ):
+        """The refusing side closes the channel, so its peer does not sit
+        out its 30 s step timeout waiting for the next message."""
+        import threading
+        import time
+
+        client_cert = ca.issue("c", "proxy", proxy_key.public)
+        server_cert = ca.issue("s", "proxy", node_key.public)
+        # The server refuses a revoked client; the client refuses a server
+        # whose certificate it cannot place under its trust anchor.
+        revoked = refuser == "server"
+        client_anchor = ca.public_key
+        if not revoked:
+            client_anchor = CertificationAuthority(key_bits=KEY_BITS, clock=clock).public_key
+        a, b = channel_pair("hs")
+        outcome = {}
+
+        def server():
+            try:
+                accept_secure(
+                    b,
+                    node_key,
+                    server_cert,
+                    ca.public_key,
+                    clock,
+                    revocation_check=lambda cert: revoked,
+                )
+            except HandshakeError as exc:
+                outcome["server"] = (str(exc), time.monotonic())
+
+        thread = threading.Thread(target=server)
+        thread.start()
+        with pytest.raises(HandshakeError) as client_exc:
+            connect_secure(a, proxy_key, client_cert, client_anchor, clock)
+        outcome["client"] = (str(client_exc.value), time.monotonic())
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        refused_text, refused_at = outcome[refuser]
+        other_text, other_at = outcome["client" if revoked else "server"]
+        assert ("revoked" if revoked else "certificate") in refused_text
+        assert "closed" in other_text
+        assert abs(other_at - refused_at) < 1.0
+
 
 class TestUserDirectory:
     def test_password_authentication(self):
