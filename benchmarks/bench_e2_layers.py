@@ -45,7 +45,7 @@ def run_experiment() -> list[dict]:
         sender, receiver = RecordCipher(keys), RecordCipher(keys)
 
         def crypto():
-            receiver.open(sender.seal(blob))
+            receiver.open(b"".join(sender.seal(blob)))
 
         message = ControlMessage(op=Op.STATUS_REPORT, body={"blob": payload})
 
@@ -107,6 +107,6 @@ def test_e2_record_cipher_throughput(benchmark):
     blob = b"\xef" * 4096
 
     def seal_open():
-        receiver.open(sender.seal(blob))
+        receiver.open(b"".join(sender.seal(blob)))
 
     benchmark(seal_open)

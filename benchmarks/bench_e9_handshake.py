@@ -69,7 +69,7 @@ def record_throughput() -> list[dict]:
         rounds = max(2, (4 << 20) // size)
         start = time.perf_counter()
         for _ in range(rounds):
-            receiver.open(sender.seal(blob))
+            receiver.open(b"".join(sender.seal(blob)))
         secured = (time.perf_counter() - start) / rounds
         start = time.perf_counter()
         for _ in range(rounds):

@@ -187,13 +187,13 @@ def calibrate_cost_model(sample_bytes: int = 64 * 1024) -> CryptoCostModel:
     start = time.perf_counter()
     rounds = 50
     for _ in range(rounds):
-        receiver.open(sender.seal(b""))
+        receiver.open(b"".join(sender.seal(b"")))
     per_record_seconds = (time.perf_counter() - start) / (2 * rounds)
 
     # Per-byte cost from a large record.
     blob = b"\x00" * sample_bytes
     start = time.perf_counter()
-    receiver.open(sender.seal(blob))
+    receiver.open(b"".join(sender.seal(blob)))
     large = (time.perf_counter() - start) / 2
     per_byte_seconds = max((large - per_record_seconds) / sample_bytes, 1e-10)
 

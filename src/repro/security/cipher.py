@@ -22,10 +22,11 @@ suite would need a third-party dependency.  The same construction seals
 session tickets (:func:`keystream_xor`).
 
 The data path XORs big integers, at most :data:`_XOR_SLICE` bytes at a
-time so that a large record's keystream and output are its only buffers
-of its size, and computes the HMAC from pre-keyed SHA-256 inner and outer
+time, and computes the HMAC from pre-keyed SHA-256 inner and outer
 states, copied per record (byte-identical to
-``hmac.new(mac_key, seq + ciphertext, sha256)``).
+``hmac.new(mac_key, seq + ciphertext, sha256)``).  A large record's
+keystream is its only buffer of its size: ``seal`` returns the record as
+its slices, and ``open`` makes one more, the joined plaintext.
 ``benchmarks/e2e`` reports the measured cost per workload as the
 ``security.cipher.*`` metrics.
 """
@@ -155,24 +156,30 @@ class RecordCipher:
         outer.update(inner.digest())
         return outer.digest()
 
-    def seal(self, plaintext: bytes) -> bytes:
-        """Encrypt and authenticate one record."""
+    def seal(self, plaintext: bytes) -> list[bytes]:
+        """Encrypt and authenticate one record, returned as its buffers.
+
+        Their concatenation is the record.  Up to one slice it is one
+        buffer; a larger record is ``seq‖mac`` and then one buffer per
+        ciphertext slice, never joined here: the transport writes them
+        as iovecs (``b"".join`` for callers that need one blob).
+        """
         seq = self._send_seq
         self._send_seq += 1
         seq_raw = _SEQ.pack(seq)
         if len(plaintext) <= _XOR_SLICE:
             ciphertext = _xor_bytes(plaintext, self._keystream(seq, len(plaintext)))
-            return seq_raw + self._mac(seq_raw, ciphertext) + ciphertext
+            return [seq_raw + self._mac(seq_raw, ciphertext) + ciphertext]
         inner = self._mac_inner.copy()  # each slice is MACed as it is made
         inner.update(seq_raw)
-        parts = [seq_raw, b""]
+        parts = [b""]
         for ciphertext in _xor_slices(plaintext, self._keystream(seq, len(plaintext))):
             inner.update(ciphertext)
             parts.append(ciphertext)
         outer = self._mac_outer.copy()
         outer.update(inner.digest())
-        parts[1] = outer.digest()
-        return b"".join(parts)
+        parts[0] = seq_raw + outer.digest()
+        return parts
 
     def open(self, record: bytes) -> bytes:
         """Verify and decrypt one record; raises CipherError on any fault."""

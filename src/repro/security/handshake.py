@@ -131,22 +131,26 @@ class SecureChannel(Channel):
     def send(self, frame: Frame) -> None:
         record = self._send_cipher.seal(encode_frame(frame))
         self._inner.send_records([(frame.channel, record)])
-        self.stats.on_send(len(record))
+        self.stats.on_send(sum(map(len, record)))
 
     def send_many(self, frames: Iterable[Frame]) -> None:
         """Seal a burst of frames and hand the records down as one batch.
 
         Each frame still becomes its own record (the wire format is the
         same as :meth:`send`); the win is that the inner transport writes
-        all of them with one vectored syscall.
+        all of them with one vectored syscall.  A record stays the list
+        of buffers ``seal`` made it.
         """
         seal = self._send_cipher.seal
         records = [(frame.channel, seal(encode_frame(frame))) for frame in frames]
         if not records:
             return
         self._inner.send_records(records)
+        nbytes = 0
+        for _, record in records:
+            nbytes += sum(map(len, record))
         self.stats.frames_sent += len(records)
-        self.stats.bytes_sent += sum([len(record) for _, record in records])
+        self.stats.bytes_sent += nbytes
 
     def recv(self, timeout: Optional[float] = None) -> Frame:
         carrier = self._inner.recv(timeout=timeout)

@@ -59,6 +59,9 @@ MAX_FRAME_PAYLOAD = 16 * 1024 * 1024
 _MAX_HEADER = 1 * 1024 * 1024
 _MAX_DEPTH = 32
 _MAX_CONTAINER = 1_000_000
+#: Bytes leaves and frames larger than this (one record cipher slice)
+#: are encoded and decoded without an intermediate copy.
+_SLICE = 64 * 1024
 
 #: Largest possible encoded frame: fixed prefix + max header blob + max
 #: payload.  Layers wrapping whole frames (the record cipher) use this to
@@ -122,14 +125,27 @@ def _key_blob(key: str) -> bytes:
 def encode_value(value: Any) -> bytes:
     """Encode a plain value to bytes.  Raises CodecError on foreign types."""
     out = bytearray()
-    _encode_into(value, out, depth=0)
-    return bytes(out)
+    bulk: list[tuple[int, bytes]] = []
+    _encode_into(value, out, 0, bulk)
+    if not bulk:
+        return bytes(out)
+    # Bulk leaves were left out of ``out``: one join copies each byte once.
+    view = memoryview(out)
+    pieces: list = []
+    start = 0
+    for at, leaf in bulk:
+        pieces += (view[start:at], leaf)
+        start = at
+    pieces.append(view[start:])
+    return b"".join(pieces)
 
 
-def _encode_into(value: Any, out: bytearray, depth: int) -> None:
+def _encode_into(value: Any, out: bytearray, depth: int, bulk: list) -> None:
     # One call per container, not per value: a dict writes its exact-type
     # str/int/bytes leaves in place; everything else — other containers,
     # None/bool/float, every subclass — goes through the ladder below.
+    # A bytes leaf over one slice is not copied into ``out``: its offset
+    # there and the leaf go on ``bulk``, for encode_value's one join.
     if depth > _MAX_DEPTH:
         raise CodecError(f"value nesting exceeds {_MAX_DEPTH}")
     if isinstance(value, dict):
@@ -145,7 +161,7 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
             if type(key) is str:
                 out += _KEY_BLOBS.get(key) or _key_blob(key)
             elif isinstance(key, str):
-                _encode_into(key, out, depth)
+                _encode_into(key, out, depth, bulk)
             else:
                 raise CodecError(f"dict keys must be str, got {type(key).__name__}")
             kind = type(item)
@@ -157,9 +173,12 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
                 out += _B_INT + _pack_u32(len(raw)) + raw
             elif kind is bytes:
                 out += _B_BYTES + _pack_u32(len(item))
-                out += item
+                if len(item) > _SLICE:
+                    bulk.append((len(out), item))
+                else:
+                    out += item
             else:
-                _encode_into(item, out, depth)
+                _encode_into(item, out, depth, bulk)
     elif value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -184,14 +203,17 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
         raw = bytes(value)
         out.append(_T_BYTES)
         out += _pack_u32(len(raw))
-        out += raw
+        if len(raw) > _SLICE:
+            bulk.append((len(out), raw))
+        else:
+            out += raw
     elif isinstance(value, (list, tuple)):
         if len(value) > _MAX_CONTAINER:
             raise CodecError(f"container too large: {len(value)}")
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
         out += _pack_u32(len(value))
         for item in value:
-            _encode_into(item, out, depth + 1)
+            _encode_into(item, out, depth + 1, bulk)
     else:
         raise CodecError(f"cannot encode type {type(value).__name__}")
 
@@ -427,8 +449,16 @@ def encode_frame(frame: Frame) -> bytes:
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Decode exactly one frame; rejects trailing bytes."""
-    frame, consumed = _decode_frame_at(data, 0)
+    """Decode exactly one frame; rejects trailing bytes.
+
+    Over one slice, a ``bytes`` blob's payload is a view of it (immutable,
+    so safe to keep): a bulk value is then copied once, by
+    :func:`decode_value`'s leaf copy.
+    """
+    if type(data) is bytes and len(data) > _SLICE:
+        frame, consumed = _decode_frame_at(memoryview(data), 0, copy=False)
+    else:
+        frame, consumed = _decode_frame_at(data, 0)
     if frame is None:
         raise FrameError("truncated frame")
     if consumed != len(data):

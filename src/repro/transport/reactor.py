@@ -590,7 +590,7 @@ class ReactorTcpChannel(Channel):
         self._ready_cb: Optional[Callable[[], None]] = None
         self._read_cb: Optional[Callable[[], None]] = None
         # outbound: the same split, _wq_cond for senders in backpressure
-        self._wq: deque = deque()  # (views, frame_size)
+        self._wq: deque = deque()  # (views, their total size)
         self._wq_bytes = 0
         self._wq_lock = threading.Lock()
         self._wq_cond = threading.Condition(self._wq_lock)
@@ -747,17 +747,21 @@ class ReactorTcpChannel(Channel):
         if batch:
             self._enqueue(batch)
 
-    def send_records(self, records: list[tuple[int, bytes]]) -> None:
-        # The record itself is the second iovec: sealed once, never copied.
-        batch = [[carrier_prefix(ch, len(record)), record] for ch, record in records]
+    def send_records(self, records: list[tuple[int, list[bytes]]]) -> None:
+        # A record's buffers follow its carrier prefix as iovecs: sealed
+        # once, never joined or copied.
+        batch = [
+            [carrier_prefix(ch, sum(map(len, record))), *record]
+            for ch, record in records
+        ]
         if batch:
             self._enqueue(batch)
 
     def _enqueue(self, batch: list) -> None:
         entries = []
         need = 0
-        for views in batch:  # [head, body]: an encoded frame or a carrier
-            size = len(views[0]) + len(views[1])
+        for views in batch:  # an encoded frame's [head, body], or a carrier's views
+            size = sum(map(len, views))
             entries.append((views, size))
             need += size
         deadline = None

@@ -31,6 +31,10 @@ from repro.core.grid import Grid, GridError
 
 __all__ = ["GridWebServer"]
 
+#: Seconds ``serve_forever`` waits between shutdown checks: ``stop`` waits
+#: up to this long (the stdlib default is 0.5 s).
+_POLL_INTERVAL = 0.02
+
 
 class GridWebServer:
     """Serves the grid's status pages on localhost."""
@@ -50,7 +54,10 @@ class GridWebServer:
         if self._thread is not None:
             return
         self._thread = threading.Thread(  # gridlint: disable=GL102 -- stdlib HTTPServer.serve_forever needs a dedicated thread; stop() shuts it down
-            target=self._server.serve_forever, daemon=True, name="grid-web"
+            target=self._server.serve_forever,
+            args=(_POLL_INTERVAL,),
+            daemon=True,
+            name="grid-web",
         )
         self._thread.start()
 

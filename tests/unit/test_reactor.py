@@ -513,7 +513,7 @@ class TestOnePassDrain:
         raw = socket.create_connection((listener.host, listener.port))
         server = listener.accept(timeout=5.0)
         secure = SecureChannel(server, RecordCipher(keys), RecordCipher(keys), PeerIdentity(None))
-        records = [sender.seal(encode_frame(_frame(b"r%d" % i))) for i in range(4)]
+        records = [b"".join(sender.seal(encode_frame(_frame(b"r%d" % i)))) for i in range(4)]
         tampered = bytearray(records[2])
         tampered[10] ^= 0xFF  # a MAC byte
         records[2] = bytes(tampered)
@@ -936,3 +936,66 @@ class TestThreadBudget:
         assert done.wait(timeout=5.0)
         for a, b in pairs:
             a.close()
+
+
+class TestMultiPartRecords:
+    """A large sealed record is written as several iovecs behind its
+    carrier prefix; a partial write may stop anywhere inside it."""
+
+    def test_partial_writes_of_multi_part_records_keep_every_frame_intact(self, reactor):
+        from repro.security.cipher import RecordCipher, derive_session_keys
+        from repro.security.handshake import PeerIdentity, SecureChannel
+        from repro.transport.frames import decode_frame
+
+        keys = derive_session_keys(b"m" * 32, "client")
+        listener = ReactorTcpListener(reactor=reactor)
+        raw = socket.create_connection((listener.host, listener.port))
+        server = listener.accept(timeout=5.0)
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        secure = SecureChannel(server, RecordCipher(keys), RecordCipher(keys), PeerIdentity(None))
+        send_lock = threading.Lock()  # record sequence = write order, as a Tunnel's
+        sizes = [100, 300 * 1024, 50, 300 * 1024, 7, 300 * 1024, 100]
+        errors = []
+
+        def payload(t: int, i: int) -> bytes:
+            return b"%d:%d:" % (t, i) + bytes([(t * 31 + i) % 256]) * sizes[i]
+
+        def sender(t: int) -> None:
+            try:
+                for i in range(len(sizes)):
+                    with send_lock:
+                        secure.send(_frame(payload(t, i)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=sender, args=(t,)) for t in range(2)]
+        try:
+            for w in workers:
+                w.start()
+            carriers = _read_frames(raw, 2 * len(sizes))
+            for w in workers:
+                w.join(timeout=10.0)
+                assert not w.is_alive()
+        finally:
+            server.close()
+            raw.close()
+            listener.close()
+        assert not errors
+        opener = RecordCipher(keys)
+        seen = {0: [], 1: []}
+        for carrier in carriers:
+            frame = decode_frame(opener.open(bytes(carrier.payload)))
+            t, i, _ = bytes(frame.payload).split(b":", 2)
+            assert frame.payload == payload(int(t), int(i))  # intact
+            seen[int(t)].append(int(i))
+        assert seen == {t: list(range(len(sizes))) for t in range(2)}
+
+    def test_the_largest_legal_record_fits_one_sendmsg(self):
+        from repro.security.cipher import RecordCipher, derive_session_keys
+        from repro.transport.frames import MAX_FRAME_WIRE_SIZE
+        from repro.transport.reactor import _IOV_MAX
+
+        parts = RecordCipher(derive_session_keys(b"m" * 32, "client")).seal(
+            bytes(MAX_FRAME_WIRE_SIZE)
+        )
+        assert 1 + len(parts) <= _IOV_MAX  # carrier prefix + the record's buffers

@@ -142,56 +142,56 @@ class TestRecordCipher:
 
     def test_seal_open_round_trip(self):
         sender, receiver = self.make_pair()
-        record = sender.seal(b"hello tunnel")
+        record = b"".join(sender.seal(b"hello tunnel"))
         assert receiver.open(record) == b"hello tunnel"
 
     def test_empty_plaintext(self):
         sender, receiver = self.make_pair()
-        assert receiver.open(sender.seal(b"")) == b""
+        assert receiver.open(b"".join(sender.seal(b""))) == b""
 
     def test_large_plaintext(self):
         sender, receiver = self.make_pair()
         blob = bytes(range(256)) * 1000
-        assert receiver.open(sender.seal(blob)) == blob
+        assert receiver.open(b"".join(sender.seal(blob))) == blob
 
     def test_ciphertext_differs_from_plaintext(self):
         sender, _ = self.make_pair()
-        record = sender.seal(b"secret payload")
+        record = b"".join(sender.seal(b"secret payload"))
         assert b"secret payload" not in record
 
     def test_sequence_numbers_vary_keystream(self):
         sender, receiver = self.make_pair()
-        r1 = sender.seal(b"same")
-        r2 = sender.seal(b"same")
+        r1 = b"".join(sender.seal(b"same"))
+        r2 = b"".join(sender.seal(b"same"))
         assert r1[40:] != r2[40:]  # same plaintext, different ciphertext
         assert receiver.open(r1) == b"same"
         assert receiver.open(r2) == b"same"
 
     def test_tampered_record_rejected(self):
         sender, receiver = self.make_pair()
-        record = bytearray(sender.seal(b"payload"))
+        record = bytearray(b"".join(sender.seal(b"payload")))
         record[-1] ^= 0x01
         with pytest.raises(CipherError):
             receiver.open(bytes(record))
 
     def test_tampered_mac_rejected(self):
         sender, receiver = self.make_pair()
-        record = bytearray(sender.seal(b"payload"))
+        record = bytearray(b"".join(sender.seal(b"payload")))
         record[10] ^= 0x01  # inside the MAC
         with pytest.raises(CipherError):
             receiver.open(bytes(record))
 
     def test_replay_rejected(self):
         sender, receiver = self.make_pair()
-        record = sender.seal(b"once")
+        record = b"".join(sender.seal(b"once"))
         receiver.open(record)
         with pytest.raises(CipherError):
             receiver.open(record)
 
     def test_reorder_rejected(self):
         sender, receiver = self.make_pair()
-        first = sender.seal(b"1")
-        second = sender.seal(b"2")
+        first = b"".join(sender.seal(b"1"))
+        second = b"".join(sender.seal(b"2"))
         receiver.open(second)
         with pytest.raises(CipherError):
             receiver.open(first)
@@ -199,7 +199,7 @@ class TestRecordCipher:
     def test_truncated_record_rejected(self):
         sender, receiver = self.make_pair()
         with pytest.raises(CipherError):
-            receiver.open(sender.seal(b"payload")[:10])
+            receiver.open(b"".join(sender.seal(b"payload"))[:10])
 
     def test_directional_keys_differ(self):
         master = random_master_secret()
@@ -213,7 +213,7 @@ class TestRecordCipher:
         sender = RecordCipher(derive_session_keys(master, "client"))
         receiver = RecordCipher(derive_session_keys(master, "server"))
         with pytest.raises(CipherError):
-            receiver.open(sender.seal(b"cross"))
+            receiver.open(b"".join(sender.seal(b"cross")))
 
     def test_session_keys_length_enforced(self):
         with pytest.raises(CipherError):
@@ -225,14 +225,14 @@ class TestRecordCipher:
 
     def test_overhead_constant(self):
         sender, _ = self.make_pair()
-        assert len(sender.seal(b"")) == RecordCipher.overhead()
-        assert len(sender.seal(b"xyz")) == RecordCipher.overhead() + 3
+        assert len(b"".join(sender.seal(b""))) == RecordCipher.overhead()
+        assert len(b"".join(sender.seal(b"xyz"))) == RecordCipher.overhead() + 3
 
     def test_keystream_xor_is_the_record_keystream(self):
         # Tickets and records share one construction: SHAKE128(key || nonce).
         keys = derive_session_keys(random_master_secret(), "client")
         plaintext = b"one keystream construction" * 3
-        record = RecordCipher(keys).seal(plaintext)
+        record = b"".join(RecordCipher(keys).seal(plaintext))
         seq = record[:8]
         assert keystream_xor(keys.encrypt_key, seq, plaintext) == record[40:]
         assert keystream_xor(keys.encrypt_key, seq, record[40:]) == plaintext
@@ -256,13 +256,13 @@ class TestRecordCipherEdges:
     def test_round_trip_at_block_boundaries(self, size):
         sender, receiver = self.make_pair()
         plaintext = bytes(i & 0xFF for i in range(size))
-        record = sender.seal(plaintext)
+        record = b"".join(sender.seal(plaintext))
         assert len(record) == RecordCipher.overhead() + size
         assert receiver.open(record) == plaintext
 
     def test_wire_layout(self):
         sender, _ = self.make_pair()
-        record = sender.seal(b"payload")
+        record = b"".join(sender.seal(b"payload"))
         assert record[:8] == (0).to_bytes(8, "big")
         assert len(record) == RecordCipher.overhead() + len(b"payload")
 
@@ -273,7 +273,7 @@ class TestRecordCipherEdges:
     )
     def test_any_flipped_bit_rejected(self, offset):
         sender, receiver = self.make_pair()
-        record = bytearray(sender.seal(b"integrity matters"))
+        record = bytearray(b"".join(sender.seal(b"integrity matters")))
         record[offset] ^= 0x01
         with pytest.raises(CipherError):
             receiver.open(bytes(record))
@@ -282,13 +282,13 @@ class TestRecordCipherEdges:
         # A receiver must tolerate dropped records: sequence numbers only
         # need to increase, not be contiguous.
         sender, receiver = self.make_pair()
-        records = [sender.seal(str(i).encode()) for i in range(5)]
+        records = [b"".join(sender.seal(str(i).encode())) for i in range(5)]
         assert receiver.open(records[0]) == b"0"
         assert receiver.open(records[4]) == b"4"
 
     def test_replay_rejected(self):
         sender, receiver = self.make_pair()
-        record = sender.seal(b"once only")
+        record = b"".join(sender.seal(b"once only"))
         receiver.open(record)
         with pytest.raises(CipherError, match="replayed"):
             receiver.open(record)
@@ -300,4 +300,4 @@ class TestRecordCipherEdges:
             receiver.open(bogus)
         # The rejection must not poison the receive state: a legitimate
         # record still opens afterwards.
-        assert receiver.open(sender.seal(b"still fine")) == b"still fine"
+        assert receiver.open(b"".join(sender.seal(b"still fine"))) == b"still fine"
