@@ -40,6 +40,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.transport.frames import BULK_SLICE as _XOR_SLICE
 from repro.transport.frames import MAX_FRAME_WIRE_SIZE
 
 __all__ = [
@@ -55,8 +56,6 @@ _SEQ = struct.Struct("!Q")
 _MAC_LEN = 32
 _SHA256_BLOCK = 64
 _HEADER_LEN = _SEQ.size + _MAC_LEN
-#: Bytes XORed as one big integer; larger records are XORed in slices.
-_XOR_SLICE = 64 * 1024
 
 #: Largest ciphertext a well-formed peer can produce: a record body is an
 #: encoded frame, bounded by the frame wire format.  Anything larger is

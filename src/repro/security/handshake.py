@@ -130,8 +130,9 @@ class SecureChannel(Channel):
 
     def send(self, frame: Frame) -> None:
         record = self._send_cipher.seal(encode_frame(frame))
-        self._inner.send_records([(frame.channel, record)])
-        self.stats.on_send(sum(map(len, record)))
+        size = sum(map(len, record))
+        self._inner.send_records([(frame.channel, record, size)])
+        self.stats.on_send(size)
 
     def send_many(self, frames: Iterable[Frame]) -> None:
         """Seal a burst of frames and hand the records down as one batch.
@@ -139,16 +140,19 @@ class SecureChannel(Channel):
         Each frame still becomes its own record (the wire format is the
         same as :meth:`send`); the win is that the inner transport writes
         all of them with one vectored syscall.  A record stays the list
-        of buffers ``seal`` made it.
+        of buffers ``seal`` made it, sized here once for every layer.
         """
         seal = self._send_cipher.seal
-        records = [(frame.channel, seal(encode_frame(frame))) for frame in frames]
+        records: list[tuple[int, list[bytes], int]] = []
+        nbytes = 0
+        for frame in frames:
+            record = seal(encode_frame(frame))
+            size = sum(map(len, record))
+            records.append((frame.channel, record, size))
+            nbytes += size
         if not records:
             return
         self._inner.send_records(records)
-        nbytes = 0
-        for _, record in records:
-            nbytes += sum(map(len, record))
         self.stats.frames_sent += len(records)
         self.stats.bytes_sent += nbytes
 

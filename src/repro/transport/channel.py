@@ -60,14 +60,11 @@ class Channel(abc.ABC):
         for frame in frames:
             self.send(frame)
 
-    def send_records(self, records: list[tuple[int, list[bytes]]]) -> None:
-        """Send sealed ``(channel id, record buffers)`` pairs, each record
-        as the payload of a header-less DATA frame.  TCP writes the
-        buffers behind a :func:`~repro.transport.frames.carrier_prefix`
-        as they are, with no frame; here each record is joined once."""
-        self.send_many(
-            [Frame(FrameKind.DATA, ch, {}, b"".join(rec)) for ch, rec in records]
-        )
+    def send_records(self, records: list[tuple[int, list[bytes], int]]) -> None:
+        """Send sealed ``(channel id, record buffers, size)`` triples, each
+        record joined once as the payload of a header-less DATA frame; TCP
+        writes the buffers behind a :func:`~repro.transport.frames.carrier_prefix`."""
+        self.send_many([Frame(FrameKind.DATA, ch, {}, b"".join(rec)) for ch, rec, _ in records])
 
     @abc.abstractmethod
     def recv(self, timeout: Optional[float] = None) -> Frame:

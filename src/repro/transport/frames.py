@@ -59,9 +59,10 @@ MAX_FRAME_PAYLOAD = 16 * 1024 * 1024
 _MAX_HEADER = 1 * 1024 * 1024
 _MAX_DEPTH = 32
 _MAX_CONTAINER = 1_000_000
-#: Bytes leaves and frames larger than this (one record cipher slice)
-#: are encoded and decoded without an intermediate copy.
-_SLICE = 64 * 1024
+#: One record cipher slice (the cipher XORs at most this much at a time).
+#: Bytes leaves and frames larger than this are encoded and decoded
+#: without an intermediate copy.
+BULK_SLICE = 64 * 1024
 
 #: Largest possible encoded frame: fixed prefix + max header blob + max
 #: payload.  Layers wrapping whole frames (the record cipher) use this to
@@ -131,7 +132,7 @@ def encode_value(value: Any) -> bytes:
         return bytes(out)
     # Bulk leaves were left out of ``out``: one join copies each byte once.
     view = memoryview(out)
-    pieces: list = []
+    pieces: list[bytes | memoryview] = []
     start = 0
     for at, leaf in bulk:
         pieces += (view[start:at], leaf)
@@ -140,7 +141,9 @@ def encode_value(value: Any) -> bytes:
     return b"".join(pieces)
 
 
-def _encode_into(value: Any, out: bytearray, depth: int, bulk: list) -> None:
+def _encode_into(
+    value: Any, out: bytearray, depth: int, bulk: list[tuple[int, bytes]]
+) -> None:
     # One call per container, not per value: a dict writes its exact-type
     # str/int/bytes leaves in place; everything else — other containers,
     # None/bool/float, every subclass — goes through the ladder below.
@@ -173,7 +176,7 @@ def _encode_into(value: Any, out: bytearray, depth: int, bulk: list) -> None:
                 out += _B_INT + _pack_u32(len(raw)) + raw
             elif kind is bytes:
                 out += _B_BYTES + _pack_u32(len(item))
-                if len(item) > _SLICE:
+                if len(item) > BULK_SLICE:
                     bulk.append((len(out), item))
                 else:
                     out += item
@@ -203,7 +206,7 @@ def _encode_into(value: Any, out: bytearray, depth: int, bulk: list) -> None:
         raw = bytes(value)
         out.append(_T_BYTES)
         out += _pack_u32(len(raw))
-        if len(raw) > _SLICE:
+        if len(raw) > BULK_SLICE:
             bulk.append((len(out), raw))
         else:
             out += raw
@@ -455,7 +458,7 @@ def decode_frame(data: bytes) -> Frame:
     so safe to keep): a bulk value is then copied once, by
     :func:`decode_value`'s leaf copy.
     """
-    if type(data) is bytes and len(data) > _SLICE:
+    if type(data) is bytes and len(data) > BULK_SLICE:
         frame, consumed = _decode_frame_at(memoryview(data), 0, copy=False)
     else:
         frame, consumed = _decode_frame_at(data, 0)

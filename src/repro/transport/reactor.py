@@ -743,26 +743,27 @@ class ReactorTcpChannel(Channel):
         self.send_many((frame,))
 
     def send_many(self, frames: Iterable[Frame]) -> None:
-        batch = [encode_frame_views(frame) for frame in frames]
-        if batch:
-            self._enqueue(batch)
+        entries = []
+        for frame in frames:
+            views = encode_frame_views(frame)  # [head, body]
+            entries.append((views, len(views[0]) + len(views[1])))
+        if entries:
+            self._enqueue(entries)
 
-    def send_records(self, records: list[tuple[int, list[bytes]]]) -> None:
+    def send_records(self, records: list[tuple[int, list[bytes], int]]) -> None:
         # A record's buffers follow its carrier prefix as iovecs: sealed
         # once, never joined or copied.
-        batch = [
-            [carrier_prefix(ch, sum(map(len, record))), *record]
-            for ch, record in records
-        ]
-        if batch:
-            self._enqueue(batch)
-
-    def _enqueue(self, batch: list) -> None:
         entries = []
+        for ch, record, size in records:
+            prefix = carrier_prefix(ch, size)
+            entries.append(([prefix, *record], len(prefix) + size))
+        if entries:
+            self._enqueue(entries)
+
+    def _enqueue(self, entries: list[tuple[list, int]]) -> None:
+        """Queue ``(views, their total size)`` entries, or write them."""
         need = 0
-        for views in batch:  # an encoded frame's [head, body], or a carrier's views
-            size = sum(map(len, views))
-            entries.append((views, size))
+        for _, size in entries:
             need += size
         deadline = None
         with self._wq_lock:

@@ -54,9 +54,7 @@ class GridWebServer:
         if self._thread is not None:
             return
         self._thread = threading.Thread(  # gridlint: disable=GL102 -- stdlib HTTPServer.serve_forever needs a dedicated thread; stop() shuts it down
-            target=self._server.serve_forever,
-            args=(_POLL_INTERVAL,),
-            daemon=True,
+            target=self._server.serve_forever, args=(_POLL_INTERVAL,), daemon=True,
             name="grid-web",
         )
         self._thread.start()

@@ -9,6 +9,7 @@ corruption of real control frames.
 
 import collections
 import enum
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 from repro.core.protocol import ControlMessage, Op, ProtocolError
 from repro.transport import frames
 from repro.transport.errors import CodecError, FrameError
-from repro.transport.frames import decode_frame, decode_value, encode_frame, encode_value
+from repro.transport.frames import (
+    Frame,
+    FrameKind,
+    decode_frame,
+    decode_value,
+    encode_frame,
+    encode_value,
+)
 from tests import _reference_codec as oracle
 
 DIFF_SETTINGS = settings(max_examples=2000, deadline=None, derandomize=True)
@@ -237,3 +245,60 @@ def test_subclass_keys_never_enter_the_table():
     key = Label("never-seen-subclass-key")
     assert encode_value({key: 1}) == oracle.encode_value({key: 1})
     assert frames._KEY_BLOBS == before
+
+
+# -- bulk leaves: binaries over one slice are joined in, not copied twice -----
+
+_BULK = hashlib.shake_128(b"bulk leaves").digest(96 * 1024)
+
+bulk_leaves = st.builds(
+    lambda size, kind: kind(_BULK[:size]),
+    st.sampled_from(
+        [frames.BULK_SLICE - 1, frames.BULK_SLICE, frames.BULK_SLICE + 1, len(_BULK)]
+    ),
+    st.sampled_from([bytes, bytearray, memoryview]),
+)
+bulk_values = st.recursive(
+    st.one_of(st.none(), st.integers(-(2**70), 2**70), st.text(max_size=8),
+              st.binary(max_size=8), bulk_leaves),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=3).map(Bag),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(bulk_values)
+def test_bulk_leaves_same_bytes_and_values(value):
+    """Bytes, bytearray and memoryview leaves around the slice size, at
+    any depth in dicts, lists and tuples, several to a value."""
+    wire = encode_value(value)
+    assert type(wire) is bytes
+    assert wire == oracle.encode_value(value)
+    expected = outcome(oracle.decode_value, wire)
+    assert outcome(decode_value, wire) == expected
+    # Over one slice, decode_frame hands decode_value a view of the frame.
+    frame = decode_frame(encode_frame(Frame(FrameKind.DATA, 5, {"n": 1}, wire)))
+    assert bytes(frame.payload) == wire
+    assert outcome(decode_value, frame.payload) == expected
+
+
+def test_nested_bulk_leaves_of_every_kind():
+    big = [_BULK, bytearray(_BULK[1:]), memoryview(_BULK)[2:], _BULK[: frames.BULK_SLICE + 1]]
+    value = {
+        "a": [big[0], (big[1], {"m": big[2], "s": b"x"}), 7],
+        "b": big[3],
+        "c": ([big[0]], (big[1],)),
+    }
+    wire = encode_value(value)
+    assert wire == oracle.encode_value(value)
+    frame = decode_frame(encode_frame(Frame(FrameKind.DATA, 1, {}, wire)))
+    back = decode_value(frame.payload)
+    assert back == oracle.decode_value(wire)
+    leaves = [back["a"][0], back["a"][1][0], back["a"][1][1]["m"], back["b"], back["c"][0][0]]
+    assert [bytes(b) for b in big[:4]] + [_BULK] == leaves
+    assert all(type(leaf) is bytes for leaf in leaves)  # owning copies, not views

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import ControlMessage, Op
-from repro.security.cipher import CipherError, RecordCipher, SessionKeys
+from repro.security.cipher import CipherError, RecordCipher, SessionKeys, _xor_slices
 from repro.security.handshake import PeerIdentity, SecureChannel
 from repro.transport.frames import Frame, FrameKind, carrier_prefix, encode_frame
 from repro.transport.inproc import channel_pair
@@ -262,16 +262,18 @@ def _count_large_allocations(fn):
     return result, sum(new.values())
 
 
-def test_a_bulk_message_makes_fifteen_large_buffers_each_way():
+def test_a_bulk_message_is_copied_three_times_each_way_beside_the_xor():
     """One control frame with a 256 KiB body, sent through SecureChannel
-    over TCP and received on the loop thread as the grid receives it.
+    over TCP and received as the grid receives it.
 
-    Each way, 12 of the 15 are the cipher's four full 64 KiB slices (two
-    ``int.from_bytes`` and one ``to_bytes`` each); the SHAKE keystream is
-    one more.  Send: ``encode_value``'s one join and ``encode_frame``'s
-    join.  Receive: ``open``'s joined plaintext and the body's one owning
-    copy in ``decode_value``.  Before records left ``seal`` as slices and
-    bulk leaves skipped the codec's bytearray, the counts were 17 and 16.
+    Both halves run on the loop thread, so no other thread allocates
+    while they are counted.  The cipher's XOR arithmetic (per full
+    64 KiB slice, two ``int.from_bytes`` and one ``to_bytes``: 12 blocks
+    here on CPython 3.11) is counted the same way on the same plaintext
+    and subtracted, so what is pinned is the message's own buffers.
+    Send: the SHAKE keystream, ``encode_value``'s one join and
+    ``encode_frame``'s join.  Receive: the keystream, ``open``'s joined
+    plaintext and the body's one owning copy in ``decode_value``.
     """
     reactor = Reactor(name="copy-counter").start()
     listener = ReactorTcpListener(reactor=reactor)
@@ -285,8 +287,22 @@ def test_a_bulk_message_makes_fifteen_large_buffers_each_way():
     )
     payload = bytes(range(256)) * 1024
 
+    def counted_on_loop(fn):
+        out: list = []
+        done = threading.Event()
+
+        def on_loop():
+            try:
+                out.append(_count_large_allocations(fn))
+            finally:
+                done.set()
+
+        reactor.loop.schedule(on_loop)
+        assert done.wait(timeout=10.0)
+        return out[0]
+
     def round_trip(message):
-        _, sent = _count_large_allocations(lambda: sender.send(message.to_frame()))
+        _, sent = counted_on_loop(lambda: sender.send(message.to_frame()))
         wire = len(encode_frame(message.to_frame())) + RecordCipher.overhead() + 21
         deadline = time.monotonic() + 10.0
         while True:  # until the loop has read all of it
@@ -295,22 +311,9 @@ def test_a_bulk_message_makes_fifteen_large_buffers_each_way():
                     break
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        out: list = []
-        done = threading.Event()
-
-        def on_loop():
-            try:
-                out.append(
-                    _count_large_allocations(
-                        lambda: ControlMessage.from_frame(receiver.poll_batch(1)[0][0])
-                    )
-                )
-            finally:
-                done.set()
-
-        reactor.loop.schedule(on_loop)
-        assert done.wait(timeout=10.0)
-        got, received = out[0]
+        got, received = counted_on_loop(
+            lambda: ControlMessage.from_frame(receiver.poll_batch(1)[0][0])
+        )
         assert got.body == message.body
         return sent, received
 
@@ -319,10 +322,12 @@ def test_a_bulk_message_makes_fifteen_large_buffers_each_way():
         # only the message's own buffers are counted.
         round_trip(ControlMessage(op=Op.PING, body={"blob": bytes(1 << 20)}))
         round_trip(ControlMessage(op=Op.PING, body={"blob": payload}))
-        assert round_trip(ControlMessage(op=Op.PING, body={"blob": payload}, message_id=1)) == (
-            15,
-            15,
-        )
+        message = ControlMessage(op=Op.PING, body={"blob": payload}, message_id=1)
+        plaintext = encode_frame(message.to_frame())
+        stream = hashlib.shake_128(b"stream").digest(len(plaintext))
+        _, xor = counted_on_loop(lambda: list(_xor_slices(plaintext, stream)))
+        sent, received = round_trip(message)
+        assert (sent - xor, received - xor) == (3, 3)
     finally:
         client.close()
         server.close()
